@@ -106,7 +106,8 @@ def _cmd_sweep(args) -> int:
     if config.json_path is not None:
         print(f"wrote {config.json_path}")
     if violations:
-        print(f"{len(violations)} ordering violations beyond 3 combined SE:")
+        print(f"{len(violations)} ordering violations beyond 3 combined SE "
+              f"or with a NaN estimate:")
         for v in violations:
             print(f"  ({v['n']},{v['m']}) sigma_c={v['sigma_c']:g} "
                   f"{v['pair']}: gap {v['gap']:.3e} > "

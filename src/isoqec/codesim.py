@@ -10,9 +10,13 @@ block's first amplitude after renormalization.
 
 Two Monte Carlo estimators of the corrected fidelity are provided.  The
 block-sum form averages over syndrome outcomes analytically per sample
-and has the lower variance; the sampled form draws an explicit syndrome
-per sample.  Both are unbiased and are kept as independent routes to the
-same number.
+and has the lower variance: summed over blocks, the recovered fidelity is
+the squared mass on the d'' first amplitudes, i.e. on e0 plus 2d''-1
+other real coordinates, which sampler.sample_fidelities draws as one
+Beta variate per sample without building the state.  The sampled form
+builds full states with sampler.sample_states and draws an explicit
+syndrome per sample.  Both are unbiased and are kept as independent
+routes to the same number.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .sampler import (
     RngStreams,
     StateVector,
     mc_mean,
+    sample_fidelities,
     sample_states,
 )
 
@@ -105,11 +110,6 @@ class CorrectionEstimator(Enum):
     SYNDROME_SAMPLED = "syndrome_sampled"
 
 
-def _block_sum_values(x: np.ndarray, code: BlockCode) -> np.ndarray:
-    r = code.block_matrix(x)
-    return (r[:, :, 0] ** 2 + r[:, :, 1] ** 2).sum(axis=1)
-
-
 def _sampled_values(x: np.ndarray, code: BlockCode,
                     rng: np.random.Generator) -> np.ndarray:
     r = code.block_matrix(x)
@@ -133,8 +133,8 @@ def raw_fidelity_mc(density: IsotropicDensity, d: int, n_samples: int,
         raise ValueError(f"density has d={density.d}, expected {d}")
 
     def value_fn(rng: np.random.Generator, count: int) -> np.ndarray:
-        x = sample_states(density, count, rng)
-        return x[:, 0] ** 2 + x[:, 1] ** 2
+        # the second coordinate is the only one kept beside e0
+        return sample_fidelities(density, 1, count, rng)
 
     return mc_mean(value_fn, n_samples, streams,
                    chunk_size=chunk_size, workers=workers)
@@ -152,10 +152,12 @@ def corrected_fidelity_mc(density: IsotropicDensity, code: BlockCode,
             f"density has d={density.d}, expected {code.params.d}")
 
     def value_fn(rng: np.random.Generator, count: int) -> np.ndarray:
-        # states consume the stream first, then any syndrome draws
-        x = sample_states(density, count, rng)
         if estimator is CorrectionEstimator.BLOCK_SUM:
-            return _block_sum_values(x, code)
+            # each block's first amplitude: e0 plus 2 d'' - 1 coordinates
+            return sample_fidelities(density, 2 * code.n_blocks - 1, count,
+                                     rng)
+        # states consume the stream first, then the syndrome draws
+        x = sample_states(density, count, rng)
         return _sampled_values(x, code, rng)
 
     return mc_mean(value_fn, n_samples, streams,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -83,6 +84,15 @@ class ConfigError(ValueError):
     """Invalid configuration or unusable input/output path."""
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false in a config is a mistake
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: a code list crossed with a sigma grid."""
@@ -98,10 +108,23 @@ class SweepConfig:
     json_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "code_list",
-                           tuple(tuple(c) for c in self.code_list))
+        try:
+            object.__setattr__(self, "code_list",
+                               tuple(tuple(c) for c in self.code_list))
+        except TypeError as exc:
+            raise ConfigError(f"code_list must be a list of [n, m] pairs, "
+                              f"got {self.code_list!r}") from exc
+        try:
+            sigmas = tuple(self.sigma_grid)
+        except TypeError as exc:
+            raise ConfigError(f"sigma_grid must be a list of numbers, "
+                              f"got {self.sigma_grid!r}") from exc
+        for sigma in sigmas:
+            if not _is_real(sigma):
+                raise ConfigError(f"sigma_grid entries must be numbers, "
+                                  f"got {sigma!r}")
         object.__setattr__(self, "sigma_grid",
-                           tuple(float(s) for s in self.sigma_grid))
+                           tuple(float(s) for s in sigmas))
         if not self.code_list:
             raise ConfigError("code_list must not be empty")
         for code in self.code_list:
@@ -117,21 +140,21 @@ class SweepConfig:
             if not 0.0 <= sigma < 1.0:
                 raise ConfigError(f"sigma values must lie in [0, 1), "
                                   f"got {sigma}")
-        if not (isinstance(self.n_samples, int) and self.n_samples >= 1000):
+        if not (_is_int(self.n_samples) and self.n_samples >= 1000):
             raise ConfigError(f"n_samples must be an integer >= 1000, "
                               f"got {self.n_samples}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, "
                               f"got {self.seed}")
         if self.n_steps_override is not None and not (
-                isinstance(self.n_steps_override, int)
+                _is_int(self.n_steps_override)
                 and self.n_steps_override >= 1):
             raise ConfigError(f"n_steps_override must be a positive integer, "
                               f"got {self.n_steps_override}")
-        if not (isinstance(self.chunk_size, int) and self.chunk_size >= 1):
+        if not (_is_int(self.chunk_size) and self.chunk_size >= 1):
             raise ConfigError(f"chunk_size must be a positive integer, "
                               f"got {self.chunk_size}")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
+        if not (_is_int(self.workers) and self.workers >= 1):
             raise ConfigError(f"workers must be a positive integer, "
                               f"got {self.workers}")
 
@@ -160,11 +183,6 @@ class SweepConfig:
         for key in ("code_list", "sigma_grid"):
             if key not in data:
                 raise ConfigError(f"config {path} is missing '{key}'")
-        try:
-            data["code_list"] = tuple(tuple(c) for c in data["code_list"])
-        except TypeError as exc:
-            raise ConfigError(f"config {path}: code_list entries must be "
-                              f"[n, m] pairs") from exc
         return cls(**data)
 
 
@@ -291,7 +309,8 @@ def check_ordering(rows: Sequence[SweepRow],
 
     The ordering (accumulated unencoded >= corrected >= raw) holds for
     the closed forms by construction; on MC columns it is enforced up to
-    n_se combined standard errors.
+    n_se combined standard errors.  A pair with a NaN estimate or SE is
+    a violation, since no comparison can hold for it.
     """
     violations = []
     for row in rows:
@@ -304,7 +323,8 @@ def check_ordering(rows: Sequence[SweepRow],
         for name, upper, upper_se, lower, lower_se in pairs:
             allowed = n_se * math.hypot(upper_se, lower_se)
             gap = lower - upper
-            if gap > allowed:
+            if gap > allowed or any(math.isnan(v) for v in (
+                    upper, upper_se, lower, lower_se)):
                 violations.append({
                     "n": row.n, "m": row.m, "sigma_c": row.sigma_c,
                     "pair": name, "gap": gap, "allowed": allowed,

@@ -6,6 +6,16 @@ sizes and partial sums merged in ascending chunk order.  The result is
 bit-identical for a given (seed, n_samples, chunk_size) regardless of how
 many workers execute the chunks.
 
+An error sample about e0 is cos(theta) e0 + sin(theta) u, with theta drawn
+from the density's polar marginal and u uniform on the unit sphere
+orthogonal to e0, independent of theta.  The fidelity estimators only read
+the squared mass of a sample on e0 plus a fixed set of ``kept`` of the
+other 2d-1 coordinates.  The squared coordinates of u are
+Dirichlet(1/2, ..., 1/2), so that mass is cos^2(theta) + sin^2(theta) B
+with B ~ Beta(kept/2, (2d-1-kept)/2): sample_fidelities draws one uniform
+and one Beta variate per sample, whatever d is.  sample_states builds the
+full 2d-vectors and stays as the independent geometric route.
+
 An error sample about an arbitrary base state is produced by drawing the
 error about the north pole e0 and transporting it with the Householder
 reflection taking e0 to the base.  The reflection is orthogonal, so it
@@ -165,6 +175,26 @@ def sample_states(density: IsotropicDensity, n: int,
     coords[:, 0] = np.cos(theta)
     coords[:, 1:] = np.sin(theta)[:, None] * dirs
     return coords
+
+
+def sample_fidelities(density: IsotropicDensity, kept: int, n: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Squared mass of n error samples about e0 on e0 plus kept coordinates.
+
+    kept counts coordinates orthogonal to e0, 1 <= kept <= 2d-1; the
+    result has the law of (x[:, :kept + 1] ** 2).sum(axis=1) over rows x
+    of sample_states.  Each value is cos^2(theta) + sin^2(theta) B with
+    B ~ Beta(kept/2, (2d-1-kept)/2), computed as 1 - sin^2(theta) (1 - B).
+    Consumption order is fixed: polar uniforms first, then Beta variates;
+    at kept = 2d-1 every coordinate is kept, B = 1 and no Beta is drawn.
+    """
+    if not 1 <= kept <= 2 * density.d - 1:
+        raise ValueError(f"kept must lie in [1, {2 * density.d - 1}] at "
+                         f"d={density.d}, got {kept}")
+    rest = 2 * density.d - 1 - kept
+    theta = np.asarray(sample_theta0(density.marginal, rng, n))
+    b = rng.beta(kept / 2, rest / 2, n) if rest else 1.0
+    return 1.0 - np.sin(theta) ** 2 * (1.0 - b)
 
 
 def sample_state(density: IsotropicDensity,

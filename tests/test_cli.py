@@ -39,6 +39,16 @@ class TestSweepCommand:
         assert rc == 2
         assert "n_samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"seed": True}, {"sigma_grid": ["a"]}, {"sigma_grid": 5},
+        {"code_list": 5}])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, overrides):
+        rc = main(["sweep", "--config", write_config(tmp_path, **overrides)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert next(iter(overrides)) in err
+
     def test_seed_override_changes_estimates(self, tmp_path):
         config = write_config(tmp_path)
         outputs = []

@@ -145,6 +145,14 @@ class TestRawFidelityMc:
             raw_fidelity_mc(IsotropicDensity.uniform(8), 16, 1000,
                             streams(12))
 
+    def test_single_amplitude_space_keeps_all_mass(self):
+        # at d = 1 both real coordinates are kept: fidelity is exactly 1
+        for sigma in (0.0, 0.5, 0.9):
+            est = raw_fidelity_mc(IsotropicDensity.normal(sigma, 1), 1,
+                                  50000, streams(24))
+            assert abs(est.value - 1.0) <= 1e-15
+            assert est.std_error == 0.0
+
 
 class TestCorrectedFidelityMc:
     def test_block_sum_matches_closed_form(self):

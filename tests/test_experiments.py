@@ -72,6 +72,24 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             small_config(n_steps_override=0)
 
+    def test_rejects_booleans_for_integers(self):
+        # bool is an int subclass; true/false in a config is a mistake
+        for field in ("seed", "workers", "chunk_size", "n_steps_override"):
+            with pytest.raises(ConfigError, match=field):
+                small_config(**{field: True})
+
+    def test_rejects_non_numeric_sigma_grid(self):
+        for grid, culprit in ((["a"], "'a'"), (5, "5"), ([True], "True"),
+                              ([[0.5]], "[0.5]")):
+            with pytest.raises(ConfigError, match="sigma_grid") as exc:
+                small_config(sigma_grid=grid)
+            message = str(exc.value)
+            assert culprit in message and "\n" not in message
+
+    def test_rejects_non_list_code_list(self):
+        with pytest.raises(ConfigError, match="code_list"):
+            small_config(code_list=5)
+
     def test_from_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -228,6 +246,24 @@ class TestCheckOrdering:
         assert len(violations) == 1
         assert violations[0]["pair"] == "phi_tilde_vs_psi"
         assert violations[0]["gap"] > violations[0]["allowed"]
+
+    @pytest.mark.parametrize("column", [
+        "mc_f2_psi", "mc_se_psi", "mc_f2_phi_tilde", "mc_se_phi_tilde",
+        "mc_f2_psi0", "mc_se_psi0"])
+    def test_flags_nan_columns(self, column):
+        row = run_sweep(small_config())[1]
+        assert check_ordering([row]) == []
+        bad = dataclasses.replace(row, **{column: math.nan})
+        violations = check_ordering([bad])
+        # psi0 and psi each sit in one pair, phi_tilde in both
+        want = 2 if "phi_tilde" in column else 1
+        assert len(violations) == want
+        assert all(v["sigma_c"] == row.sigma_c for v in violations)
+
+    def test_flags_closed_form_only_rows(self):
+        # closed_form_rows leaves every MC column NaN
+        rows = closed_form_rows([(3, 1)], [0.0, 0.5])
+        assert len(check_ordering(rows)) == 2 * len(rows)
 
 
 class TestVerifyAppendix:

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from isoqec.codesim import BlockCode
 from isoqec.distributions import (
+    CodeParams,
     IsotropicDensity,
     marginal_polar,
+    moment_sin2,
     variance_compose_n,
     variance_of,
 )
@@ -29,6 +32,7 @@ from isoqec.sampler import (
     from_cartesian,
     load_samples,
     mc_mean,
+    sample_fidelities,
     sample_state,
     sample_states,
     sample_theta0,
@@ -196,6 +200,65 @@ class TestSampleStates:
         corr = np.corrcoef(u.T)
         off = corr[~np.eye(7, dtype=bool)]
         assert np.max(np.abs(off)) < 4 / math.sqrt(u.shape[0])
+
+
+FIDELITY_CODE = BlockCode(CodeParams(3, 1))  # d = 8, d'' = 4 blocks
+
+
+def _fidelity_cases():
+    theta = np.linspace(0.0, math.pi, 400)
+    return [
+        ("normal", IsotropicDensity.normal(0.6, 8)),
+        ("cap", IsotropicDensity.uniform_cap(math.pi / 3, 8)),
+        ("table", IsotropicDensity.from_table(
+            theta, np.exp(-3.0 * theta), 8)),
+    ]
+
+
+class TestSampleFidelities:
+    @pytest.mark.parametrize("case", range(3))
+    def test_matches_full_state_sampler(self, case):
+        # two-sample KS against the squared masses read off full states
+        label, density = _fidelity_cases()[case]
+        n = 40000
+        x = sample_states(density, n, streams(35, case).chunk(0))
+        r = FIDELITY_CODE.block_matrix(x)
+        full = {1: x[:, 0] ** 2 + x[:, 1] ** 2,
+                2 * FIDELITY_CODE.n_blocks - 1:
+                    (r[:, :, 0] ** 2 + r[:, :, 1] ** 2).sum(axis=1)}
+        for kept, want in full.items():
+            got = sample_fidelities(density, kept, n,
+                                    streams(36, case, kept).chunk(0))
+            p = stats.ks_2samp(got, want).pvalue
+            assert p > 1e-3, (label, kept, p)
+
+    def test_beta_mean(self):
+        # B is independent of theta, so E[value] = 1 - E[sin^2] (1 - E[B])
+        # with E[B] = kept / (2d - 1)
+        for case, (label, density) in enumerate(_fidelity_cases()):
+            d = density.d
+            for kept in (1, 2 * FIDELITY_CODE.n_blocks - 1, d, 2 * d - 2):
+                values = sample_fidelities(density, kept, 100000,
+                                           streams(37, case, kept).chunk(0))
+                want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
+                se = values.std(ddof=1) / math.sqrt(values.size)
+                assert abs(values.mean() - want) < 3 * se, (label, kept)
+
+    def test_all_coordinates_kept_is_exactly_one(self):
+        # no Beta(., 0) draw: only the polar uniforms are consumed
+        density = IsotropicDensity.normal(0.7, 4)
+        rng = streams(38).chunk(0)
+        values = sample_fidelities(density, 7, 1000, rng)
+        assert np.array_equal(values, np.ones(1000))
+        after = streams(38).chunk(0)
+        after.random(1000)
+        assert rng.random() == after.random()
+
+    def test_rejects_kept_out_of_range(self):
+        density = IsotropicDensity.uniform(4)
+        for kept in (0, 8):
+            with pytest.raises(ValueError):
+                sample_fidelities(density, kept, 10, streams(39).chunk(0))
 
 
 class TestComposeError:
