@@ -29,14 +29,6 @@ from .experiments import (
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the RNG seed (sampling commands)")
-    common.add_argument("--samples", type=int, default=None,
-                        help="override the per-estimate sample count")
-    common.add_argument("--workers", type=int, default=None,
-                        help="worker threads for Monte Carlo chunks")
-
     parser = argparse.ArgumentParser(
         prog="isoqec",
         description="Closed forms and Monte Carlo checks for isotropic "
@@ -44,33 +36,35 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common],
-        help="evaluate a (code, sigma) grid and write CSV/JSON")
+        "sweep", help="evaluate a (code, sigma) grid and write CSV/JSON")
     p_sweep.add_argument("--config", default=None,
                          help="JSON config file (default: built-in grid)")
     p_sweep.add_argument("--csv", default=None,
                          help="CSV output path (overrides config)")
     p_sweep.add_argument("--json", dest="json_path", default=None,
                          help="JSON report output path (overrides config)")
+    p_sweep.add_argument("--seed", type=int, default=None,
+                         help="override the RNG seed")
+    p_sweep.add_argument("--samples", type=int, default=None,
+                         help="override the per-estimate sample count")
+    p_sweep.add_argument("--workers", type=int, default=None,
+                         help="worker threads for Monte Carlo chunks")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run a verification report")
     vsub = p_verify.add_subparsers(dest="report", required=True)
     p_appendix = vsub.add_parser(
-        "appendix", parents=[common],
-        help="integral closed forms vs adaptive quadrature")
+        "appendix", help="integral closed forms vs adaptive quadrature")
     p_appendix.add_argument("--rel-tol", dest="rel_tol", type=float,
                             default=1e-9,
                             help="relative tolerance (default 1e-9)")
     p_appendix.set_defaults(func=_cmd_verify_appendix)
     p_theorems = vsub.add_parser(
-        "theorems", parents=[common],
-        help="ordering chain, variance bounds, gap function")
+        "theorems", help="ordering chain, variance bounds, gap function")
     p_theorems.set_defaults(func=_cmd_verify_theorems)
 
     p_figure = sub.add_parser(
-        "figure2", parents=[common],
-        help="emit the two-panel closed-form comparison figure")
+        "figure2", help="emit the two-panel closed-form comparison figure")
     p_figure.add_argument("--out", required=True, help="SVG output path")
     p_figure.set_defaults(func=_cmd_figure2)
 

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .distributions import (
     CodeParams,
     DensityKind,
@@ -56,37 +58,35 @@ def _deficit(log_bar: float, d: int, weight: int) -> float:
     if weight == 0:
         return 0.0
     return math.exp(math.log(4.0) + (d - 1) * LOG_2PI
-                    - double_factorial_log(2 * d - 1).log_magnitude
+                    - double_factorial_log(2 * d - 1)
                     + math.log(weight) + log_bar)
 
 
 def fidelity_psi(density: IsotropicDensity, d: int) -> float:
-    """Squared fidelity of the raw perturbed state on S^(2d-1)."""
+    """Squared fidelity of the raw perturbed state on S^(2d-1).
+
+    On the logical sphere (d = d') this is the unencoded fidelity.
+    """
     if density.d != d:
         raise ValueError(
             f"density lives at half-dimension {density.d}, expected {d}")
     return 1.0 - _deficit(log_moment_sin_2d_bar(density), d, d - 1)
 
 
-def fidelity_psi_normal(sigma: float, d: int) -> float:
+def fidelity_psi_normal(sigma, d: int):
     """fidelity_psi specialized to the normal density: (1 + (d-1) s^2) / d.
 
     Accepts sigma = 1 as the continuous limit (fidelity 1) even though the
-    density itself is only defined for sigma < 1.
+    density itself is only defined for sigma < 1.  sigma may be an array;
+    the result then has its shape.
     """
-    if not 0.0 <= sigma <= 1.0:
+    s = np.asarray(sigma, dtype=float)
+    if not np.all((0.0 <= s) & (s <= 1.0)):
         raise ValueError(f"need 0 <= sigma <= 1, got {sigma}")
     if d < 1:
         raise ValueError(f"half-dimension d must be >= 1, got {d}")
-    return (1.0 + (d - 1) * sigma * sigma) / d
-
-
-def fidelity_psi0(density: IsotropicDensity, d_prime: int) -> float:
-    """Squared fidelity of the unencoded state under its own error.
-
-    Same closed form as fidelity_psi, on the logical sphere S^(2d'-1).
-    """
-    return fidelity_psi(density, d_prime)
+    out = (1.0 + (d - 1) * s * s) / d
+    return out if out.ndim else float(out)
 
 
 def fidelity_corrected(density: IsotropicDensity, params: CodeParams) -> float:
@@ -104,7 +104,7 @@ def fidelity_corrected(density: IsotropicDensity, params: CodeParams) -> float:
 
 
 def bound_psi0_lower(v_u: float, d_prime: int) -> float:
-    """Lower bound on fidelity_psi0 from the per-step variance alone.
+    """Lower bound on the unencoded fidelity from the per-step variance alone.
 
     1 - (2d'-2)/(2d'-1) (v_u - (v_u/2)^2); tight for concentrated errors.
     """
@@ -135,18 +135,21 @@ def bound_corrected_upper(v_c: float, params: CodeParams,
     raise ValueError(f"unknown bound variant {variant!r}")
 
 
-def lemma_g(n: int, x: float) -> float:
+def lemma_g(n: int, x):
     """g(n, x) = 2 - 2 (1 - x/2)^n - (x - (x/2)^2), nonnegative on [0, 4].
 
     The gap between the n-fold composed variance and the single-step
     spread term; its nonnegativity is what orders the unencoded fidelity
-    above the corrected one.
+    above the corrected one.  x may be an array; the result then has its
+    shape.
     """
     if not (isinstance(n, int) and n >= 2):
         raise ValueError(f"step count must be an integer >= 2, got {n}")
-    if not 0.0 <= x <= 4.0:
+    v = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= v) & (v <= 4.0)):
         raise ValueError(f"variance argument must lie in [0, 4], got {x}")
-    return 2.0 - 2.0 * (1.0 - x / 2.0) ** n - (x - (x / 2.0) ** 2)
+    out = 2.0 - 2.0 * (1.0 - v / 2.0) ** n - (v - (v / 2.0) ** 2)
+    return out if out.ndim else float(out)
 
 
 def full_report(density: IsotropicDensity, params: CodeParams,
@@ -183,7 +186,7 @@ def full_report(density: IsotropicDensity, params: CodeParams,
         params=params,
         f2_psi=fidelity_psi(density, params.d),
         f2_phi_tilde=fidelity_corrected(density, params),
-        f2_psi0=fidelity_psi0(uncoded, params.d_prime),
+        f2_psi0=fidelity_psi(uncoded, params.d_prime),
         lb_psi0=bound_psi0_lower(v_u, params.d_prime),
         ub_phi_tilde=bound_corrected_upper(v_c, params, BoundVariant.PROOF),
         cond18=condition_18(density).holds,

@@ -31,7 +31,6 @@ from .sampler import (
     DEFAULT_CHUNK_SIZE,
     McEstimate,
     RngStreams,
-    StateVector,
     mc_mean,
     sample_fidelities,
     sample_states,
@@ -39,10 +38,7 @@ from .sampler import (
 
 __all__ = [
     "BlockCode",
-    "SyndromeOutcome",
     "CorrectionEstimator",
-    "syndrome_probabilities",
-    "measure_and_correct",
     "raw_fidelity_mc",
     "corrected_fidelity_mc",
 ]
@@ -74,35 +70,6 @@ class BlockCode:
                               self.n_blocks, self.block_width)
 
 
-@dataclass(frozen=True)
-class SyndromeOutcome:
-    """Result of one syndrome measurement with recovery applied."""
-
-    syndrome: int
-    probability: float
-    state: StateVector  # logical state, dimension d_prime
-
-
-def syndrome_probabilities(state: StateVector, code: BlockCode) -> np.ndarray:
-    """Probability of each syndrome outcome for one state."""
-    blocks = code.block_matrix(state.coords)
-    return np.einsum("jk,jk->j", blocks, blocks)
-
-
-def measure_and_correct(state: StateVector, code: BlockCode,
-                        rng: np.random.Generator) -> SyndromeOutcome:
-    """Draw a syndrome, project onto its block, relabel as logical."""
-    p = syndrome_probabilities(state, code)
-    u = rng.random()
-    j = int(np.searchsorted(np.cumsum(p), u, side="right"))
-    j = min(j, code.n_blocks - 1)  # float cumsum may top out below 1
-    if p[j] <= 0.0:
-        raise RuntimeError("measured a syndrome with zero probability")
-    blocks = code.block_matrix(state.coords)
-    return SyndromeOutcome(syndrome=j, probability=float(p[j]),
-                           state=StateVector(blocks[j] / np.sqrt(p[j])))
-
-
 class CorrectionEstimator(Enum):
     """How the corrected fidelity is averaged per sample."""
 
@@ -112,6 +79,11 @@ class CorrectionEstimator(Enum):
 
 def _sampled_values(x: np.ndarray, code: BlockCode,
                     rng: np.random.Generator) -> np.ndarray:
+    """Recovered fidelity of each row of x after one drawn syndrome.
+
+    A syndrome j is drawn with the probability of block j; the value is the
+    squared first amplitude of block j over that probability.
+    """
     r = code.block_matrix(x)
     p = np.einsum("ijk,ijk->ij", r, r)
     u = rng.random(x.shape[0])

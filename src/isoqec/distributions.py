@@ -11,12 +11,10 @@ exponentiated.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,7 +23,7 @@ from .mathcore import (
     LOG_2PI,
     adaptive_quadrature,
     double_factorial_log,
-    sphere_surface,
+    log_sphere_surface,
 )
 
 # log f values below this are indistinguishable from an exact zero in
@@ -85,7 +83,7 @@ def normal_density_eval(sigma: float, d: int, theta0):
         raise ValueError(f"need 0 <= sigma < 1, got {sigma}")
     t = np.asarray(theta0, dtype=float)
     kernel = 1.0 + sigma * sigma - 2.0 * sigma * np.cos(t)
-    out = (double_factorial_log(2 * d - 2).log_magnitude - d * LOG_2PI
+    out = (double_factorial_log(2 * d - 2) - d * LOG_2PI
            + math.log1p(-sigma * sigma) - d * np.log(kernel))
     return out if out.ndim else float(out)
 
@@ -157,10 +155,13 @@ def _log_integral(log_fn, lo, hi, rel_tol=1e-11, breakpoints=None):
 class IsotropicDensity:
     """An isotropic error density on S^(2d-1), reduced to its polar profile.
 
-    Immutable after construction.  Normalization against the full spherical
-    measure is checked at construction time to 1e-8 and construction fails
-    if it does not hold.  table densities are normalized automatically and
-    the applied constant is kept in .normalization.
+    Immutable after construction.  Cap and table densities have their
+    normalization against the full spherical measure checked by quadrature
+    at construction time to 1e-8, and construction fails if it does not
+    hold; table densities are normalized automatically and the applied
+    constant is kept in .normalization.  Normal densities are normalized
+    in closed form: their mass is |S^(2d-2)| times the kernel-inverse-square
+    integral, which verify_appendix checks against quadrature.
     """
 
     kind: DensityKind
@@ -174,6 +175,8 @@ class IsotropicDensity:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"half-dimension d must be >= 1, got {self.d}")
+        if self.kind is DensityKind.NORMAL:
+            return
         residual = abs(self._norm_integral() - 1.0)
         if not residual < _NORM_TOL:
             raise ValueError(
@@ -227,33 +230,16 @@ class IsotropicDensity:
             raise ValueError("zero density inside the table interior")
         log_f = np.log(f)
         lo, hi = float(theta[0]), float(theta[-1])
-        sphere = sphere_surface(2 * d - 2)
 
         def raw_log(t):
             t = np.asarray(t, dtype=float)
             v = np.interp(t, theta, log_f, left=-math.inf, right=-math.inf)
             return v + _log_sin_power(2 * d - 2, t)
 
-        log_z = math.log(sphere) + _log_integral(raw_log, lo, hi,
-                                                 breakpoints=theta[1:-1])
+        log_z = log_sphere_surface(2 * d - 2) + _log_integral(
+            raw_log, lo, hi, breakpoints=theta[1:-1])
         return cls(kind=DensityKind.POLAR_TABLE, d=d, table_theta=theta,
                    table_log_f=log_f - log_z, normalization=math.exp(log_z))
-
-    @classmethod
-    def from_csv(cls, path, d: int) -> "IsotropicDensity":
-        """Read a two-column theta0,f table (header required) and normalize."""
-        path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["theta0", "f"]:
-                raise ValueError(
-                    f"{path}: expected header 'theta0,f', got {header}")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        if len(rows) < 2:
-            raise ValueError(f"{path}: need at least 2 table rows")
-        theta, f = zip(*rows)
-        return cls.from_table(theta, f, d)
 
     # -- evaluation --------------------------------------------------------
 
@@ -283,7 +269,7 @@ class IsotropicDensity:
     def _cap_log_level(self) -> float:
         # constant log-level c with |S^(2d-2)| * c * int_0^tmax sin^(2d-2) = 1
         k = 2 * self.d - 2
-        log_area = (math.log(sphere_surface(k))
+        log_area = (log_sphere_surface(k)
                     + _log_integral(lambda t: _log_sin_power(k, t),
                                     0.0, self.theta_max))
         return -log_area
@@ -291,7 +277,7 @@ class IsotropicDensity:
     def log_marginal(self, theta0):
         """log g(theta0) for the full spherical marginal of the polar angle."""
         t = np.asarray(theta0, dtype=float)
-        out = (math.log(sphere_surface(2 * self.d - 2))
+        out = (log_sphere_surface(2 * self.d - 2)
                + np.asarray(self.log_density(t))
                + _log_sin_power(2 * self.d - 2, t))
         return out if out.ndim else float(out)
@@ -311,7 +297,7 @@ class IsotropicDensity:
                                       breakpoints=self._kink_points))
 
     def descriptor(self) -> dict:
-        """JSON-safe summary used in sample-dump sidecars."""
+        """JSON-safe summary used to label verification cases."""
         out = {"kind": self.kind.value, "d": self.d}
         if self.kind is DensityKind.NORMAL:
             out["sigma"] = self.sigma
@@ -331,8 +317,8 @@ class PolarMarginal:
     """Tabulated polar-angle marginal g with exact pointwise evaluation.
 
     Holds a deterministic adaptive grid (>= 4096 nodes, refined where log g
-    moves fast) with a trapezoid CDF for inverse-transform sampling; pdf and
-    expectation go through the exact log-density, not the table.
+    moves fast) with a trapezoid CDF for inverse-transform sampling;
+    expectation goes through the exact log-density, not the table.
     """
 
     def __init__(self, density: IsotropicDensity):
@@ -361,18 +347,6 @@ class PolarMarginal:
         self._window = (float(theta[max(i0 - 1, 0)]),
                         float(theta[min(i1 + 1, theta.size - 1)]))
 
-    def log_pdf(self, theta0):
-        return self.density.log_marginal(theta0)
-
-    def pdf(self, theta0):
-        out = np.exp(np.clip(np.asarray(self.log_pdf(theta0)),
-                             _LOG_FLOOR, 700.0))
-        return out if out.ndim else float(out)
-
-    def cdf_at(self, theta0):
-        """Interpolated CDF; the sampling inverse of ppf."""
-        return np.interp(theta0, self.theta, self.cdf)
-
     def ppf(self, u):
         """Inverse CDF by linear interpolation on the tabulated grid."""
         return np.interp(u, self.cdf, self.theta)
@@ -386,7 +360,7 @@ class PolarMarginal:
             points.extend(float(p) for p in kinks)
 
         def integrand(t):
-            lg = self.log_pdf(t)
+            lg = self.density.log_marginal(t)
             return math.exp(min(lg, 300.0)) * h(t) if lg > _LOG_FLOOR else 0.0
 
         return adaptive_quadrature(integrand, lo, hi, rel_tol,
@@ -454,10 +428,10 @@ def log_moment_sin_2d_bar(density: IsotropicDensity) -> float:
         s = density.sigma
         if s == 1.0:
             return -math.inf
-        return (double_factorial_log(2 * d - 2).log_magnitude - d * LOG_2PI
+        return (double_factorial_log(2 * d - 2) - d * LOG_2PI
                 + math.log1p(-s * s)
-                + double_factorial_log(2 * d - 1).log_magnitude
-                - double_factorial_log(2 * d).log_magnitude
+                + double_factorial_log(2 * d - 1)
+                - double_factorial_log(2 * d)
                 + math.log(math.pi))
 
     def log_fn(t):
@@ -468,18 +442,19 @@ def log_moment_sin_2d_bar(density: IsotropicDensity) -> float:
     return _log_integral(log_fn, lo, hi, breakpoints=density._kink_points)
 
 
-def moment_sin_2d_bar(density: IsotropicDensity) -> float:
-    """int f sin^(2d); overflows to inf for large d by design, use the log."""
-    return math.exp(log_moment_sin_2d_bar(density))
-
-
 def condition_18(density: IsotropicDensity) -> Condition18Result:
     """Whether E[(1 - cos theta0) cos theta0] >= 0 under the full marginal.
 
     This is the sufficient condition under which the corrected-fidelity
     upper bound applies; concentrated densities satisfy it, densities with
-    most mass beyond theta0 = pi/2 need not.
+    most mass beyond theta0 = pi/2 need not.  Normal closed form:
+    E[cos] - E[cos^2] = (1 - sigma)((2d - 1) sigma - 1) / (2d), which holds
+    exactly when sigma >= 1/(2d - 1).
     """
+    if density.kind is DensityKind.NORMAL:
+        d, s = density.d, density.sigma
+        value = (1.0 - s) * ((2 * d - 1) * s - 1.0) / (2 * d)
+        return Condition18Result(holds=value >= 0.0, value=value)
     value = density.marginal.expectation(
         lambda t: (1.0 - math.cos(t)) * math.cos(t))
     return Condition18Result(holds=value >= 0.0, value=value)

@@ -481,10 +481,9 @@ def _check_ordering_chain() -> CheckResult:
     strict_ok = True
     for n, m in DEFAULT_CODES:
         params = CodeParams(n, m)
-        d, d_prime = params.d, params.d_prime
-        f_psi = (1.0 + (d - 1) * sigma ** 2) / d
-        f_phi = (1.0 + (d_prime - 1) * sigma ** 2) / d_prime
-        f_psi0 = (1.0 + (d_prime - 1) * sigma ** (2.0 / n)) / d_prime
+        f_psi = fidelity_psi_normal(sigma, params.d)
+        f_phi = fidelity_psi_normal(sigma, params.d_prime)
+        f_psi0 = fidelity_psi_normal(sigma ** (1.0 / n), params.d_prime)
         worst_outer = min(worst_outer, float(np.min(f_psi0 - f_phi)))
         worst_inner = min(worst_inner, float(np.min(f_phi - f_psi)))
         interior = sigma > 0.0
@@ -588,13 +587,8 @@ def _check_correction_bounds() -> tuple[CheckResult, CheckResult]:
 
 
 def _check_composition_gap() -> CheckResult:
-    # 2-2(1-x/2)^n - (x-(x/2)^2) >= 0 on the whole variance range,
-    # same arithmetic ordering as lemma_g
     x = np.arange(4001) * 1e-3
-    min_value = math.inf
-    for n in range(2, 65):
-        g = 2.0 - 2.0 * (1.0 - x / 2.0) ** n - (x - (x / 2.0) ** 2)
-        min_value = min(min_value, float(g.min()))
+    min_value = min(float(lemma_g(n, x).min()) for n in range(2, 65))
     exact = (lemma_g(2, 0.0) == 0.0 and lemma_g(64, 0.0) == 0.0
              and lemma_g(2, 4.0) == 0.0 and lemma_g(64, 4.0) == 0.0
              and lemma_g(3, 4.0) == 4.0)

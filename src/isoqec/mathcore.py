@@ -12,7 +12,6 @@ Conventions: (-1)!! = 0!! = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -27,50 +26,9 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature did not reach the requested accuracy."""
 
 
-@dataclass(frozen=True)
-class LogValue:
-    """A real number held as sign * exp(log_magnitude).
-
-    sign is -1, 0 or +1; for sign == 0 the magnitude is ignored.
-    """
-
-    sign: int
-    log_magnitude: float
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogValue":
-        if value == 0.0:
-            return cls(0, -math.inf)
-        sign = 1 if value > 0 else -1
-        return cls(sign, math.log(abs(value)))
-
-    def value(self) -> float:
-        """Materialize as float64; may overflow to inf for huge magnitudes."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_magnitude)
-        except OverflowError:
-            return self.sign * math.inf
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue(0, -math.inf)
-        return LogValue(self.sign * other.sign,
-                        self.log_magnitude + other.log_magnitude)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by LogValue zero")
-        if self.sign == 0:
-            return LogValue(0, -math.inf)
-        return LogValue(self.sign * other.sign,
-                        self.log_magnitude - other.log_magnitude)
-
-
 @lru_cache(maxsize=None)
-def double_factorial_log(k: int) -> LogValue:
-    """k!! as a LogValue, for k >= -1.
+def double_factorial_log(k: int) -> float:
+    """log(k!!), for k >= -1.
 
     Even k=2m: k!! = 2^m m!.  Odd k=2m+1: k!! = (2m+1)!/(2^m m!).
     Computed through lgamma so no intermediate is materialized.
@@ -78,14 +36,12 @@ def double_factorial_log(k: int) -> LogValue:
     if k < -1:
         raise ValueError(f"double factorial needs k >= -1, got {k}")
     if k <= 0:  # (-1)!! = 0!! = 1
-        return LogValue(1, 0.0)
+        return 0.0
     if k % 2 == 0:
         m = k // 2
-        lm = m * LOG_2 + math.lgamma(m + 1)
-    else:
-        m = (k - 1) // 2
-        lm = math.lgamma(k + 1) - m * LOG_2 - math.lgamma(m + 1)
-    return LogValue(1, lm)
+        return m * LOG_2 + math.lgamma(m + 1)
+    m = (k - 1) // 2
+    return math.lgamma(k + 1) - m * LOG_2 - math.lgamma(m + 1)
 
 
 def sin_power_integral(k: int) -> float:
@@ -95,25 +51,25 @@ def sin_power_integral(k: int) -> float:
     """
     if k < 0:
         raise ValueError(f"sin power must be nonnegative, got {k}")
-    ratio = math.exp(double_factorial_log(k - 1).log_magnitude
-                     - double_factorial_log(k).log_magnitude)
+    ratio = math.exp(double_factorial_log(k - 1) - double_factorial_log(k))
     return (2.0 if k % 2 else math.pi) * ratio
 
 
-def sphere_surface(dim: int) -> float:
-    """Surface measure of the unit sphere S^dim embedded in R^(dim+1).
+def log_sphere_surface(dim: int) -> float:
+    """log of the surface measure of the unit sphere S^dim in R^(dim+1).
 
     |S^(2c)| = 2 (2 pi)^c / (2c-1)!!  and  |S^(2c-1)| = (2 pi)^c / (2c-2)!!.
     """
     if dim < 0:
         raise ValueError(f"sphere dimension must be nonnegative, got {dim}")
-    if dim % 2 == 0:
-        c = dim // 2
-        return 2.0 * math.exp(c * LOG_2PI
-                              - double_factorial_log(dim - 1).log_magnitude)
     c = (dim + 1) // 2
-    return math.exp(c * LOG_2PI
-                    - double_factorial_log(dim - 1).log_magnitude)
+    log_surface = c * LOG_2PI - double_factorial_log(dim - 1)
+    return log_surface + LOG_2 if dim % 2 == 0 else log_surface
+
+
+def sphere_surface(dim: int) -> float:
+    """Surface measure of S^dim; underflows to 0 from dim = 455 on."""
+    return math.exp(log_sphere_surface(dim))
 
 
 class KernelVariant(Enum):
@@ -138,11 +94,11 @@ def poisson_kernel_integral(d: int, sigma: float,
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"kernel requires 0 <= sigma < 1, got {sigma}")
     if variant is KernelVariant.SIN_2D:
-        ratio = math.exp(double_factorial_log(2 * d - 1).log_magnitude
-                         - double_factorial_log(2 * d).log_magnitude)
+        ratio = math.exp(double_factorial_log(2 * d - 1)
+                         - double_factorial_log(2 * d))
         return math.pi * ratio
-    ratio = math.exp(double_factorial_log(2 * d - 3).log_magnitude
-                     - double_factorial_log(2 * d - 2).log_magnitude)
+    ratio = math.exp(double_factorial_log(2 * d - 3)
+                     - double_factorial_log(2 * d - 2))
     base = ratio * math.pi / (1.0 - sigma * sigma)
     if variant is KernelVariant.COS_SIN_2D_MINUS_2:
         return sigma * base

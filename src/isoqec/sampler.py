@@ -26,85 +26,16 @@ distances to e0 had.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .distributions import IsotropicDensity, PolarMarginal
 
-_UNIT_TOL = 1e-12
-
 DEFAULT_CHUNK_SIZE = 16384
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """A point on S^(2d-1) as 2d real coordinates; pairs are amplitudes.
-
-    coords[0] + i coords[1] is the amplitude along the reference state.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", coords)
-        if coords.ndim != 1 or coords.size < 2 or coords.size % 2:
-            raise ValueError(f"need an even number >= 2 of coordinates, "
-                             f"got shape {coords.shape}")
-        norm = float(np.linalg.norm(coords))
-        if abs(norm - 1.0) > _UNIT_TOL:
-            raise ValueError(f"state norm {norm} is not 1 within {_UNIT_TOL}")
-
-    @property
-    def d(self) -> int:
-        return self.coords.size // 2
-
-    @classmethod
-    def reference(cls, d: int) -> "StateVector":
-        coords = np.zeros(2 * d)
-        coords[0] = 1.0
-        return cls(coords)
-
-
-@dataclass(frozen=True, eq=False)
-class SphericalPoint:
-    """Hyperspherical angles: 2d-2 polar angles in [0, pi], one azimuth."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=float)
-        object.__setattr__(self, "angles", angles)
-        if angles.ndim != 1 or angles.size < 1:
-            raise ValueError("need a 1-d angle vector")
-
-
-def to_cartesian(point: SphericalPoint) -> np.ndarray:
-    a = point.angles
-    sines = np.cumprod(np.sin(a))
-    x = np.empty(a.size + 1)
-    x[0] = math.cos(a[0])
-    x[1:-1] = sines[:-1] * np.cos(a[1:])
-    x[-1] = sines[-1]
-    return x
-
-
-def from_cartesian(x) -> SphericalPoint:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need a 1-d coordinate vector of size >= 2")
-    # tail[j] = norm of x[j:], built from the end for stability
-    tail = np.sqrt(np.cumsum(x[::-1] ** 2)[::-1])
-    angles = np.empty(x.size - 1)
-    angles[:-1] = np.arctan2(tail[1:-1], x[:-2])
-    angles[-1] = math.atan2(x[-1], x[-2]) % (2 * math.pi)
-    return SphericalPoint(angles)
 
 
 @dataclass(frozen=True)
@@ -197,12 +128,6 @@ def sample_fidelities(density: IsotropicDensity, kept: int, n: int,
     return 1.0 - np.sin(theta) ** 2 * (1.0 - b)
 
 
-def sample_state(density: IsotropicDensity,
-                 rng: np.random.Generator) -> StateVector:
-    """One error sample about the reference state e0."""
-    return StateVector(sample_states(density, 1, rng)[0])
-
-
 def compose_errors(bases: np.ndarray, density: IsotropicDensity,
                    rng: np.random.Generator) -> np.ndarray:
     """Apply one isotropic error about each row of bases, batched.
@@ -224,50 +149,6 @@ def compose_errors(bases: np.ndarray, density: IsotropicDensity,
     np.divide(2.0 * np.einsum("ij,ij->i", w, fresh), wsq, out=coef,
               where=safe)
     return fresh - coef[:, None] * w
-
-
-def compose_error(base: StateVector, density: IsotropicDensity,
-                  rng: np.random.Generator) -> StateVector:
-    """One isotropic error applied about an arbitrary base state."""
-    if base.d != density.d:
-        raise ValueError(f"base lives at half-dimension {base.d}, "
-                         f"density at {density.d}")
-    out = compose_errors(base.coords[None, :], density, rng)[0]
-    # the reflection is orthogonal; renormalize the last-ulp drift only
-    out /= np.linalg.norm(out)
-    return StateVector(out)
-
-
-def _coords_matrix(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        mat = np.asarray(samples, dtype=float)
-        if mat.ndim == 1:
-            mat = mat[None, :]
-    else:
-        mat = np.stack([s.coords if isinstance(s, StateVector) else
-                        np.asarray(s, dtype=float) for s in samples])
-    if mat.ndim != 2 or mat.shape[1] % 2:
-        raise ValueError(f"need (n, 2d) samples, got shape {mat.shape}")
-    return mat
-
-
-def _mean_with_se(values: np.ndarray, seed=None) -> McEstimate:
-    n = values.size
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(mean, se, n, seed)
-
-
-def empirical_variance(samples, seed=None) -> McEstimate:
-    """Estimate E[2 - 2 x0] from samples (StateVectors or an (n, 2d) array)."""
-    mat = _coords_matrix(samples)
-    return _mean_with_se(2.0 - 2.0 * mat[:, 0], seed)
-
-
-def empirical_fidelity(samples, seed=None) -> McEstimate:
-    """Estimate the squared fidelity E[x0^2 + x1^2] against e0."""
-    mat = _coords_matrix(samples)
-    return _mean_with_se(mat[:, 0] ** 2 + mat[:, 1] ** 2, seed)
 
 
 def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
@@ -312,32 +193,3 @@ def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
     else:
         se = 0.0
     return McEstimate(mean, se, n_samples, streams.seed)
-
-
-def dump_samples(path, samples: np.ndarray, density: IsotropicDensity,
-                 seed: int | None) -> Path:
-    """Write raw samples as little-endian float64 rows plus a JSON sidecar."""
-    path = Path(path)
-    mat = _coords_matrix(samples)
-    path.write_bytes(mat.astype("<f8").tobytes(order="C"))
-    meta = {
-        "d": mat.shape[1] // 2,
-        "n_samples": int(mat.shape[0]),
-        "seed": seed,
-        "density": density.descriptor(),
-        "dtype": "<f8",
-        "order": "C",
-    }
-    sidecar = path.with_name(path.name + ".json")
-    sidecar.write_text(json.dumps(meta, indent=2) + "\n")
-    return sidecar
-
-
-def load_samples(path) -> tuple[np.ndarray, dict]:
-    """Read a dump_samples file back into an (n, 2d) array plus metadata."""
-    path = Path(path)
-    sidecar = path.with_name(path.name + ".json")
-    meta = json.loads(sidecar.read_text())
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    mat = raw.reshape(meta["n_samples"], 2 * meta["d"]).astype(float)
-    return mat, meta

@@ -1,4 +1,4 @@
-"""Shared density zoo for cross-route checks.
+"""Shared density zoo and sample helpers for cross-route checks.
 
 A mix of closed-form-friendly and quadrature-only densities at a given
 half-dimension, so bound and identity tests sweep all code paths.
@@ -26,3 +26,16 @@ def make_suite(d):
             theta, np.exp(-3.0 * theta), d)),
         ("table_ramp", IsotropicDensity.from_table(theta, ramp, d)),
     ]
+
+
+def reference_states(d, n):
+    """n copies of the reference state e0 on S^(2d-1), as an (n, 2d) array."""
+    states = np.zeros((n, 2 * d))
+    states[:, 0] = 1.0
+    return states
+
+
+def mean_se(values):
+    """Sample mean and its standard error."""
+    values = np.asarray(values, dtype=float)
+    return values.mean(), values.std(ddof=1) / math.sqrt(values.size)

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, overrides, exit codes."""
 
+import csv
 import json
 
 import pytest
@@ -70,6 +71,25 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_large_codes_run_to_an_answer(self, tmp_path, capsys):
+        # coded spheres of n >= 8 qubits have surfaces below float64 range
+        csv_path = tmp_path / "rows.csv"
+        config = write_config(tmp_path, code_list=[[8, 1], [12, 11]],
+                              sigma_grid=[0.5, 0.95], n_samples=20000)
+        rc = main(["sweep", "--config", config, "--csv", str(csv_path)])
+        assert rc in (0, 1)
+        assert "cells evaluated" in capsys.readouterr().out
+        with csv_path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            for slot in ("psi", "phi_tilde", "psi0"):
+                mc = float(row[f"mc_f2_{slot}"])
+                se = float(row[f"mc_se_{slot}"])
+                assert abs(mc - float(row[f"f2_{slot}"])) <= 5 * se, (
+                    row["n"], row["m"], row["sigma_c"], slot)
+
+
 class TestVerifyCommands:
     def test_appendix_passes(self, capsys):
         rc = main(["verify", "appendix"])
@@ -116,6 +136,15 @@ class TestArgumentErrors:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorems", "--seed", "1"],
+        ["verify", "appendix", "--samples", "1000"],
+        ["figure2", "--out", "f.svg", "--workers", "2"]])
+    def test_sampling_flags_only_on_sweep(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_missing_figure_out_exits_2(self):

@@ -8,7 +8,9 @@ Frozen literals pin the published example cells.
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoqec.closedform import (
     BoundVariant,
@@ -16,7 +18,6 @@ from isoqec.closedform import (
     bound_psi0_lower,
     fidelity_corrected,
     fidelity_psi,
-    fidelity_psi0,
     fidelity_psi_normal,
     full_report,
     lemma_g,
@@ -87,30 +88,40 @@ class TestFidelityPsiNormal:
         vals = [fidelity_psi_normal(s / 100, 16) for s in range(101)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_array_matches_scalar(self):
+        sigma = np.linspace(0.0, 1.0, 11)
+        got = fidelity_psi_normal(sigma, 16)
+        assert got.shape == sigma.shape
+        assert got.tolist() == [fidelity_psi_normal(s, 16) for s in sigma]
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             fidelity_psi_normal(1.1, 4)
         with pytest.raises(ValueError):
             fidelity_psi_normal(0.5, 0)
+        with pytest.raises(ValueError):
+            fidelity_psi_normal(np.array([0.5, 1.1]), 4)
 
 
 class TestFidelityPsi0:
+    """The unencoded fidelity: fidelity_psi on the logical sphere."""
+
     def test_frozen_split_value(self):
         # sigma_u = 0.9^(1/5) on the logical sphere d' = 2
         sigma_u = 0.9 ** (1.0 / 5.0)
         density = IsotropicDensity.normal(sigma_u, 2)
-        assert fidelity_psi0(density, 2) == pytest.approx(
+        assert fidelity_psi(density, 2) == pytest.approx(
             0.9793657577570913544, abs=1e-12)
-        assert fidelity_psi0(density, 2) == pytest.approx(
+        assert fidelity_psi(density, 2) == pytest.approx(
             (1.0 + 0.9 ** 0.4) / 2.0, abs=1e-14)
 
     def test_uniform_logical_sphere(self):
-        assert fidelity_psi0(IsotropicDensity.uniform(2), 2) == pytest.approx(
+        assert fidelity_psi(IsotropicDensity.uniform(2), 2) == pytest.approx(
             0.5, abs=1e-12)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity_psi0(IsotropicDensity.uniform(4), 2)
+            fidelity_psi(IsotropicDensity.uniform(4), 2)
 
 
 class TestFidelityCorrected:
@@ -162,7 +173,7 @@ class TestBoundPsi0Lower:
             for label, density in make_suite(d_prime):
                 v_u = variance_of(density).v
                 lb = bound_psi0_lower(v_u, d_prime)
-                assert fidelity_psi0(density, d_prime) >= lb - 1e-9, (
+                assert fidelity_psi(density, d_prime) >= lb - 1e-9, (
                     label, d_prime)
 
     def test_gap_to_normal_fidelity_is_exact_sixth(self):
@@ -234,7 +245,16 @@ class TestLemmaG:
                 x = 4.0 * i / 400
                 assert lemma_g(n, x) >= -1e-12
 
+    def test_array_matches_scalar(self):
+        x = np.linspace(0.0, 4.0, 41)
+        for n in (2, 3, 64):
+            got = lemma_g(n, x)
+            assert got.shape == x.shape
+            assert got.tolist() == [lemma_g(n, v) for v in x]
+
     def test_rejects_out_of_domain(self):
+        with pytest.raises(ValueError):
+            lemma_g(2, np.array([0.0, 4.5]))
         with pytest.raises(ValueError):
             lemma_g(1, 1.0)
         with pytest.raises(ValueError):
@@ -283,6 +303,35 @@ class TestFullReport:
                         uncoded=IsotropicDensity.uniform(4))
         with pytest.raises(ValueError):
             full_report(IsotropicDensity.normal(0.5, 32), P51, n_steps=0)
+
+
+@st.composite
+def _code(draw):
+    n = draw(st.integers(2, 12))
+    return CodeParams(n, draw(st.integers(1, n - 1)))
+
+
+class TestFullReportAcrossCodeSizes:
+    @settings(max_examples=300, deadline=None)
+    @given(_code(), st.floats(0.0, 0.999))
+    def test_normal_report_matches_closed_forms(self, params, sigma):
+        # the log route's rounding grows with d (worst seen 6.7e-12 at
+        # n = 12), hence 1e-10 on the fidelities
+        report = full_report(IsotropicDensity.normal(sigma, params.d), params)
+        d, d_prime = params.d, params.d_prime
+
+        def normal(s, k):
+            return (1.0 + (k - 1) * s * s) / k
+
+        assert abs(report.f2_psi - normal(sigma, d)) <= 1e-10
+        assert abs(report.f2_phi_tilde - normal(sigma, d_prime)) <= 1e-10
+        assert abs(report.f2_psi0
+                   - normal(sigma ** (1.0 / params.n), d_prime)) <= 1e-10
+        want_ub = 1.0 - (d - params.d_dprime) * 2.0 * (1.0 - sigma) \
+            / (2 * d - 1)
+        assert abs(report.ub_phi_tilde - want_ub) <= 1e-12
+        # sigma >= 1/(2d-1), in the form free of the division's rounding
+        assert report.cond18 == ((2 * d - 1) * sigma >= 1.0)
 
 
 class TestOrderingTheorems:

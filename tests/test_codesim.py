@@ -9,13 +9,12 @@ from isoqec.closedform import fidelity_corrected, fidelity_psi
 from isoqec.codesim import (
     BlockCode,
     CorrectionEstimator,
+    _sampled_values,
     corrected_fidelity_mc,
-    measure_and_correct,
     raw_fidelity_mc,
-    syndrome_probabilities,
 )
 from isoqec.distributions import CodeParams, IsotropicDensity
-from isoqec.sampler import RngStreams, StateVector, sample_states
+from isoqec.sampler import RngStreams, sample_states
 
 SEED = 20260819
 
@@ -28,9 +27,16 @@ def streams(*key):
 
 
 def basis_state(d, k):
-    coords = np.zeros(2 * d)
-    coords[k] = 1.0
-    return StateVector(coords)
+    """Real basis vector k of S^(2d-1) as a one-row (1, 2d) array."""
+    coords = np.zeros((1, 2 * d))
+    coords[0, k] = 1.0
+    return coords
+
+
+def block_masses(x, code):
+    """Syndrome probabilities: squared mass of each block, per row."""
+    r = code.block_matrix(x)
+    return np.einsum("...jk,...jk->...j", r, r)
 
 
 class TestBlockLayout:
@@ -54,78 +60,74 @@ class TestBlockLayout:
 class TestSyndromeProbabilities:
     def test_reference_state_concentrates_on_first_block(self):
         code = BlockCode(CodeParams(5, 1))
-        p = syndrome_probabilities(StateVector.reference(32), code)
+        p = block_masses(basis_state(32, 0), code)[0]
         assert p[0] == 1.0 and not p[1:].any()
 
     def test_sums_to_one(self):
         code = BlockCode(CodeParams(4, 2))
         x = sample_states(IsotropicDensity.normal(0.6, 16), 64,
                           streams(1).chunk(0))
-        for row in x:
-            p = syndrome_probabilities(StateVector(row), code)
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (p >= 0).all()
+        p = block_masses(x, code)
+        assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert (p >= 0).all()
 
     def test_uniform_block_masses(self):
         # uniform direction puts mass block_width / (2 d) on each block
         code = BlockCode(CodeParams(5, 1))
         x = sample_states(IsotropicDensity.uniform(32), 50000,
                           streams(2).chunk(0))
-        r = code.block_matrix(x)
-        p = np.einsum("ijk,ijk->ij", r, r)
+        p = block_masses(x, code)
         se = p.std(ddof=1) / np.sqrt(p.shape[0])
         assert np.max(np.abs(p.mean(axis=0) - 1 / 16)) < 3 * se
 
 
 class TestMeasureAndCorrect:
+    """The per-sample recovery behind the SYNDROME_SAMPLED estimator."""
+
     def test_reference_state_passes_through(self):
         code = BlockCode(CodeParams(5, 1))
-        out = measure_and_correct(StateVector.reference(32), code,
-                                  streams(3).chunk(0))
-        assert out.syndrome == 0
-        assert out.probability == 1.0
-        assert np.array_equal(out.state.coords,
-                              StateVector.reference(2).coords)
+        values = _sampled_values(basis_state(32, 0), code,
+                                 streams(3).chunk(0))
+        assert values.tolist() == [1.0]
 
     def test_error_within_block_survives_correction(self):
         # second complex amplitude of block 0: syndrome 0, zero overlap
         code = BlockCode(CodeParams(5, 1))
-        out = measure_and_correct(basis_state(32, 2), code,
-                                  streams(4).chunk(0))
-        assert out.syndrome == 0
-        assert out.state.coords[0] ** 2 + out.state.coords[1] ** 2 == 0.0
+        values = _sampled_values(basis_state(32, 2), code,
+                                 streams(4).chunk(0))
+        assert values.tolist() == [0.0]
 
     def test_error_across_blocks_is_corrected(self):
         # first amplitude of block 1: syndrome 1, recovery restores logical 0
         code = BlockCode(CodeParams(5, 1))
-        out = measure_and_correct(basis_state(32, 4), code,
-                                  streams(5).chunk(0))
-        assert out.syndrome == 1
-        assert out.probability == 1.0
-        assert np.array_equal(out.state.coords,
-                              StateVector.reference(2).coords)
+        values = _sampled_values(basis_state(32, 4), code,
+                                 streams(5).chunk(0))
+        assert values.tolist() == [1.0]
 
     def test_output_is_unit_norm(self):
+        # the recovered logical state is renormalized: fidelity in [0, 1]
         code = BlockCode(CodeParams(4, 2))
         x = sample_states(IsotropicDensity.normal(0.3, 16), 32,
                           streams(6).chunk(0))
-        rng = streams(7).chunk(0)
-        for row in x:
-            out = measure_and_correct(StateVector(row), code, rng)
-            assert out.state.d == 4
-            assert 0.0 < out.probability <= 1.0 + 1e-12
+        values = _sampled_values(x, code, streams(7).chunk(0))
+        assert values.shape == (32,)
+        assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
 
     def test_syndrome_frequencies_match_probabilities(self):
+        # block j yields a_j / p_j, a_j its squared first amplitude; the two
+        # blocks' ratios differ, so each value names the syndrome drawn
         code = BlockCode(CodeParams(2, 1))
-        state = sample_states(IsotropicDensity.normal(0.5, 4), 1,
-                              streams(8).chunk(0))[0]
-        p = syndrome_probabilities(StateVector(state), code)
-        rng = streams(9).chunk(0)
-        draws = np.array([
-            measure_and_correct(StateVector(state), code, rng).syndrome
-            for _ in range(20000)])
-        freq = np.bincount(draws, minlength=2) / draws.size
-        se = np.sqrt(p * (1 - p) / draws.size)
+        state = np.array([0.6, 0.0, 0.3, 0.0, 0.1, 0.2, 0.0, 0.0])
+        state[6] = np.sqrt(1.0 - np.sum(state ** 2))
+        rows = np.tile(state, (20000, 1))
+        values = _sampled_values(rows, code, streams(9).chunk(0))
+        r = code.block_matrix(state)
+        p = block_masses(state, code)
+        ratio = (r[:, 0] ** 2 + r[:, 1] ** 2) / p
+        freq = np.mean(np.abs(values[:, None] - ratio[None, :]) < 1e-12,
+                       axis=0)
+        assert freq.sum() == 1.0
+        se = np.sqrt(p * (1 - p) / values.size)
         assert np.max(np.abs(freq - p)) < 4 * se.max()
 
 

@@ -21,7 +21,6 @@ from isoqec.distributions import (
     log_moment_sin_2d_bar,
     marginal_polar,
     moment_sin2,
-    moment_sin_2d_bar,
     normal_density_eval,
     variance_compose,
     variance_compose_n,
@@ -64,7 +63,7 @@ class TestNormalDensityEval:
 
     def test_sigma_zero_is_constant(self):
         d = 8
-        want = double_factorial_log(2 * d - 2).log_magnitude - d * LOG_2PI
+        want = double_factorial_log(2 * d - 2) - d * LOG_2PI
         grid = np.linspace(0, math.pi, 50)
         assert np.allclose(normal_density_eval(0.0, d, grid), want, rtol=0,
                            atol=1e-14)
@@ -93,7 +92,7 @@ class TestIsotropicDensityConstruction:
         for label, density in make_suite(4):
             lo, hi = density.support
             grid = np.linspace(lo, hi, 200001)
-            mass = np.trapezoid(density.marginal.pdf(grid), grid)
+            mass = np.trapezoid(np.exp(density.log_marginal(grid)), grid)
             assert mass == pytest.approx(1.0, abs=5e-7), label
 
     def test_cap_validation(self):
@@ -125,23 +124,6 @@ class TestIsotropicDensityConstruction:
         assert np.allclose(density.log_density(grid), base.log_density(grid),
                            atol=1e-12)
 
-    def test_csv_round_trip(self, tmp_path):
-        theta = np.linspace(0, math.pi, 50)
-        f = np.exp(-theta)
-        path = tmp_path / "profile.csv"
-        lines = ["theta0,f"] + [f"{t},{v}" for t, v in zip(theta, f)]
-        path.write_text("\n".join(lines) + "\n")
-        from_file = IsotropicDensity.from_csv(path, 4)
-        direct = IsotropicDensity.from_table(theta, f, 4)
-        assert from_file.normalization == pytest.approx(
-            direct.normalization, rel=1e-12)
-
-    def test_csv_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("angle,density\n0.0,1.0\n1.0,1.0\n")
-        with pytest.raises(ValueError):
-            IsotropicDensity.from_csv(path, 2)
-
     def test_zero_density_outside_table_range(self):
         density = IsotropicDensity.from_table([0.5, 1.5], [1.0, 1.0], 2)
         assert density.log_density(0.2) == -math.inf
@@ -151,15 +133,20 @@ class TestIsotropicDensityConstruction:
 
 class TestPolarMarginal:
     def test_uniform_d1_is_flat(self):
-        m = marginal_polar(IsotropicDensity.uniform(1))
+        density = IsotropicDensity.uniform(1)
+        m = marginal_polar(density)
         grid = np.linspace(0.1, 3.0, 9)
-        assert np.allclose(m.pdf(grid), 1.0 / math.pi, rtol=1e-12)
+        assert np.allclose(np.exp(density.log_marginal(grid)), 1.0 / math.pi,
+                           rtol=1e-12)
+        assert np.allclose(np.interp(grid, m.theta, m.cdf), grid / math.pi,
+                           rtol=0, atol=1e-12)
 
     def test_uniform_peaks_at_equator(self):
-        m = marginal_polar(IsotropicDensity.uniform(32))
+        density = IsotropicDensity.uniform(32)
+        m = marginal_polar(density)
         assert m.argmax == pytest.approx(math.pi / 2, abs=1e-3)
-        assert m.pdf(math.pi / 2 - 0.3) == pytest.approx(
-            m.pdf(math.pi / 2 + 0.3), rel=1e-12)
+        assert density.log_marginal(math.pi / 2 - 0.3) == pytest.approx(
+            density.log_marginal(math.pi / 2 + 0.3), rel=1e-12)
 
     def test_normal_mode_location(self):
         # dense-scan oracle for d=32, sigma=0.9: mode at 0.38971456867781385
@@ -176,7 +163,7 @@ class TestPolarMarginal:
     def test_ppf_cdf_consistency(self):
         m = marginal_polar(IsotropicDensity.normal(0.7, 8))
         u = np.linspace(0.001, 0.999, 997)
-        assert np.max(np.abs(m.cdf_at(m.ppf(u)) - u)) < 1e-12
+        assert np.max(np.abs(np.interp(m.ppf(u), m.theta, m.cdf) - u)) < 1e-12
 
     def test_expectation_of_one(self):
         for label, density in make_suite(16):
@@ -240,13 +227,16 @@ class TestMomentSin2:
 class TestBarMoment:
     def test_uniform_d1_is_quarter(self):
         # f = 1/(2 pi), int sin^2 = pi/2
-        assert moment_sin_2d_bar(IsotropicDensity.uniform(1)) == pytest.approx(
-            0.25, rel=1e-11)
+        assert math.exp(log_moment_sin_2d_bar(
+            IsotropicDensity.uniform(1))) == pytest.approx(0.25, rel=1e-11)
 
     def test_exp_of_log_version(self):
+        # exact linear-space closed form at d = 3, sigma = 0.4:
+        # 4!!/(2 pi)^3 (1 - s^2) 5!!/6!! pi = 8 * 0.84 * 15 / (48 * 8 pi^2)
         density = IsotropicDensity.normal(0.4, 3)
-        assert moment_sin_2d_bar(density) == pytest.approx(
-            math.exp(log_moment_sin_2d_bar(density)), rel=1e-15)
+        want = 8 * 0.84 * 15 / (48 * 8 * math.pi ** 2)
+        assert math.exp(log_moment_sin_2d_bar(density)) == pytest.approx(
+            want, rel=1e-14)
 
     def test_normal_ratio_property(self):
         # closed form scales exactly by (1 - sigma^2) against sigma = 0
@@ -264,7 +254,8 @@ class TestBarMoment:
         ref = adaptive_quadrature(
             lambda t: math.exp(density.log_density(t)) * math.sin(t) ** 8,
             lo, hi, 1e-11)
-        assert moment_sin_2d_bar(density) == pytest.approx(ref, rel=1e-9)
+        assert math.exp(log_moment_sin_2d_bar(density)) == pytest.approx(
+            ref, rel=1e-9)
 
     def test_tabulated_normal_agrees_with_closed_form(self):
         # same density through the NORMAL and POLAR_TABLE code paths
@@ -272,8 +263,8 @@ class TestBarMoment:
         theta = np.linspace(0.0, math.pi, 4001)
         f = np.exp(normal_density_eval(s, d, theta))
         table = IsotropicDensity.from_table(theta, f, d)
-        want = moment_sin_2d_bar(IsotropicDensity.normal(s, d))
-        assert moment_sin_2d_bar(table) == pytest.approx(want, rel=1e-5)
+        want = log_moment_sin_2d_bar(IsotropicDensity.normal(s, d))
+        assert log_moment_sin_2d_bar(table) == pytest.approx(want, abs=1e-5)
 
 
 class TestCondition18:
@@ -296,6 +287,17 @@ class TestCondition18:
                 assert condition_18(
                     IsotropicDensity.normal(s, d)).value == pytest.approx(
                         want, abs=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.9, 0.99])
+    def test_normal_closed_forms_match_quadrature(self, d, sigma):
+        # the two checks normal densities skip: the construction-time
+        # normalization and the condition_18 quadrature
+        density = IsotropicDensity.normal(sigma, d)
+        assert abs(density._norm_integral() - 1.0) < 1e-8
+        want = density.marginal.expectation(
+            lambda t: (1.0 - math.cos(t)) * math.cos(t))
+        assert abs(condition_18(density).value - want) < 1e-10
 
     def test_caps_within_quarter_turn_hold(self):
         for d in (2, 8):

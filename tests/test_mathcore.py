@@ -9,14 +9,13 @@ of the raw integrands.
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from isoqec.mathcore import (
     KernelVariant,
-    LogValue,
     QuadratureError,
     adaptive_quadrature,
     double_factorial_log,
+    log_sphere_surface,
     poisson_kernel_integral,
     poisson_kernel_integrand,
     sin_power_integral,
@@ -33,42 +32,10 @@ def exact_double_factorial(k):
     return result
 
 
-class TestLogValue:
-    def test_zero(self):
-        z = LogValue.from_value(0.0)
-        assert z.sign == 0
-        assert z.value() == 0.0
-
-    def test_signs(self):
-        assert LogValue.from_value(-3.0).sign == -1
-        assert LogValue.from_value(3.0).sign == 1
-        assert LogValue.from_value(-3.0).value() == pytest.approx(-3.0, rel=1e-15)
-
-    def test_mul_div(self):
-        a = LogValue.from_value(6.0)
-        b = LogValue.from_value(-1.5)
-        assert (a * b).value() == pytest.approx(-9.0, rel=1e-14)
-        assert (a / b).value() == pytest.approx(-4.0, rel=1e-14)
-        with pytest.raises(ZeroDivisionError):
-            a / LogValue.from_value(0.0)
-
-    @given(st.floats(min_value=1e-300, max_value=1e300,
-                     allow_nan=False, allow_infinity=False))
-    def test_round_trip(self, x):
-        assert LogValue.from_value(x).value() == pytest.approx(x, rel=1e-12)
-
-    def test_huge_product_stays_in_log_space(self):
-        big = LogValue(1, 800.0)  # exp(800) overflows float64
-        prod = big * big
-        assert prod.log_magnitude == 1600.0
-        assert prod.value() == math.inf
-
-
 class TestDoubleFactorial:
     def test_conventions(self):
-        assert double_factorial_log(-1).value() == 1.0
-        assert double_factorial_log(0).value() == 1.0
-        assert double_factorial_log(0).log_magnitude == 0.0
+        assert double_factorial_log(-1) == 0.0
+        assert double_factorial_log(0) == 0.0
 
     def test_rejects_below_minus_one(self):
         with pytest.raises(ValueError):
@@ -77,20 +44,20 @@ class TestDoubleFactorial:
     def test_small_values_materialize_exactly(self):
         # 20!! = 3715891200; every k <= 20 must round-trip to the exact integer
         for k in range(0, 21):
-            got = double_factorial_log(k).value()
+            got = math.exp(double_factorial_log(k))
             want = exact_double_factorial(k)
             assert int(round(got)) == want
             assert got == pytest.approx(want, rel=1e-13)
 
     def test_log_63_matches_bigint_oracle(self):
         want = math.log(exact_double_factorial(63))  # math.log takes big ints
-        got = double_factorial_log(63).log_magnitude
+        got = double_factorial_log(63)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_log_large_values(self):
         for k in (64, 127, 128, 255):
             want = math.log(exact_double_factorial(k))
-            assert double_factorial_log(k).log_magnitude == pytest.approx(
+            assert double_factorial_log(k) == pytest.approx(
                 want, rel=1e-13)
 
 
@@ -135,6 +102,17 @@ class TestSphereSurface:
             want = 2.0 * math.exp(0.5 * (dim + 1) * math.log(math.pi)
                                   - math.lgamma(0.5 * (dim + 1)))
             assert sphere_surface(dim) == pytest.approx(want, rel=1e-13)
+
+    def test_log_form_beyond_float_range(self):
+        # |S^D| underflows float64 long before the coded spheres of n >= 8
+        # qubits (D = 2^(n+1) - 2); the log form stays exact there
+        for dim in (455, 510, 8190):
+            want = (math.log(2.0) + 0.5 * (dim + 1) * math.log(math.pi)
+                    - math.lgamma(0.5 * (dim + 1)))
+            assert log_sphere_surface(dim) == pytest.approx(want, rel=1e-13)
+        assert sphere_surface(455) == 0.0
+        for dim in range(0, 129):
+            assert math.exp(log_sphere_surface(dim)) == sphere_surface(dim)
 
     def test_recursion_through_sin_integral(self):
         # |S^D| = |S^(D-1)| * int sin^(D-1)

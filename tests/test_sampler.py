@@ -20,25 +20,16 @@ from isoqec.distributions import (
 )
 from isoqec.closedform import fidelity_psi
 from isoqec.sampler import (
-    McEstimate,
     RngStreams,
-    SphericalPoint,
-    StateVector,
-    compose_error,
     compose_errors,
-    dump_samples,
-    empirical_fidelity,
-    empirical_variance,
-    from_cartesian,
-    load_samples,
     mc_mean,
     sample_fidelities,
-    sample_state,
     sample_states,
     sample_theta0,
     sample_uniform_direction,
-    to_cartesian,
 )
+
+from suite import mean_se, reference_states
 
 SEED = 20260819
 
@@ -48,45 +39,6 @@ def streams(*key):
     for k in key:
         base = base.split(k)
     return base
-
-
-class TestStateVector:
-    def test_reference_state(self):
-        ref = StateVector.reference(4)
-        assert ref.coords.shape == (8,)
-        assert ref.coords[0] == 1.0 and not ref.coords[1:].any()
-        assert ref.d == 4
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([0.5, 0.0]))
-
-    def test_rejects_odd_length(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 0.0, 0.0]))
-
-
-class TestSphericalConversion:
-    def test_round_trip_random_points(self):
-        rng = streams(0).chunk(0)
-        for d in (1, 2, 8):
-            x = sample_uniform_direction(2 * d - 1, rng, 64)
-            for row in x:
-                back = to_cartesian(from_cartesian(row))
-                assert np.max(np.abs(back - row)) < 1e-10
-
-    def test_first_angle_is_polar(self):
-        x = np.zeros(6)
-        x[0] = math.cos(1.1)
-        x[1] = math.sin(1.1)
-        point = from_cartesian(x)
-        assert point.angles[0] == pytest.approx(1.1, abs=1e-12)
-
-    def test_azimuth_range(self):
-        x = np.array([0.0, 0.0, 0.6, -0.8])
-        point = from_cartesian(x)
-        assert 0.0 <= point.angles[-1] < 2 * math.pi
-        assert np.max(np.abs(to_cartesian(point) - x)) < 1e-12
 
 
 class TestRngStreams:
@@ -117,7 +69,9 @@ class TestSampleTheta0:
         for i, density in enumerate(cases):
             marginal = marginal_polar(density)
             draws = sample_theta0(marginal, streams(10, i).chunk(0), 100000)
-            ks = stats.kstest(draws, marginal.cdf_at).statistic
+            ks = stats.kstest(
+                draws, lambda t: np.interp(t, marginal.theta, marginal.cdf)
+            ).statistic
             assert ks < 0.01, density.kind
 
     def test_mean_cos_matches_sigma(self):
@@ -172,22 +126,17 @@ class TestSampleStates:
         assert x.shape == (500, 16)
         assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
 
-    def test_single_sample_wrapper(self):
-        state = sample_state(IsotropicDensity.uniform(2), streams(31).chunk(0))
-        assert isinstance(state, StateVector)
-        assert state.d == 2
-
     def test_variance_against_closed_form(self):
         density = IsotropicDensity.normal(0.5, 8)
         x = sample_states(density, 100000, streams(32).chunk(0))
-        est = empirical_variance(x)
-        assert abs(est.value - 1.0) < 3 * est.std_error
+        value, se = mean_se(2.0 - 2.0 * x[:, 0])
+        assert abs(value - 1.0) < 3 * se
 
     def test_fidelity_against_closed_form(self):
         density = IsotropicDensity.normal(0.9, 32)
         x = sample_states(density, 200000, streams(33).chunk(0))
-        est = empirical_fidelity(x)
-        assert abs(est.value - 0.8159375) < 3 * est.std_error
+        value, se = mean_se(x[:, 0] ** 2 + x[:, 1] ** 2)
+        assert abs(value - 0.8159375) < 3 * se
 
     def test_conditional_direction_is_isotropic(self):
         # given theta0, the remaining coordinates are a uniform direction:
@@ -264,39 +213,39 @@ class TestSampleFidelities:
 class TestComposeError:
     def test_identity_transport_at_reference(self):
         density = IsotropicDensity.normal(0.5, 4)
-        base = StateVector.reference(4)
-        fresh = sample_states(density, 1, streams(40).chunk(0))[0]
-        composed = compose_error(base, density, streams(40).chunk(0))
-        assert np.allclose(composed.coords, fresh, atol=1e-12)
+        fresh = sample_states(density, 1, streams(40).chunk(0))
+        composed = compose_errors(reference_states(4, 1), density,
+                                  streams(40).chunk(0))
+        assert np.allclose(composed, fresh, atol=1e-12)
 
     def test_distance_distribution_preserved_exactly(self):
         d = 4
-        base = sample_state(IsotropicDensity.normal(0.5, d),
-                            streams(41).chunk(0))
+        base = sample_states(IsotropicDensity.normal(0.5, d), 1,
+                             streams(41).chunk(0))[0]
         error = IsotropicDensity.normal(0.7, d)
-        out = compose_errors(np.tile(base.coords, (2000, 1)), error,
+        out = compose_errors(np.tile(base, (2000, 1)), error,
                              streams(42).chunk(0))
         ref = sample_states(error, 2000, streams(42).chunk(0))
-        got = 2.0 - 2.0 * out @ base.coords
+        got = 2.0 - 2.0 * out @ base
         want = 2.0 - 2.0 * ref[:, 0]
         assert np.max(np.abs(np.sort(got) - np.sort(want))) < 1e-10
 
     def test_near_zero_spread_recovers_base(self):
         density = IsotropicDensity.uniform_cap(1e-4, 4)
-        base = sample_state(IsotropicDensity.normal(0.3, 4),
-                            streams(43).chunk(0))
-        out = compose_error(base, density, streams(44).chunk(0))
-        assert np.linalg.norm(out.coords - base.coords) < 1e-3
+        base = sample_states(IsotropicDensity.normal(0.3, 4), 1,
+                             streams(43).chunk(0))
+        out = compose_errors(base, density, streams(44).chunk(0))
+        assert np.linalg.norm(out - base) < 1e-3
 
     def test_two_uniform_errors_stay_uniform(self):
         density = IsotropicDensity.uniform(4)
         rng = streams(45).chunk(0)
         n = 100000
-        cur = np.tile(StateVector.reference(4).coords, (n, 1))
+        cur = reference_states(4, n)
         cur = compose_errors(cur, density, rng)
         cur = compose_errors(cur, density, rng)
-        est = empirical_variance(cur)
-        assert abs(est.value - 2.0) < 3 * est.std_error
+        value, se = mean_se(2.0 - 2.0 * cur[:, 0])
+        assert abs(value - 2.0) < 3 * se
 
     def test_composition_variance_law(self):
         d = 8
@@ -308,12 +257,12 @@ class TestComposeError:
         for i, (density, n_steps) in enumerate(cases):
             rng = streams(46, i).chunk(0)
             n = 20000
-            cur = np.tile(StateVector.reference(d).coords, (n, 1))
+            cur = reference_states(d, n)
             for _ in range(n_steps):
                 cur = compose_errors(cur, density, rng)
-            est = empirical_variance(cur)
+            value, se = mean_se(2.0 - 2.0 * cur[:, 0])
             want = variance_compose_n(variance_of(density).v, n_steps)
-            assert abs(est.value - want) < 3 * est.std_error, density.kind
+            assert abs(value - want) < 3 * se, density.kind
 
     def test_composed_fidelity_matches_split_sigma(self):
         # five steps at sigma_u = 0.9^(1/5) behave as one step at 0.9
@@ -321,11 +270,11 @@ class TestComposeError:
         step = IsotropicDensity.normal(0.9 ** 0.2, d)
         rng = streams(47).chunk(0)
         n = 100000
-        cur = np.tile(StateVector.reference(d).coords, (n, 1))
+        cur = reference_states(d, n)
         for _ in range(5):
             cur = compose_errors(cur, step, rng)
-        est = empirical_fidelity(cur)
-        assert abs(est.value - 0.8159375) < 3 * est.std_error
+        value, se = mean_se(cur[:, 0] ** 2 + cur[:, 1] ** 2)
+        assert abs(value - 0.8159375) < 3 * se
 
     def test_norm_preserved(self):
         out = compose_errors(
@@ -336,36 +285,9 @@ class TestComposeError:
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compose_error(StateVector.reference(2),
-                          IsotropicDensity.uniform(4),
-                          streams(50).chunk(0))
-
-
-class TestEmpiricalEstimates:
-    def test_exact_inputs(self):
-        e0 = StateVector.reference(4)
-        assert empirical_variance([e0]).value == 0.0
-        assert empirical_fidelity([e0]).value == 1.0
-        flipped = StateVector(-e0.coords)
-        est = empirical_variance([e0, flipped])
-        assert est.value == 2.0
-        e2 = np.zeros(8)
-        e2[2] = 1.0
-        assert empirical_fidelity([StateVector(e2)]).value == 0.0
-        e1 = np.zeros(8)
-        e1[1] = 1.0
-        assert empirical_fidelity([StateVector(e1)]).value == 1.0
-
-    def test_single_sample_has_zero_se(self):
-        est = empirical_fidelity([StateVector.reference(2)])
-        assert est.std_error == 0.0 and est.n_samples == 1
-
-    def test_accepts_array_and_list(self):
-        x = sample_states(IsotropicDensity.uniform(2), 100,
-                          streams(51).chunk(0))
-        from_array = empirical_fidelity(x)
-        from_list = empirical_fidelity([StateVector(row) for row in x])
-        assert from_array == from_list
+            compose_errors(reference_states(2, 1),
+                           IsotropicDensity.uniform(4),
+                           streams(50).chunk(0))
 
 
 class TestMcMean:
@@ -410,24 +332,3 @@ class TestMcMean:
             mc_mean(self._value_fn(density), 0, streams(64))
         with pytest.raises(ValueError):
             mc_mean(self._value_fn(density), 10, streams(64), chunk_size=0)
-
-
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path):
-        density = IsotropicDensity.normal(0.3, 2)
-        x = sample_states(density, 50, streams(70).chunk(0))
-        path = tmp_path / "errors.f64"
-        sidecar = dump_samples(path, x, density, SEED)
-        assert sidecar.exists()
-        back, meta = load_samples(path)
-        assert np.array_equal(back, x)
-        assert meta["seed"] == SEED
-        assert meta["density"] == {"kind": "normal", "d": 2, "sigma": 0.3}
-        assert meta["n_samples"] == 50
-
-    def test_estimates_survive_round_trip(self, tmp_path):
-        density = IsotropicDensity.uniform(4)
-        x = sample_states(density, 200, streams(71).chunk(0))
-        dump_samples(tmp_path / "u.f64", x, density, SEED)
-        back, _ = load_samples(tmp_path / "u.f64")
-        assert empirical_fidelity(back) == empirical_fidelity(x)
