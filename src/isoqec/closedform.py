@@ -1,14 +1,15 @@
 """Closed-form fidelities and bounds for isotropically perturbed states.
 
-For an isotropic error with polar profile f on S^(2d-1), the squared
+For an isotropic error on S^(2d-1) with polar marginal g, the squared
 fidelity of the perturbed state against the unperturbed one is
 
-    F^2 = 1 - 4 (2 pi)^(d-1) / (2d-1)!! * w * int f sin^(2d)
+    F^2 = 1 - 2w / (2d-1) * E_g[sin^2 theta0]
 
 where the weight w counts the amplitude pairs lost to the error: w = d - 1
 for a bare state, and w = d - d'' for a block code that recovers all but
-one pair per syndrome block.  The prefactor is assembled in log space; only
-the finished deficit is exponentiated.
+one pair per syndrome block.  Equivalently F^2 = E[cos^2 + sin^2 B] with
+B ~ Beta(kept/2, (2d-1-kept)/2) and kept = 2d - 1 - 2w, the law that
+sampler.sample_fidelities draws.
 
 The PRINTED variant of the corrected-fidelity upper bound reproduces a
 published denominator 2d' - 1 that its own derivation does not support;
@@ -18,7 +19,6 @@ stays visible in verification output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,10 +29,9 @@ from .distributions import (
     DensityKind,
     IsotropicDensity,
     condition_18,
-    log_moment_sin_2d_bar,
+    moment_sin2,
     variance_of,
 )
-from .mathcore import LOG_2PI, double_factorial_log
 
 
 class BoundVariant(Enum):
@@ -53,13 +52,9 @@ class FidelityReport:
     cond18: bool           # moment condition under which the bound applies
 
 
-def _deficit(log_bar: float, d: int, weight: int) -> float:
-    # 4 (2 pi)^(d-1) / (2d-1)!! * weight * exp(log_bar)
-    if weight == 0:
-        return 0.0
-    return math.exp(math.log(4.0) + (d - 1) * LOG_2PI
-                    - double_factorial_log(2 * d - 1)
-                    + math.log(weight) + log_bar)
+def _kept_fidelity(density: IsotropicDensity, kept: int) -> float:
+    # mean of sample_fidelities: 1 - sin^2 theta (1 - B), E[B] = kept/(2d-1)
+    return 1.0 - moment_sin2(density) * (1.0 - kept / (2 * density.d - 1))
 
 
 def fidelity_psi(density: IsotropicDensity, d: int) -> float:
@@ -70,7 +65,7 @@ def fidelity_psi(density: IsotropicDensity, d: int) -> float:
     if density.d != d:
         raise ValueError(
             f"density lives at half-dimension {density.d}, expected {d}")
-    return 1.0 - _deficit(log_moment_sin_2d_bar(density), d, d - 1)
+    return _kept_fidelity(density, 1)
 
 
 def fidelity_psi_normal(sigma, d: int):
@@ -93,14 +88,13 @@ def fidelity_corrected(density: IsotropicDensity, params: CodeParams) -> float:
     """Squared fidelity after syndrome measurement and correction.
 
     Correction recovers every amplitude pair except one per block, so the
-    deficit weight drops from d - 1 to d - d''.
+    kept coordinates grow from 1 to 2d'' - 1.
     """
     if density.d != params.d:
         raise ValueError(
             f"density lives at half-dimension {density.d}, "
             f"expected coded dimension {params.d}")
-    return 1.0 - _deficit(log_moment_sin_2d_bar(density), params.d,
-                          params.d - params.d_dprime)
+    return _kept_fidelity(density, 2 * params.d_dprime - 1)
 
 
 def bound_psi0_lower(v_u: float, d_prime: int) -> float:
@@ -180,8 +174,8 @@ def full_report(density: IsotropicDensity, params: CodeParams,
         raise ValueError(
             f"unencoded density lives at half-dimension {uncoded.d}, "
             f"expected logical dimension {params.d_prime}")
-    v_c = variance_of(density).v
-    v_u = variance_of(uncoded).v
+    v_c = variance_of(density)
+    v_u = variance_of(uncoded)
     return FidelityReport(
         params=params,
         f2_psi=fidelity_psi(density, params.d),

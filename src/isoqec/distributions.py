@@ -156,8 +156,8 @@ class IsotropicDensity:
     """An isotropic error density on S^(2d-1), reduced to its polar profile.
 
     Immutable after construction.  Cap and table densities have their
-    normalization against the full spherical measure checked by quadrature
-    at construction time to 1e-8, and construction fails if it does not
+    mass under the polar marginal checked by marginal.expectation at
+    construction time to 1e-8, and construction fails if it does not
     hold; table densities are normalized automatically and the applied
     constant is kept in .normalization.  Normal densities are normalized
     in closed form: their mass is |S^(2d-2)| times the kernel-inverse-square
@@ -177,7 +177,7 @@ class IsotropicDensity:
             raise ValueError(f"half-dimension d must be >= 1, got {self.d}")
         if self.kind is DensityKind.NORMAL:
             return
-        residual = abs(self._norm_integral() - 1.0)
+        residual = abs(self.marginal.expectation(lambda t: 1.0) - 1.0)
         if not residual < _NORM_TOL:
             raise ValueError(
                 f"density normalization off by {residual:.3e} (tol {_NORM_TOL})")
@@ -289,13 +289,6 @@ class IsotropicDensity:
             return self.table_theta[1:-1]
         return None
 
-    def _norm_integral(self) -> float:
-        lo, hi = self.support
-        if lo >= hi:
-            return 0.0
-        return math.exp(_log_integral(self.log_marginal, lo, hi,
-                                      breakpoints=self._kink_points))
-
     def descriptor(self) -> dict:
         """JSON-safe summary used to label verification cases."""
         out = {"kind": self.kind.value, "d": self.d}
@@ -373,40 +366,24 @@ def marginal_polar(density: IsotropicDensity) -> PolarMarginal:
     return PolarMarginal(density)
 
 
-class VarianceSource(Enum):
-    CLOSED_FORM = "closed_form"
-    QUADRATURE = "quadrature"
-    EMPIRICAL = "empirical"
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    """Variance v = E[2 - 2 cos theta0] in [0, 4], tagged with its origin."""
-
-    v: float
-    source: VarianceSource
-
-    def __post_init__(self):
-        if not -1e-12 <= self.v <= 4.0 + 1e-12:
-            raise ValueError(f"variance {self.v} outside [0, 4]")
-
-
 class Condition18Result(NamedTuple):
     holds: bool
     value: float
 
 
-def variance_of(density: IsotropicDensity) -> VarianceReport:
-    """Variance of the error; closed form 2(1 - sigma) for normal densities."""
+def variance_of(density: IsotropicDensity) -> float:
+    """Variance v = E[2 - 2 cos theta0] in [0, 4].
+
+    Closed form 2(1 - sigma) for normal densities.
+    """
     if density.kind is DensityKind.NORMAL:
-        return VarianceReport(2.0 * (1.0 - density.sigma),
-                              VarianceSource.CLOSED_FORM)
+        return 2.0 * (1.0 - density.sigma)
     v = 2.0 - 2.0 * density.marginal.expectation(math.cos)
-    return VarianceReport(min(max(v, 0.0), 4.0), VarianceSource.QUADRATURE)
+    return min(max(v, 0.0), 4.0)
 
 
 def moment_sin2(density: IsotropicDensity) -> float:
-    """E[sin^2 theta0] under the full marginal g.
+    """E[sin^2 theta0] under the full marginal g; every fidelity reads it.
 
     Normal closed form: (2d - 1)(1 - sigma^2) / (2d).
     """
@@ -414,32 +391,6 @@ def moment_sin2(density: IsotropicDensity) -> float:
         d, s = density.d, density.sigma
         return (2 * d - 1) * (1.0 - s * s) / (2 * d)
     return density.marginal.expectation(lambda t: math.sin(t) ** 2)
-
-
-def log_moment_sin_2d_bar(density: IsotropicDensity) -> float:
-    """log of int f(theta0) sin^(2d) theta0 dtheta0 (no sphere factor).
-
-    This bar-moment is the quantity the closed-form fidelities consume; it
-    grows like (2d-2)!!/(2 pi)^d so it is produced in log space.  Normal
-    closed form: (2d-2)!!/(2 pi)^d (1 - sigma^2) (2d-1)!!/(2d)!! pi.
-    """
-    d = density.d
-    if density.kind is DensityKind.NORMAL:
-        s = density.sigma
-        if s == 1.0:
-            return -math.inf
-        return (double_factorial_log(2 * d - 2) - d * LOG_2PI
-                + math.log1p(-s * s)
-                + double_factorial_log(2 * d - 1)
-                - double_factorial_log(2 * d)
-                + math.log(math.pi))
-
-    def log_fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(density.log_density(t)) + _log_sin_power(2 * d, t)
-
-    lo, hi = density.support
-    return _log_integral(log_fn, lo, hi, breakpoints=density._kink_points)
 
 
 def condition_18(density: IsotropicDensity) -> Condition18Result:
@@ -453,6 +404,7 @@ def condition_18(density: IsotropicDensity) -> Condition18Result:
     """
     if density.kind is DensityKind.NORMAL:
         d, s = density.d, density.sigma
+        # factored: as E[cos] - 1 + E[sin^2] it cancels and flips sign near zero
         value = (1.0 - s) * ((2 * d - 1) * s - 1.0) / (2 * d)
         return Condition18Result(holds=value >= 0.0, value=value)
     value = density.marginal.expectation(

@@ -1,10 +1,11 @@
 """Log-stable special functions and the exact integrals behind them.
 
-Every closed form in this package is a ratio of double factorials times a
-power of 2*pi.  Materialized naively these factors overflow float64 long
-before the dimensions of interest (63!! ~ 1e44, (2*pi)^64 ~ 1e51, and the
-normal density peak at d=64 exceeds 1e308), so all of them are carried as
-logarithms and only the finished, cancelled combination is exponentiated.
+The density normalizations and the appendix integrals are ratios of
+double factorials times a power of 2*pi.  Materialized naively these
+factors overflow float64 long before the dimensions of interest
+(63!! ~ 1e44, (2*pi)^64 ~ 1e51, and the normal density peak at d=64
+exceeds 1e308), so all of them are carried as logarithms and only the
+finished, cancelled combination is exponentiated.
 
 Conventions: (-1)!! = 0!! = 1.
 """

@@ -216,7 +216,7 @@ def test_uncoded_fidelity_lower_bound():
     cases = 0
     for d_prime in (2, 4, 16):
         for name, density in make_suite(d_prime):
-            v_u = variance_of(density).v
+            v_u = variance_of(density)
             slack = fidelity_psi(density, d_prime) \
                 - bound_psi0_lower(v_u, d_prime)
             min_slack = min(min_slack, slack)
@@ -239,7 +239,7 @@ def test_corrected_fidelity_upper_bound_and_printed_erratum():
             if not condition_18(density).holds:
                 continue
             applicable += 1
-            v_c = variance_of(density).v
+            v_c = variance_of(density)
             slack = bound_corrected_upper(v_c, params, BoundVariant.PROOF) \
                 - fidelity_corrected(density, params)
             min_slack = min(min_slack, slack)
@@ -249,7 +249,7 @@ def test_corrected_fidelity_upper_bound_and_printed_erratum():
     params = CodeParams(5, 1)
     density = IsotropicDensity.normal(0.9, params.d)
     assert condition_18(density).holds
-    v_c = variance_of(density).v
+    v_c = variance_of(density)
     printed = bound_corrected_upper(v_c, params, BoundVariant.PRINTED)
     proof = bound_corrected_upper(v_c, params, BoundVariant.PROOF)
     corrected = fidelity_corrected(density, params)
@@ -277,7 +277,7 @@ def test_composed_error_statistics():
     for _ in range(2):
         states = compose_errors(states, density, rng)
     value, se = mean_se(2.0 - 2.0 * states[:, 0])
-    want = variance_compose_n(variance_of(density).v, 2)
+    want = variance_compose_n(variance_of(density), 2)
     worst_z = max(worst_z, abs(value - want) / se)
 
     # five-step composition at d=32 behaves as one error at sigma_u^5
@@ -288,7 +288,7 @@ def test_composed_error_statistics():
     for _ in range(5):
         states = compose_errors(states, density, rng)
     value, se = mean_se(2.0 - 2.0 * states[:, 0])
-    want_v = variance_compose_n(variance_of(density).v, 5)
+    want_v = variance_compose_n(variance_of(density), 5)
     worst_z = max(worst_z, abs(value - want_v) / se)
     value, se = mean_se(states[:, 0] ** 2 + states[:, 1] ** 2)
     want_f = fidelity_psi_normal(0.9, 32)

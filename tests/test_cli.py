@@ -70,6 +70,14 @@ class TestSweepCommand:
                      "--workers", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("code", [[13, 1], [1100, 1]])
+    def test_codes_beyond_the_sampler_exit_2(self, tmp_path, capsys, code):
+        rc = main(["sweep", "--config", write_config(tmp_path,
+                                                     code_list=[code])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and str(code[0]) in err
 
     def test_large_codes_run_to_an_answer(self, tmp_path, capsys):
         # coded spheres of n >= 8 qubits have surfaces below float64 range

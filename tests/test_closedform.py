@@ -1,12 +1,17 @@
 """Closed-form fidelity and bound checks.
 
-The main cross-route identity: for any isotropic density the deficit route
-through int f sin^(2d) must equal 1 - w' E[sin^2 theta0] with the matching
-weight, where E[...] comes from independent quadrature of the marginal.
+The main cross-route identity: for any isotropic density the fidelities
+must equal the paper's form 1 - 4 (2 pi)^(d-1)/(2d-1)!! w int f sin^(2d)
+with the matching weight w, where the integral comes from linear-space
+quadrature of the density itself rather than from its polar marginal.
 Frozen literals pin the published example cells.
 """
 
+import contextlib
+import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from isoqec.distributions import (
     condition_18,
     variance_of,
 )
+from isoqec.mathcore import adaptive_quadrature, sphere_surface
 
 from suite import make_suite
 
@@ -39,7 +45,14 @@ ALL_CODES = [P51, P54, P42, P31]
 
 
 def sin2_expectation(density):
-    return density.marginal.expectation(lambda t: math.sin(t) ** 2)
+    # |S^(2d-2)| int f sin^(2d), with no polar-marginal table involved
+    d = density.d
+    lo, hi = density.support
+    kinks = None if density.table_theta is None else density.table_theta[1:-1]
+    bar = adaptive_quadrature(
+        lambda t: math.exp(density.log_density(t)) * math.sin(t) ** (2 * d),
+        lo, hi, 1e-11, points=kinks, limit=4000)
+    return sphere_surface(2 * d - 2) * bar
 
 
 class TestFidelityPsi:
@@ -61,7 +74,7 @@ class TestFidelityPsi:
                 1.0 / d, abs=1e-12)
 
     def test_moment_identity_all_kinds(self):
-        # dual route: deficit form vs 1 - (2d-2)/(2d-1) E[sin^2 theta0]
+        # dual route: marginal moment vs quadrature of f sin^(2d)
         d = 4
         for label, density in make_suite(d):
             want = 1.0 - (2 * d - 2) / (2 * d - 1) * sin2_expectation(density)
@@ -141,7 +154,7 @@ class TestFidelityCorrected:
                     fidelity_psi_normal(s, params.d_prime), abs=1e-12)
 
     def test_moment_identity_all_kinds(self):
-        # dual route: deficit form vs 1 - 2(d-d'') E[sin^2]/(2d-1)
+        # dual route: marginal moment vs quadrature of f sin^(2d)
         params = P31
         d = params.d
         for label, density in make_suite(d):
@@ -171,7 +184,7 @@ class TestBoundPsi0Lower:
     def test_bound_holds_across_suite(self):
         for d_prime in (2, 4, 16):
             for label, density in make_suite(d_prime):
-                v_u = variance_of(density).v
+                v_u = variance_of(density)
                 lb = bound_psi0_lower(v_u, d_prime)
                 assert fidelity_psi(density, d_prime) >= lb - 1e-9, (
                     label, d_prime)
@@ -207,7 +220,7 @@ class TestBoundCorrectedUpper:
             for label, density in make_suite(params.d):
                 if not condition_18(density).holds:
                     continue
-                v_c = variance_of(density).v
+                v_c = variance_of(density)
                 ub = bound_corrected_upper(v_c, params)
                 assert fidelity_corrected(density, params) <= ub + 1e-9, (
                     label, params)
@@ -215,7 +228,7 @@ class TestBoundCorrectedUpper:
     def test_printed_bound_violated_at_counterexample(self):
         # the published denominator fails already for (5,1), sigma = 0.9
         density = IsotropicDensity.normal(0.9, 32)
-        v_c = variance_of(density).v
+        v_c = variance_of(density)
         printed = bound_corrected_upper(v_c, P51, BoundVariant.PRINTED)
         proof = bound_corrected_upper(v_c, P51, BoundVariant.PROOF)
         got = fidelity_corrected(density, P51)
@@ -305,9 +318,21 @@ class TestFullReport:
             full_report(IsotropicDensity.normal(0.5, 32), P51, n_steps=0)
 
 
+class TestReadmeLibraryExample:
+    def test_prints_documented_values(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Library\n\n```python\n(.*?)```", readme,
+                          re.S).group(1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, {})
+        assert out.getvalue() == "0.8159375 0.905 0.9793657577570913\n"
+        assert "# " + out.getvalue() in block
+
+
 @st.composite
 def _code(draw):
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 60))
     return CodeParams(n, draw(st.integers(1, n - 1)))
 
 
@@ -315,18 +340,16 @@ class TestFullReportAcrossCodeSizes:
     @settings(max_examples=300, deadline=None)
     @given(_code(), st.floats(0.0, 0.999))
     def test_normal_report_matches_closed_forms(self, params, sigma):
-        # the log route's rounding grows with d (worst seen 6.7e-12 at
-        # n = 12), hence 1e-10 on the fidelities
         report = full_report(IsotropicDensity.normal(sigma, params.d), params)
         d, d_prime = params.d, params.d_prime
 
         def normal(s, k):
             return (1.0 + (k - 1) * s * s) / k
 
-        assert abs(report.f2_psi - normal(sigma, d)) <= 1e-10
-        assert abs(report.f2_phi_tilde - normal(sigma, d_prime)) <= 1e-10
+        assert abs(report.f2_psi - normal(sigma, d)) <= 1e-14
+        assert abs(report.f2_phi_tilde - normal(sigma, d_prime)) <= 1e-14
         assert abs(report.f2_psi0
-                   - normal(sigma ** (1.0 / params.n), d_prime)) <= 1e-10
+                   - normal(sigma ** (1.0 / params.n), d_prime)) <= 1e-14
         want_ub = 1.0 - (d - params.d_dprime) * 2.0 * (1.0 - sigma) \
             / (2 * d - 1)
         assert abs(report.ub_phi_tilde - want_ub) <= 1e-12

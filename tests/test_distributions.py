@@ -15,10 +15,7 @@ from isoqec.distributions import (
     CodeParams,
     DensityKind,
     IsotropicDensity,
-    VarianceReport,
-    VarianceSource,
     condition_18,
-    log_moment_sin_2d_bar,
     marginal_polar,
     moment_sin2,
     normal_density_eval,
@@ -27,7 +24,12 @@ from isoqec.distributions import (
     variance_of,
     variance_split,
 )
-from isoqec.mathcore import LOG_2PI, adaptive_quadrature, double_factorial_log
+from isoqec.mathcore import (
+    LOG_2PI,
+    adaptive_quadrature,
+    double_factorial_log,
+    sphere_surface,
+)
 
 from suite import make_suite
 
@@ -173,33 +175,28 @@ class TestPolarMarginal:
 
 class TestVarianceOf:
     def test_normal_closed_form(self):
-        report = variance_of(IsotropicDensity.normal(0.5, 8))
-        assert report.v == 1.0
-        assert report.source is VarianceSource.CLOSED_FORM
+        assert variance_of(IsotropicDensity.normal(0.5, 8)) == 1.0
 
     def test_normal_closed_form_matches_quadrature(self):
         for d in (1, 2, 32):
             for s in (0.0, 0.5, 0.9, 0.99):
                 density = IsotropicDensity.normal(s, d)
                 quad_v = 2.0 - 2.0 * density.marginal.expectation(math.cos)
-                assert variance_of(density).v == pytest.approx(
+                assert variance_of(density) == pytest.approx(
                     quad_v, abs=1e-8)
 
     def test_uniform_has_variance_two(self):
         for d in (1, 4, 32):
-            assert variance_of(IsotropicDensity.uniform(d)).v == pytest.approx(
+            assert variance_of(IsotropicDensity.uniform(d)) == pytest.approx(
                 2.0, abs=1e-9)
 
     def test_tiny_cap_has_tiny_variance(self):
-        report = variance_of(IsotropicDensity.uniform_cap(1e-4, 16))
-        assert report.source is VarianceSource.QUADRATURE
-        assert 0.0 <= report.v < 1e-7
+        assert 0.0 <= variance_of(IsotropicDensity.uniform_cap(1e-4, 16)) < 1e-7
 
-    def test_report_range_validation(self):
-        with pytest.raises(ValueError):
-            VarianceReport(-0.5, VarianceSource.EMPIRICAL)
-        with pytest.raises(ValueError):
-            VarianceReport(4.5, VarianceSource.EMPIRICAL)
+    def test_range_across_suite(self):
+        for d in (1, 4):
+            for label, density in make_suite(d):
+                assert 0.0 <= variance_of(density) <= 4.0, label
 
 
 class TestMomentSin2:
@@ -225,27 +222,31 @@ class TestMomentSin2:
 
 
 class TestBarMoment:
+    """int f sin^(2d) = E_g[sin^2] / |S^(2d-2)|, the paper's fidelity moment."""
+
+    @staticmethod
+    def bar(density):
+        return moment_sin2(density) / sphere_surface(2 * density.d - 2)
+
     def test_uniform_d1_is_quarter(self):
         # f = 1/(2 pi), int sin^2 = pi/2
-        assert math.exp(log_moment_sin_2d_bar(
-            IsotropicDensity.uniform(1))) == pytest.approx(0.25, rel=1e-11)
+        assert self.bar(IsotropicDensity.uniform(1)) == pytest.approx(
+            0.25, rel=1e-11)
 
     def test_exp_of_log_version(self):
         # exact linear-space closed form at d = 3, sigma = 0.4:
         # 4!!/(2 pi)^3 (1 - s^2) 5!!/6!! pi = 8 * 0.84 * 15 / (48 * 8 pi^2)
         density = IsotropicDensity.normal(0.4, 3)
         want = 8 * 0.84 * 15 / (48 * 8 * math.pi ** 2)
-        assert math.exp(log_moment_sin_2d_bar(density)) == pytest.approx(
-            want, rel=1e-14)
+        assert self.bar(density) == pytest.approx(want, rel=1e-14)
 
     def test_normal_ratio_property(self):
         # closed form scales exactly by (1 - sigma^2) against sigma = 0
         for d in (2, 8, 32):
-            base = log_moment_sin_2d_bar(IsotropicDensity.normal(0.0, d))
+            base = moment_sin2(IsotropicDensity.normal(0.0, d))
             for s in (0.3, 0.9, 0.99):
-                got = log_moment_sin_2d_bar(IsotropicDensity.normal(s, d))
-                assert got - base == pytest.approx(math.log1p(-s * s),
-                                                   abs=1e-12)
+                got = moment_sin2(IsotropicDensity.normal(s, d))
+                assert got / base == pytest.approx(1.0 - s * s, rel=1e-12)
 
     def test_table_route_matches_linear_space_quadrature(self):
         theta = np.linspace(0.0, math.pi, 400)
@@ -254,8 +255,7 @@ class TestBarMoment:
         ref = adaptive_quadrature(
             lambda t: math.exp(density.log_density(t)) * math.sin(t) ** 8,
             lo, hi, 1e-11)
-        assert math.exp(log_moment_sin_2d_bar(density)) == pytest.approx(
-            ref, rel=1e-9)
+        assert self.bar(density) == pytest.approx(ref, rel=1e-9)
 
     def test_tabulated_normal_agrees_with_closed_form(self):
         # same density through the NORMAL and POLAR_TABLE code paths
@@ -263,8 +263,8 @@ class TestBarMoment:
         theta = np.linspace(0.0, math.pi, 4001)
         f = np.exp(normal_density_eval(s, d, theta))
         table = IsotropicDensity.from_table(theta, f, d)
-        want = log_moment_sin_2d_bar(IsotropicDensity.normal(s, d))
-        assert log_moment_sin_2d_bar(table) == pytest.approx(want, abs=1e-5)
+        want = moment_sin2(IsotropicDensity.normal(s, d))
+        assert moment_sin2(table) == pytest.approx(want, rel=1e-5)
 
 
 class TestCondition18:
@@ -292,9 +292,9 @@ class TestCondition18:
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.9, 0.99])
     def test_normal_closed_forms_match_quadrature(self, d, sigma):
         # the two checks normal densities skip: the construction-time
-        # normalization and the condition_18 quadrature
+        # mass check and the condition_18 quadrature
         density = IsotropicDensity.normal(sigma, d)
-        assert abs(density._norm_integral() - 1.0) < 1e-8
+        assert abs(density.marginal.expectation(lambda t: 1.0) - 1.0) < 1e-8
         want = density.marginal.expectation(
             lambda t: (1.0 - math.cos(t)) * math.cos(t))
         assert abs(condition_18(density).value - want) < 1e-10

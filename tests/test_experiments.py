@@ -11,6 +11,7 @@ from isoqec.experiments import (
     DEFAULT_CODES,
     DEFAULT_SIGMA_GRID,
     FIGURE_CODES,
+    MAX_CODE_QUBITS,
     CheckResult,
     ConfigError,
     SweepConfig,
@@ -61,6 +62,8 @@ class TestSweepConfig:
             small_config(code_list=((3, 3),))
         with pytest.raises(ConfigError):
             small_config(code_list=((3,),))
+        with pytest.raises(ConfigError, match=str(MAX_CODE_QUBITS)):
+            small_config(code_list=((MAX_CODE_QUBITS + 1, 1),))
 
     def test_rejects_bad_plumbing_values(self):
         with pytest.raises(ConfigError):

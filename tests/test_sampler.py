@@ -261,7 +261,7 @@ class TestComposeError:
             for _ in range(n_steps):
                 cur = compose_errors(cur, density, rng)
             value, se = mean_se(2.0 - 2.0 * cur[:, 0])
-            want = variance_compose_n(variance_of(density).v, n_steps)
+            want = variance_compose_n(variance_of(density), n_steps)
             assert abs(value - want) < 3 * se, density.kind
 
     def test_composed_fidelity_matches_split_sigma(self):
