@@ -12,6 +12,7 @@ exponentiated.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -31,6 +32,10 @@ from .mathcore import (
 _LOG_FLOOR = -745.0
 
 _NORM_TOL = 1e-8
+
+# equal-width u-bins of PolarMarginal's guide table; a power of two, so
+# u * _GUIDE_BINS is exact and its floor names the bin of u exactly
+_GUIDE_BINS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -312,10 +317,22 @@ class PolarMarginal:
     Holds a deterministic adaptive grid (>= 4096 nodes, refined where log g
     moves fast) with a trapezoid CDF for inverse-transform sampling;
     expectation goes through the exact log-density, not the table.
+
+    ppf draws in O(1) per point through a guide table over _GUIDE_BINS
+    equal-width bins of u (indexed search, Chen & Asau 1974): a bin that
+    no CDF node falls inside maps to its one interpolation segment, and
+    only points in the other bins fall back to np.interp's binary search.
+    Both evaluate np.interp's own formula on the same segment, so draws
+    are bit-identical to interpolation on the table.  The guide is built
+    on the first array draw, since most marginals are never sampled.
+
+    The density is held by a weak reference: it caches its marginal, and
+    a strong link back would make every density a reference cycle that
+    only the cyclic collector frees.  expectation needs it alive.
     """
 
     def __init__(self, density: IsotropicDensity):
-        self.density = density
+        self._density = weakref.ref(density)
         lo, hi = density.support
         theta = np.linspace(lo, hi, 4097)
         for _ in range(4):  # refine where adjacent log g values jump
@@ -329,31 +346,76 @@ class PolarMarginal:
         self.theta = theta
         self.log_g = np.asarray(density.log_marginal(theta))
         peak = float(np.max(self.log_g))
+        # window where g is representable; the rest underflows to exact zero
+        alive = np.nonzero(self.log_g > peak + _LOG_FLOOR)[0]
+        if alive.size == 0:
+            raise ValueError(f"polar marginal of {density.descriptor()}: no "
+                             "node of the grid carries representable mass")
         dens = np.exp(np.clip(self.log_g - peak, _LOG_FLOOR, None))
         seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(theta)
         cdf = np.concatenate([[0.0], np.cumsum(seg)])
         self.cdf = cdf / cdf[-1]
         self.argmax = float(theta[int(np.argmax(self.log_g))])
-        # window where g is representable; the rest underflows to exact zero
-        alive = np.nonzero(self.log_g > peak + _LOG_FLOOR)[0]
         i0, i1 = int(alive[0]), int(alive[-1])
         self._window = (float(theta[max(i0 - 1, 0)]),
                         float(theta[min(i1 + 1, theta.size - 1)]))
+        self._guide = None
+
+    def _build_guide(self):
+        """(guide, slope): the segment of each u-bin, or -1, and its slope.
+
+        Bin k of M = _GUIDE_BINS holds u in [k/M, (k+1)/M).  With no node
+        strictly inside, np.interp picks for every such u the last node j
+        with cdf[j] <= k/M, whose index is the count of nodes in bins <= k,
+        minus one.  The last entry stands for u = 1.0 and is always -1.
+        """
+        scaled = self.cdf * _GUIDE_BINS
+        node_bin = scaled.astype(np.intp)
+        guide = np.cumsum(np.bincount(node_bin, minlength=_GUIDE_BINS + 1)) - 1
+        guide[node_bin[scaled > node_bin]] = -1
+        guide[_GUIDE_BINS] = -1
+        # a segment that covers a whole bin rises by >= 1/M, so the
+        # division is only needed, and only finite, where that holds
+        d_cdf = np.diff(self.cdf)
+        covers = d_cdf * _GUIDE_BINS >= 1.0
+        slope = np.zeros(d_cdf.size)
+        np.divide(np.diff(self.theta), d_cdf, out=slope, where=covers)
+        return guide, slope
 
     def ppf(self, u):
-        """Inverse CDF by linear interpolation on the tabulated grid."""
-        return np.interp(u, self.cdf, self.theta)
+        """Inverse CDF by linear interpolation on the tabulated grid.
+
+        Array input in [0, 1] goes through the guide table; a 0-d input,
+        or one with points outside [0, 1] or NaN, goes to np.interp.
+        """
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0 or not (u.min(initial=0.0) >= 0.0
+                               and u.max(initial=0.0) <= 1.0):
+            return np.interp(u, self.cdf, self.theta)
+        if self._guide is None:
+            self._guide = self._build_guide()  # one assignment publishes it
+        guide, slope = self._guide
+        seg = guide[(u * _GUIDE_BINS).astype(np.intp)]
+        out = slope[seg] * (u - self.cdf[seg]) + self.theta[seg]
+        mixed = seg < 0
+        if mixed.any():
+            out[mixed] = np.interp(u[mixed], self.cdf, self.theta)
+        return out
 
     def expectation(self, h: Callable, rel_tol: float = 1e-10) -> float:
         """E[h(theta0)] under g by adaptive quadrature of the exact density."""
+        density = self._density()
+        if density is None:
+            raise ReferenceError("the density of this polar marginal was freed")
         lo, hi = self._window
         points = [self.argmax]
-        kinks = self.density._kink_points
+        kinks = density._kink_points
         if kinks is not None:
             points.extend(float(p) for p in kinks)
+        log_marginal = density.log_marginal
 
         def integrand(t):
-            lg = self.density.log_marginal(t)
+            lg = log_marginal(t)
             return math.exp(min(lg, 300.0)) * h(t) if lg > _LOG_FLOOR else 0.0
 
         return adaptive_quadrature(integrand, lo, hi, rel_tol,

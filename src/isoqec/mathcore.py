@@ -17,7 +17,9 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import scipy.integrate
+# SciPy loads scipy.integrate on first attribute access, so processes that
+# make no quadrature call (a sweep of normal densities) never import QUADPACK
+import scipy
 
 LOG_2 = math.log(2.0)
 LOG_2PI = math.log(2.0 * math.pi)

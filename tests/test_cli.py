@@ -2,9 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import isoqec
 from isoqec.cli import main
 
 
@@ -96,6 +102,26 @@ class TestSweepCommand:
                 se = float(row[f"mc_se_{slot}"])
                 assert abs(mc - float(row[f"f2_{slot}"])) <= 5 * se, (
                     row["n"], row["m"], row["sigma_c"], slot)
+
+
+class TestQuadpackImport:
+    def test_sweep_skips_quadpack_and_verify_loads_it(self, tmp_path):
+        # a fresh interpreter, since this one imported scipy.integrate long ago
+        script = textwrap.dedent("""
+            import sys
+            import isoqec.cli as cli
+            assert cli.main(["sweep", "--samples", "1000",
+                             "--csv", sys.argv[1]]) == 0
+            assert "scipy.integrate" not in sys.modules
+            assert cli.main(["verify", "appendix"]) == 0
+            assert "scipy.integrate" in sys.modules
+        """)
+        src = str(Path(isoqec.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "rows.csv")],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
 
 
 class TestVerifyCommands:

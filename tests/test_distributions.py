@@ -5,13 +5,18 @@ integrands; the variance algebra is checked against its sigma
 parametrization and against literal repeated composition.
 """
 
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoqec.distributions import (
+    _GUIDE_BINS,
     CodeParams,
     DensityKind,
     IsotropicDensity,
@@ -171,6 +176,97 @@ class TestPolarMarginal:
         for label, density in make_suite(16):
             total = density.marginal.expectation(lambda t: 1.0)
             assert total == pytest.approx(1.0, abs=1e-9), label
+
+    @pytest.mark.parametrize("density", [
+        *(IsotropicDensity.normal(s, d) for d in (1, 2, 8, 32, 128, 4096)
+          for s in (0.0, 0.5, 0.99)),
+        IsotropicDensity.uniform_cap(math.pi / 4, 8),
+        IsotropicDensity.uniform_cap(math.pi, 2),
+        IsotropicDensity.from_table(np.linspace(0.1, 3.0, 60),
+                                    np.exp(-np.linspace(0.1, 3.0, 60)), 4),
+    ], ids=lambda density: "-".join(map(str, density.descriptor().values())))
+    def test_guide_table_draws_match_interpolation_bitwise(self, density):
+        m = density.marginal
+        nodes = m.cdf[m.cdf < 1.0]
+        edges = np.floor(nodes * _GUIDE_BINS) / _GUIDE_BINS
+        edges = np.concatenate([edges, edges + 1.0 / _GUIDE_BINS])
+        probes = [
+            np.random.default_rng(5).random(100_000),
+            nodes,
+            edges,
+            np.nextafter(edges, 0.0),
+            np.array([0.0, np.nextafter(1.0, 0.0), 1.0]),
+        ]
+        for u in probes:
+            assert np.array_equal(m.ppf(u), np.interp(u, m.cdf, m.theta))
+        # every guide bin that names a segment lies inside that segment
+        guide, _ = m._guide
+        pure = np.nonzero(guide >= 0)[0]
+        assert pure.size > 0.9 * _GUIDE_BINS
+        assert np.all(m.cdf[guide[pure]] <= pure / _GUIDE_BINS)
+        assert np.all(m.cdf[guide[pure] + 1] >= (pure + 1) / _GUIDE_BINS)
+        u0 = np.asarray(0.37)
+        assert m.ppf(u0) == np.interp(u0, m.cdf, m.theta)
+
+    def test_guide_table_is_built_on_first_array_draw(self):
+        m = IsotropicDensity.uniform_cap(math.pi / 3, 4).marginal
+        assert m._guide is None  # construction-time expectation draws nothing
+        m.ppf(0.5)
+        assert m._guide is None
+        m.ppf(np.array([0.5]))
+        assert m._guide is not None
+
+    def test_concurrent_first_draws_agree(self):
+        # sweep workers share one marginal; whichever thread builds the
+        # guide, every thread must draw what np.interp gives
+        m = IsotropicDensity.normal(0.9, 16).marginal
+        u = np.random.default_rng(3).random(50_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(m.ppf, u) for _ in range(8)]
+                draws = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        expected = np.interp(u, m.cdf, m.theta)
+        assert all(np.array_equal(d, expected) for d in draws)
+
+    def test_out_of_range_draws_match_interpolation(self):
+        m = IsotropicDensity.normal(0.5, 8).marginal
+        u = np.array([-0.5, 0.25, 1.5])
+        assert np.array_equal(m.ppf(u), np.interp(u, m.cdf, m.theta))
+        assert np.isnan(m.ppf(np.array([0.5, np.nan]))[1])
+
+    @pytest.mark.parametrize("build", [
+        lambda: IsotropicDensity.normal(0.5, 8),
+        lambda: IsotropicDensity.uniform_cap(math.pi / 4, 8),
+    ])
+    def test_dropping_density_frees_its_marginal(self, build):
+        # the marginal must not point back at the density that caches it,
+        # or every sweep cell's tables wait for the cyclic collector
+        gc.disable()
+        try:
+            density = build()
+            density.marginal.ppf(np.linspace(0.0, 1.0, 9))
+            ref = weakref.ref(density.marginal)
+            del density
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_expectation_needs_its_density(self):
+        m = marginal_polar(IsotropicDensity.normal(0.5, 8))
+        assert m.ppf(np.array([0.5]))[0] > 0.0
+        with pytest.raises(ReferenceError, match="freed"):
+            m.expectation(math.cos)
+
+    def test_unrepresentable_density_raises_value_error(self):
+        density = IsotropicDensity.normal(0.5, 2 ** 100)
+        with pytest.raises(ValueError, match="no node of the grid carries "
+                           "representable mass") as info:
+            density.marginal
+        assert str(density.descriptor()) in str(info.value)
 
 
 class TestVarianceOf:
