@@ -30,6 +30,7 @@ from .distributions import (
     IsotropicDensity,
     condition_18,
     moment_sin2,
+    variance_compose_n,
     variance_of,
 )
 
@@ -140,9 +141,7 @@ def lemma_g(n: int, x):
     if not (isinstance(n, int) and n >= 2):
         raise ValueError(f"step count must be an integer >= 2, got {n}")
     v = np.asarray(x, dtype=float)
-    if not np.all((0.0 <= v) & (v <= 4.0)):
-        raise ValueError(f"variance argument must lie in [0, 4], got {x}")
-    out = 2.0 - 2.0 * (1.0 - v / 2.0) ** n - (v - (v / 2.0) ** 2)
+    out = variance_compose_n(v, n) - (v - (v / 2.0) ** 2)
     return out if out.ndim else float(out)
 
 

@@ -48,6 +48,7 @@ from .mathcore import (
     poisson_kernel_integral,
     poisson_kernel_integrand,
     sin_power_integral,
+    sin_power_partial,
     sphere_surface,
 )
 from .sampler import DEFAULT_CHUNK_SIZE, RngStreams
@@ -81,9 +82,15 @@ FIGURE_CODES = ((5, 1), (5, 4))
 # raw MC estimate is off by 5.1 SE at n = 15 and 15.3 SE at n = 18
 MAX_CODE_QUBITS = 12
 
-# quadrature cross-check grid for the kernel integrals
+# quadrature cross-check grids: half-dimensions for the kernel and the
+# partial sin-power integrals, sigmas and cap angles (both sides of pi/2)
 KERNEL_D_GRID = (1, 2, 4, 8, 16, 32, 64)
 KERNEL_SIGMA_GRID = (0.0, 0.5, 0.9, 0.99)
+CAP_ANGLE_GRID = (0.3, math.pi / 4, math.pi / 2, 2.0, 3 * math.pi / 4, math.pi)
+
+# arrays of 2**20 floats per chunk stay at a few MB; workers are threads
+MAX_CHUNK_SIZE = 2 ** 20
+MAX_WORKERS = 64
 
 
 class ConfigError(ValueError):
@@ -160,12 +167,13 @@ class SweepConfig:
                 and self.n_steps_override >= 1):
             raise ConfigError(f"n_steps_override must be a positive integer, "
                               f"got {self.n_steps_override}")
-        if not (_is_int(self.chunk_size) and self.chunk_size >= 1):
-            raise ConfigError(f"chunk_size must be a positive integer, "
-                              f"got {self.chunk_size}")
-        if not (_is_int(self.workers) and self.workers >= 1):
-            raise ConfigError(f"workers must be a positive integer, "
-                              f"got {self.workers}")
+        if not (_is_int(self.chunk_size)
+                and 1 <= self.chunk_size <= MAX_CHUNK_SIZE):
+            raise ConfigError(f"chunk_size must be an integer in "
+                              f"[1, {MAX_CHUNK_SIZE}], got {self.chunk_size}")
+        if not (_is_int(self.workers) and 1 <= self.workers <= MAX_WORKERS):
+            raise ConfigError(f"workers must be an integer in "
+                              f"[1, {MAX_WORKERS}], got {self.workers}")
 
     @classmethod
     def default(cls, **overrides) -> "SweepConfig":
@@ -422,6 +430,8 @@ def verify_appendix(rel_tol: float = 1e-9) -> VerificationReport:
     """Check every classical integral closed form against quadrature.
 
     Families: sin-power integrals (odd and even exponents to 128), the
+    partial sin-power integrals over [0, alpha] that normalize the cap
+    densities (sin^(2d-2), d <= 64, alpha on both sides of pi/2), the
     three kernel integrals over d <= 64 and sigma <= 0.99, and the two
     sphere-surface formulas rebuilt through the recursion
     |S^D| = |S^(D-1)| * integral of sin^(D-1), started from |S^0| = 2.
@@ -439,6 +449,17 @@ def verify_appendix(rel_tol: float = 1e-9) -> VerificationReport:
                                       points=[math.pi / 2])
             errors.append((_rel_err(ref, sin_power_integral(k)), f"k={k}"))
         checks.append(_summarize(name, errors, rel_tol))
+
+    errors = []
+    for d in KERNEL_D_GRID:
+        k = 2 * d - 2
+        for alpha in CAP_ANGLE_GRID:
+            ref = adaptive_quadrature(lambda t, k=k: math.sin(t) ** k,
+                                      0.0, alpha, 1e-12,
+                                      points=[math.pi / 2])
+            want = math.exp(sin_power_partial(k, alpha).log_integral)
+            errors.append((_rel_err(ref, want), f"k={k}, alpha={alpha:.6g}"))
+    checks.append(_summarize("sin-power-partial", errors, rel_tol))
 
     variant_names = (
         (KernelVariant.SIN_2D_MINUS_2, "kernel-inverse-square"),

@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # SciPy loads scipy.integrate on first attribute access, so processes that
-# make no quadrature call (a sweep of normal densities) never import QUADPACK
+# make no quadrature call (a sweep, verify theorems) never import QUADPACK
 import scipy
 
 LOG_2 = math.log(2.0)
@@ -56,6 +56,49 @@ def sin_power_integral(k: int) -> float:
         raise ValueError(f"sin power must be nonnegative, got {k}")
     ratio = math.exp(double_factorial_log(k - 1) - double_factorial_log(k))
     return (2.0 if k % 2 else math.pi) * ratio
+
+
+class SinPowerPartial(NamedTuple):
+    log_integral: float  # log of the integral of sin^k over [0, alpha]
+    mean_cos: float      # mean of cos under the weight sin^k on [0, alpha]
+
+
+def sin_power_partial(k: int, alpha: float) -> SinPowerPartial:
+    """log of the integral I of sin^k over [0, alpha], and the mean cosine.
+
+    The mean of cos under sin^k on [0, alpha] is sin^(k+1)(alpha)/((k+1) I).
+    With a = (k+1)/2 and c = cos(alpha), I = B(a, 1/2)/2 (1 -+ I_x(1/2, a))
+    at x = c^2 for c > 0 (-) and c <= 0 (+), I_x the regularized incomplete
+    beta.  Below pi/2, where that tail underflows at large k, the mean
+    cosine is c / 2F1(1/2, 1; a+1; -tan^2 alpha), summed while its terms
+    at least halve (scipy's hyp2f1 returns NaN near pi/2 from k ~ 500 on).
+    """
+    if k < 0:
+        raise ValueError(f"sin power must be nonnegative, got {k}")
+    if not 0.0 < alpha <= math.pi:
+        raise ValueError(f"need 0 < alpha <= pi, got {alpha}")
+    a = 0.5 * (k + 1)
+    c = math.cos(alpha)
+    # log sin(alpha) through cos where sin rounds to 1
+    log_sin = (0.5 * math.log1p(-c * c) if abs(c) < 0.5
+               else math.log(math.sin(alpha)))
+    log_head = 2.0 * a * log_sin - math.log(2.0 * a)  # sin^(k+1)/(k+1)
+    t = math.tan(alpha) ** 2
+    if c > 0.0 and 121.0 * t <= a + 61.0:  # t (n+1/2)/(a+1+n) <= 1/2, n < 60
+        term = total = 1.0
+        for n in range(60):
+            term *= -t * (n + 0.5) / (a + 1.0 + n)
+            total += term
+            if abs(term) <= 1e-17 * total:
+                break
+        mean_cos = c / total
+        return SinPowerPartial(log_head - math.log(mean_cos), mean_cos)
+    # imported here, not through the scipy global: a sweep never loads it
+    from scipy import special
+    tail = (special.betaincc(0.5, a, c * c) if c > 0.0
+            else 1.0 + special.betainc(0.5, a, c * c))
+    log_integral = special.betaln(a, 0.5) - LOG_2 + math.log(tail)
+    return SinPowerPartial(log_integral, math.exp(log_head - log_integral))
 
 
 def log_sphere_surface(dim: int) -> float:

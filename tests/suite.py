@@ -1,7 +1,7 @@
 """Shared density zoo and sample helpers for cross-route checks.
 
-A mix of closed-form-friendly and quadrature-only densities at a given
-half-dimension, so bound and identity tests sweep all code paths.
+Normal densities and uniform caps at a given half-dimension, so bound and
+identity tests sweep both density kinds and both of their closed forms.
 """
 
 import math
@@ -13,8 +13,6 @@ from isoqec.distributions import IsotropicDensity
 
 def make_suite(d):
     """(label, density) pairs covering every kind at half-dimension d."""
-    theta = np.linspace(0.0, math.pi, 400)
-    ramp = theta * np.exp(-2.0 * theta)  # rises then decays, mode off zero
     return [
         ("uniform", IsotropicDensity.uniform(d)),
         ("normal_0.3", IsotropicDensity.normal(0.3, d)),
@@ -22,9 +20,6 @@ def make_suite(d):
         ("normal_0.99", IsotropicDensity.normal(0.99, d)),
         ("cap_pi4", IsotropicDensity.uniform_cap(math.pi / 4, d)),
         ("cap_pi2", IsotropicDensity.uniform_cap(math.pi / 2, d)),
-        ("table_decay", IsotropicDensity.from_table(
-            theta, np.exp(-3.0 * theta), d)),
-        ("table_ramp", IsotropicDensity.from_table(theta, ramp, d)),
     ]
 
 

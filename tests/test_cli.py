@@ -85,6 +85,23 @@ class TestSweepCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and str(code[0]) in err
 
+    def test_oversized_chunk_exits_2(self, tmp_path, capsys):
+        # rejected by the config, before any array of 2**28 floats exists
+        config = write_config(tmp_path, n_samples=2 ** 28,
+                              chunk_size=2 ** 28)
+        assert main(["sweep", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "chunk_size" in err and "Traceback" not in err
+
+    def test_too_many_workers_exit_2(self, tmp_path, capsys):
+        # rejected by the config, before any thread starts
+        assert main(["sweep", "--config", write_config(tmp_path),
+                     "--workers", "65"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "workers" in err and "Traceback" not in err
+
     def test_large_codes_run_to_an_answer(self, tmp_path, capsys):
         # coded spheres of n >= 8 qubits have surfaces below float64 range
         csv_path = tmp_path / "rows.csv"
@@ -116,6 +133,31 @@ class TestQuadpackImport:
             assert cli.main(["verify", "appendix"]) == 0
             assert "scipy.integrate" in sys.modules
         """)
+        self._run_fresh(script, tmp_path)
+
+    def test_sweep_loads_neither_quadpack_nor_special(self, tmp_path):
+        script = textwrap.dedent("""
+            import sys
+            import isoqec.cli as cli
+            assert cli.main(["sweep", "--samples", "1000",
+                             "--csv", sys.argv[1]]) == 0
+            loaded = {"scipy.integrate", "scipy.special"} & set(sys.modules)
+            assert not loaded, loaded
+        """)
+        self._run_fresh(script, tmp_path)
+
+    def test_verify_theorems_skips_quadpack(self, tmp_path):
+        # every cap and normal moment it reads has a closed form
+        script = textwrap.dedent("""
+            import sys
+            import isoqec.cli as cli
+            assert cli.main(["verify", "theorems"]) == 0
+            assert "scipy.integrate" not in sys.modules
+        """)
+        self._run_fresh(script, tmp_path)
+
+    @staticmethod
+    def _run_fresh(script, tmp_path):
         src = str(Path(isoqec.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "rows.csv")],

@@ -48,10 +48,9 @@ def sin2_expectation(density):
     # |S^(2d-2)| int f sin^(2d), with no polar-marginal table involved
     d = density.d
     lo, hi = density.support
-    kinks = None if density.table_theta is None else density.table_theta[1:-1]
     bar = adaptive_quadrature(
         lambda t: math.exp(density.log_density(t)) * math.sin(t) ** (2 * d),
-        lo, hi, 1e-11, points=kinks, limit=4000)
+        lo, hi, 1e-11, limit=4000)
     return sphere_surface(2 * d - 2) * bar
 
 

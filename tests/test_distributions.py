@@ -1,8 +1,9 @@
-"""Density, marginal and variance-algebra checks.
+"""Density, marginal and polar-moment checks.
 
 Closed forms are pinned against independent quadrature of the raw
-integrands; the variance algebra is checked against its sigma
-parametrization and against literal repeated composition.
+integrands and of the polar marginal; the n-fold variance composition is
+checked against its sigma parametrization and against literal repeated
+composition.
 """
 
 import gc
@@ -24,15 +25,14 @@ from isoqec.distributions import (
     marginal_polar,
     moment_sin2,
     normal_density_eval,
-    variance_compose,
     variance_compose_n,
     variance_of,
-    variance_split,
 )
 from isoqec.mathcore import (
     LOG_2PI,
     adaptive_quadrature,
     double_factorial_log,
+    log_sphere_surface,
     sphere_surface,
 )
 
@@ -108,34 +108,12 @@ class TestIsotropicDensityConstruction:
         with pytest.raises(ValueError):
             IsotropicDensity.uniform_cap(3.5, 4)
 
-    def test_table_validation(self):
-        theta = np.linspace(0, 3, 10)
-        with pytest.raises(ValueError):
-            IsotropicDensity.from_table(theta, -np.ones(10), 2)
-        with pytest.raises(ValueError):
-            IsotropicDensity.from_table(theta, np.zeros(10), 2)
-        with pytest.raises(ValueError):
-            IsotropicDensity.from_table(theta[::-1], np.ones(10), 2)
-        with pytest.raises(ValueError):
-            IsotropicDensity.from_table([0.5], [1.0], 2)
-
-    def test_table_normalization_reported(self):
-        theta = np.linspace(0, math.pi, 300)
-        density = IsotropicDensity.from_table(theta, 7.0 * np.ones(300), 2)
-        # constant raw table: divisor is 7 * (mass of the constant-1 table)
-        base = IsotropicDensity.from_table(theta, np.ones(300), 2)
-        assert density.normalization == pytest.approx(
-            7.0 * base.normalization, rel=1e-12)
-        # normalized densities coincide
-        grid = np.linspace(0.1, 3.0, 7)
-        assert np.allclose(density.log_density(grid), base.log_density(grid),
-                           atol=1e-12)
-
-    def test_zero_density_outside_table_range(self):
-        density = IsotropicDensity.from_table([0.5, 1.5], [1.0, 1.0], 2)
-        assert density.log_density(0.2) == -math.inf
+    def test_zero_density_outside_cap(self):
+        density = IsotropicDensity.uniform_cap(1.5, 2)
+        assert density.log_density(-0.1) == -math.inf
         assert density.log_density(2.0) == -math.inf
         assert math.isfinite(density.log_density(1.0))
+        assert density.log_density(1.5) == density.log_density(0.0)
 
 
 class TestPolarMarginal:
@@ -182,8 +160,6 @@ class TestPolarMarginal:
           for s in (0.0, 0.5, 0.99)),
         IsotropicDensity.uniform_cap(math.pi / 4, 8),
         IsotropicDensity.uniform_cap(math.pi, 2),
-        IsotropicDensity.from_table(np.linspace(0.1, 3.0, 60),
-                                    np.exp(-np.linspace(0.1, 3.0, 60)), 4),
     ], ids=lambda density: "-".join(map(str, density.descriptor().values())))
     def test_guide_table_draws_match_interpolation_bitwise(self, density):
         m = density.marginal
@@ -210,7 +186,7 @@ class TestPolarMarginal:
 
     def test_guide_table_is_built_on_first_array_draw(self):
         m = IsotropicDensity.uniform_cap(math.pi / 3, 4).marginal
-        assert m._guide is None  # construction-time expectation draws nothing
+        assert m._guide is None  # building the table draws nothing
         m.ppf(0.5)
         assert m._guide is None
         m.ppf(np.array([0.5]))
@@ -344,23 +320,65 @@ class TestBarMoment:
                 got = moment_sin2(IsotropicDensity.normal(s, d))
                 assert got / base == pytest.approx(1.0 - s * s, rel=1e-12)
 
-    def test_table_route_matches_linear_space_quadrature(self):
-        theta = np.linspace(0.0, math.pi, 400)
-        density = IsotropicDensity.from_table(theta, np.exp(-3.0 * theta), 4)
+    def test_cap_route_matches_linear_space_quadrature(self):
+        density = IsotropicDensity.uniform_cap(2.0, 4)
         lo, hi = density.support
         ref = adaptive_quadrature(
             lambda t: math.exp(density.log_density(t)) * math.sin(t) ** 8,
             lo, hi, 1e-11)
         assert self.bar(density) == pytest.approx(ref, rel=1e-9)
 
-    def test_tabulated_normal_agrees_with_closed_form(self):
-        # same density through the NORMAL and POLAR_TABLE code paths
-        d, s = 4, 0.5
-        theta = np.linspace(0.0, math.pi, 4001)
-        f = np.exp(normal_density_eval(s, d, theta))
-        table = IsotropicDensity.from_table(theta, f, d)
-        want = moment_sin2(IsotropicDensity.normal(s, d))
-        assert moment_sin2(table) == pytest.approx(want, rel=1e-5)
+
+CAP_D_GRID = (1, 2, 4, 8, 16, 32, 64, 256, 4096)
+CAP_ANGLES = (1e-6, 0.3, math.pi / 4, math.pi / 2 - 1e-3, math.pi / 2 + 1e-3,
+              math.pi / 2 - 1e-7, math.pi / 2 + 1e-7, math.pi / 2, 2.0,
+              3 * math.pi / 4, math.pi)
+
+
+class TestCapClosedForms:
+    """Cap moments from the partial sin-power integral vs quadrature."""
+
+    @pytest.mark.parametrize("d", CAP_D_GRID)
+    def test_moments_match_marginal_quadrature(self, d):
+        for alpha in CAP_ANGLES:
+            density = IsotropicDensity.uniform_cap(alpha, d)
+            expect = density.marginal.expectation
+            mean_cos = expect(math.cos)
+            pairs = {
+                "mean_cos": (density._cap.mean_cos, mean_cos),
+                "sin2": (moment_sin2(density),
+                         expect(lambda t: math.sin(t) ** 2)),
+                "cond18": (condition_18(density).value,
+                           expect(lambda t: (1.0 - math.cos(t)) * math.cos(t))),
+                "variance": (variance_of(density), 2.0 - 2.0 * mean_cos),
+            }
+            for name, (closed, quad) in pairs.items():
+                assert abs(closed - quad) <= 1e-10, (alpha, name, closed, quad)
+
+    @pytest.mark.parametrize("d", CAP_D_GRID)
+    def test_log_level_matches_quadrature(self, d):
+        k = 2 * d - 2
+        for alpha in CAP_ANGLES:
+            # sin^k over its value at the peak, so nothing underflows
+            shift = k * math.log(math.sin(min(alpha, math.pi / 2)))
+            area = adaptive_quadrature(
+                lambda t: math.exp(k * math.log(math.sin(t)) - shift)
+                if t > 0.0 else float(k == 0),
+                0.0, alpha, 1e-13, points=[math.pi / 2])
+            want = -(log_sphere_surface(k) + shift + math.log(area))
+            got = IsotropicDensity.uniform_cap(alpha, d)._cap_log_level
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), alpha
+
+    @pytest.mark.parametrize("d", [2 ** 20, 2 ** 40])
+    def test_huge_dimensions_stay_finite_and_bounded(self, d):
+        # scipy's hyp2f1 for the mean cosine returns NaN near pi/2 here
+        for alpha in CAP_ANGLES:
+            density = IsotropicDensity.uniform_cap(alpha, d)
+            mean_cos = density._cap.mean_cos
+            assert max(math.cos(alpha), 0.0) - 1e-12 <= mean_cos <= 1.0, alpha
+            for value in (density._cap_log_level, moment_sin2(density),
+                          condition_18(density).value, variance_of(density)):
+                assert math.isfinite(value), alpha
 
 
 class TestCondition18:
@@ -406,44 +424,40 @@ class TestCondition18:
         assert value < -0.3
 
 
-class TestVarianceCompose:
-    def test_identity_and_absorbing(self):
-        assert variance_compose(0.0, 1.3) == 1.3
-        assert variance_compose(1.3, 0.0) == 1.3
-        assert variance_compose(2.0, 2.0) == 2.0
-        # two antipodally concentrated errors cancel
-        assert variance_compose(4.0, 4.0) == 0.0
-
-    def test_sigma_parametrization(self):
-        for s1 in (0.0, 0.3, 0.9):
-            for s2 in (0.1, 0.5, 0.99):
-                got = variance_compose(2 * (1 - s1), 2 * (1 - s2))
-                assert got == pytest.approx(2 * (1 - s1 * s2), abs=1e-12)
-
-    @given(st.floats(0.0, 4.0), st.floats(0.0, 4.0))
-    def test_commutative_and_in_range(self, v1, v2):
-        a = variance_compose(v1, v2)
-        assert a == variance_compose(v2, v1)
-        assert -1e-12 <= a <= 4.0 + 1e-12
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            variance_compose(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            variance_compose(1.0, 4.2)
+def compose_pair(v1, v2):
+    # variance of two independent isotropic errors in sequence
+    return v1 + v2 - v1 * v2 / 2.0
 
 
 class TestVarianceComposeN:
     def test_single_step_is_identity(self):
         assert variance_compose_n(1.37, 1) == 1.37
 
+    def test_identity_and_absorbing(self):
+        assert variance_compose_n(0.0, 5) == 0.0
+        assert variance_compose_n(2.0, 2) == 2.0
+        # two antipodally concentrated errors cancel, a third restores
+        assert variance_compose_n(4.0, 2) == 0.0
+        assert variance_compose_n(4.0, 3) == 4.0
+
+    def test_sigma_parametrization(self):
+        # n steps of a normal error at sigma compose to sigma^n
+        for s in (0.0, 0.3, 0.9, 0.99):
+            for n in (2, 3, 7):
+                assert variance_compose_n(2 * (1 - s), n) == pytest.approx(
+                    2 * (1 - s ** n), abs=1e-12)
+
     def test_matches_repeated_composition(self):
         for v in (0.1, 0.9, 2.0, 3.7):
             acc = v
             for n in range(2, 7):
-                acc = variance_compose(acc, v)
+                acc = compose_pair(acc, v)
                 assert variance_compose_n(v, n) == pytest.approx(
                     acc, abs=1e-12)
+
+    @given(st.floats(0.0, 4.0), st.integers(1, 10))
+    def test_in_range(self, v, n):
+        assert -1e-12 <= variance_compose_n(v, n) <= 4.0 + 1e-12
 
     def test_saturates_at_two(self):
         for n in (1, 3, 10):
@@ -454,45 +468,31 @@ class TestVarianceComposeN:
             vals = [variance_compose_n(v, n) for n in range(1, 30)]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_array_matches_scalar(self):
+        v = np.linspace(0.0, 4.0, 41)
+        for n in (1, 2, 5):
+            got = variance_compose_n(v, n)
+            assert got.shape == v.shape
+            assert got.tolist() == [variance_compose_n(x, n) for x in v]
+
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             variance_compose_n(1.0, 0)
         with pytest.raises(ValueError):
             variance_compose_n(1.0, 2.5)
 
-
-class TestVarianceSplit:
-    def test_single_step_is_identity(self):
-        assert variance_split(0.77, 1) == 0.77
-
-    def test_sigma_parametrization(self):
-        # v_c = 2(1 - sigma_c) splits into 2(1 - sigma_c^(1/n))
-        for s in (0.1, 0.9):
-            for n in (2, 5):
-                assert variance_split(2 * (1 - s), n) == pytest.approx(
-                    2 * (1 - s ** (1 / n)), rel=1e-14)
-
-    @settings(max_examples=200)
-    @given(st.floats(0.0, 2.0), st.integers(1, 10))
-    def test_round_trip(self, v_c, n):
-        assert variance_compose_n(variance_split(v_c, n), n) == pytest.approx(
-            v_c, abs=1e-10)
-
-    def test_rejects_out_of_domain(self):
+    def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            variance_split(2.1, 2)
+            variance_compose_n(-0.1, 2)
         with pytest.raises(ValueError):
-            variance_split(-0.1, 3)
+            variance_compose_n(4.2, 2)
         with pytest.raises(ValueError):
-            variance_split(1.0, 0)
+            variance_compose_n(np.array([1.0, 4.2]), 2)
 
 
 class TestDescriptor:
     def test_kind_specific_fields(self):
         assert IsotropicDensity.normal(0.3, 4).descriptor() == {
             "kind": "normal", "d": 4, "sigma": 0.3}
-        cap = IsotropicDensity.uniform_cap(1.0, 2).descriptor()
-        assert cap["theta_max"] == 1.0
-        table = IsotropicDensity.from_table(
-            [0.0, 1.0, 2.0], [1.0, 2.0, 1.0], 2).descriptor()
-        assert table["kind"] == "polar_table" and table["nodes"] == 3
+        assert IsotropicDensity.uniform_cap(1.0, 2).descriptor() == {
+            "kind": "uniform_cap", "d": 2, "theta_max": 1.0}

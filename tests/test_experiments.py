@@ -275,7 +275,7 @@ class TestVerifyAppendix:
         assert report.passed
         names = [c.name for c in report.checks]
         assert names == ["sin-power-odd", "sin-power-even",
-                         "kernel-inverse-square", "kernel-cosine-weighted",
+                         "sin-power-partial", "kernel-inverse-square", "kernel-cosine-weighted",
                          "kernel-plain-power", "sphere-even-dim",
                          "sphere-odd-dim"]
         assert all(c.status == "ok" for c in report.checks)

@@ -19,6 +19,7 @@ from isoqec.mathcore import (
     poisson_kernel_integral,
     poisson_kernel_integrand,
     sin_power_integral,
+    sin_power_partial,
     sphere_surface,
 )
 
@@ -83,6 +84,39 @@ class TestSinPowerIntegral:
             ref = adaptive_quadrature(lambda t: math.sin(t) ** k, 0.0, math.pi,
                                       1e-12)
             assert sin_power_integral(k) == pytest.approx(ref, rel=1e-11)
+
+
+class TestSinPowerPartial:
+    # angles on the series, upper-tail and lower-tail routes
+    ANGLES = (1e-6, 0.3, 1.0, math.pi / 2, 2.0, math.pi)
+
+    def test_low_powers_in_elementary_form(self):
+        for alpha in self.ANGLES:
+            flat = sin_power_partial(0, alpha)
+            assert flat.log_integral == pytest.approx(math.log(alpha),
+                                                      abs=1e-14)
+            assert flat.mean_cos == pytest.approx(math.sin(alpha) / alpha,
+                                                  abs=1e-14)
+            # alpha/2 - sin(2 alpha)/4, which cancels to alpha^3/3 near 0
+            square = (alpha ** 3 / 3 if alpha < 1e-3
+                      else alpha / 2 - math.sin(2 * alpha) / 4)
+            assert sin_power_partial(2, alpha).log_integral == pytest.approx(
+                math.log(square), rel=1e-13)
+
+    def test_full_and_half_range(self):
+        for k in (1, 2, 10, 63, 126):
+            whole = sin_power_partial(k, math.pi)
+            assert math.exp(whole.log_integral) == pytest.approx(
+                sin_power_integral(k), rel=1e-13)
+            assert abs(whole.mean_cos) < 1e-15
+            half = sin_power_partial(k, math.pi / 2)
+            assert math.exp(half.log_integral) == pytest.approx(
+                sin_power_integral(k) / 2, rel=1e-13)
+
+    def test_rejects_bad_arguments(self):
+        for k, alpha in ((-1, 1.0), (2, 0.0), (2, 3.5)):
+            with pytest.raises(ValueError):
+                sin_power_partial(k, alpha)
 
 
 class TestSphereSurface:
