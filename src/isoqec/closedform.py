@@ -7,9 +7,10 @@ fidelity of the perturbed state against the unperturbed one is
 
 where the weight w counts the amplitude pairs lost to the error: w = d - 1
 for a bare state, and w = d - d'' for a block code that recovers all but
-one pair per syndrome block.  Equivalently F^2 = E[cos^2 + sin^2 B] with
-B ~ Beta(kept/2, (2d-1-kept)/2) and kept = 2d - 1 - 2w, the law that
-sampler.sample_fidelities draws.
+one pair per syndrome block.  Equivalently F^2 is the mean squared mass
+a perturbed state keeps on e0 plus kept = 2d - 1 - 2w other coordinates,
+cos^2 + sin^2 B with B ~ Beta(kept/2, (2d-1-kept)/2) independent of theta0;
+sampler.sample_fidelities draws that mass for normal densities.
 
 The PRINTED variant of the corrected-fidelity upper bound reproduces a
 published denominator 2d' - 1 that its own derivation does not support;

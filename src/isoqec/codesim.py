@@ -12,8 +12,8 @@ Two Monte Carlo estimators of the corrected fidelity are provided.  The
 block-sum form averages over syndrome outcomes analytically per sample
 and has the lower variance: summed over blocks, the recovered fidelity is
 the squared mass on the d'' first amplitudes, i.e. on e0 plus 2d''-1
-other real coordinates, which sampler.sample_fidelities draws as one
-Beta variate per sample without building the state.  The sampled form
+other real coordinates, which sampler.sample_fidelities draws from four
+variates per sample without building the state.  The sampled form
 builds full states with sampler.sample_states and draws an explicit
 syndrome per sample.  Both are unbiased and are kept as independent
 routes to the same number.

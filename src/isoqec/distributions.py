@@ -5,10 +5,12 @@ density f(theta0) in the polar angle.  The full spherical marginal of theta0
 is then g(theta0) = |S^(2d-2)| f(theta0) sin^(2d-2)(theta0) on [0, pi]; all
 moments are one-dimensional integrals against g.  Both density kinds, the
 normal density and the uniform polar cap, have every moment the routes read
-in closed form; the tabulated marginal serves sampling, and its quadrature
-expectation is the tests' reference.  Densities are evaluated in log space:
-at d = 64 the normal-density peak exceeds float64 range while g itself
-stays O(100), so only cancelled combinations are exponentiated.
+in closed form, and the sweep draws normal errors without a table (see
+sampler).  The tabulated marginal serves only sample_states, the geometric
+sampling route the tests compare against, and its quadrature expectation
+is the tests' reference.  Densities are evaluated in log space: at d = 64
+the normal-density peak exceeds float64 range while g itself stays
+O(100), so only cancelled combinations are exponentiated.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from .mathcore import (
 # log g values below this are indistinguishable from an exact zero in
 # float64; clipping here keeps the marginal table free of -inf arithmetic
 _LOG_FLOOR = -745.0
-
-# equal-width u-bins of PolarMarginal's guide table; a power of two, so
-# u * _GUIDE_BINS is exact and its floor names the bin of u exactly
-_GUIDE_BINS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -199,15 +197,9 @@ class PolarMarginal:
 
     Holds a deterministic adaptive grid (>= 4096 nodes, refined where log g
     moves fast) with a trapezoid CDF for inverse-transform sampling;
-    expectation goes through the exact log-density, not the table.
-
-    ppf draws in O(1) per point through a guide table over _GUIDE_BINS
-    equal-width bins of u (indexed search, Chen & Asau 1974): a bin that
-    no CDF node falls inside maps to its one interpolation segment, and
-    only points in the other bins fall back to np.interp's binary search.
-    Both evaluate np.interp's own formula on the same segment, so draws
-    are bit-identical to interpolation on the table.  The guide is built
-    on the first array draw, since most marginals are never sampled.
+    expectation goes through the exact log-density, not the table.  The
+    grid spans all of [0, pi], so it stops resolving the width ~1/sqrt(2d)
+    peak of g at large d; only sample_states reads it.
 
     The density is held by a weak reference: it caches its marginal, and
     a strong link back would make every density a reference cycle that
@@ -242,48 +234,10 @@ class PolarMarginal:
         i0, i1 = int(alive[0]), int(alive[-1])
         self._window = (float(theta[max(i0 - 1, 0)]),
                         float(theta[min(i1 + 1, theta.size - 1)]))
-        self._guide = None
-
-    def _build_guide(self):
-        """(guide, slope): the segment of each u-bin, or -1, and its slope.
-
-        Bin k of M = _GUIDE_BINS holds u in [k/M, (k+1)/M).  With no node
-        strictly inside, np.interp picks for every such u the last node j
-        with cdf[j] <= k/M, whose index is the count of nodes in bins <= k,
-        minus one.  The last entry stands for u = 1.0 and is always -1.
-        """
-        scaled = self.cdf * _GUIDE_BINS
-        node_bin = scaled.astype(np.intp)
-        guide = np.cumsum(np.bincount(node_bin, minlength=_GUIDE_BINS + 1)) - 1
-        guide[node_bin[scaled > node_bin]] = -1
-        guide[_GUIDE_BINS] = -1
-        # a segment that covers a whole bin rises by >= 1/M, so the
-        # division is only needed, and only finite, where that holds
-        d_cdf = np.diff(self.cdf)
-        covers = d_cdf * _GUIDE_BINS >= 1.0
-        slope = np.zeros(d_cdf.size)
-        np.divide(np.diff(self.theta), d_cdf, out=slope, where=covers)
-        return guide, slope
 
     def ppf(self, u):
-        """Inverse CDF by linear interpolation on the tabulated grid.
-
-        Array input in [0, 1] goes through the guide table; a 0-d input,
-        or one with points outside [0, 1] or NaN, goes to np.interp.
-        """
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0 or not (u.min(initial=0.0) >= 0.0
-                               and u.max(initial=0.0) <= 1.0):
-            return np.interp(u, self.cdf, self.theta)
-        if self._guide is None:
-            self._guide = self._build_guide()  # one assignment publishes it
-        guide, slope = self._guide
-        seg = guide[(u * _GUIDE_BINS).astype(np.intp)]
-        out = slope[seg] * (u - self.cdf[seg]) + self.theta[seg]
-        mixed = seg < 0
-        if mixed.any():
-            out[mixed] = np.interp(u[mixed], self.cdf, self.theta)
-        return out
+        """Inverse CDF by linear interpolation on the tabulated grid."""
+        return np.interp(u, self.cdf, self.theta)
 
     def expectation(self, h: Callable, rel_tol: float = 1e-10) -> float:
         """E[h(theta0)] under g by adaptive quadrature of the exact density."""

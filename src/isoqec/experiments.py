@@ -77,10 +77,10 @@ DEFAULT_CODES = ((5, 1), (5, 4), (4, 2), (3, 1))
 DEFAULT_SIGMA_GRID = tuple(round(0.05 * i, 2) for i in range(20))
 FIGURE_CODES = ((5, 1), (5, 4))
 
-# the sampler's polar table (>= 4096 nodes on [0, pi]) stops resolving the
-# width ~1/sqrt(2d) peak of g beyond this: at sigma = 0 with 1M samples the
-# raw MC estimate is off by 5.1 SE at n = 15 and 15.3 SE at n = 18
-MAX_CODE_QUBITS = 12
+# the chord draw is exact at every d, but mc_mean's one-pass variance loses
+# about eps * d of its relative precision: eps * 2**40 ~ 2.4e-4, while at
+# n = 60 the standard error of a near-constant estimate collapses to 0
+MAX_CODE_QUBITS = 40
 
 # quadrature cross-check grids: half-dimensions for the kernel and the
 # partial sin-power integrals, sigmas and cap angles (both sides of pi/2)
@@ -88,8 +88,10 @@ KERNEL_D_GRID = (1, 2, 4, 8, 16, 32, 64)
 KERNEL_SIGMA_GRID = (0.0, 0.5, 0.9, 0.99)
 CAP_ANGLE_GRID = (0.3, math.pi / 4, math.pi / 2, 2.0, 3 * math.pi / 4, math.pi)
 
-# arrays of 2**20 floats per chunk stay at a few MB; workers are threads
+# arrays of 2**20 floats per chunk stay at a few MB; workers are threads;
+# each chunk of an estimate is one task and one partial sum in memory
 MAX_CHUNK_SIZE = 2 ** 20
+MAX_CHUNKS = 2 ** 16
 MAX_WORKERS = 64
 
 
@@ -171,6 +173,11 @@ class SweepConfig:
                 and 1 <= self.chunk_size <= MAX_CHUNK_SIZE):
             raise ConfigError(f"chunk_size must be an integer in "
                               f"[1, {MAX_CHUNK_SIZE}], got {self.chunk_size}")
+        n_chunks = -(-self.n_samples // self.chunk_size)
+        if n_chunks > MAX_CHUNKS:
+            raise ConfigError(f"n_samples / chunk_size must be at most "
+                              f"{MAX_CHUNKS} chunks, got n_samples="
+                              f"{self.n_samples}, chunk_size={self.chunk_size}")
         if not (_is_int(self.workers) and 1 <= self.workers <= MAX_WORKERS):
             raise ConfigError(f"workers must be an integer in "
                               f"[1, {MAX_WORKERS}], got {self.workers}")

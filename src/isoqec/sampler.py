@@ -8,13 +8,21 @@ many workers execute the chunks.
 
 An error sample about e0 is cos(theta) e0 + sin(theta) u, with theta drawn
 from the density's polar marginal and u uniform on the unit sphere
-orthogonal to e0, independent of theta.  The fidelity estimators only read
-the squared mass of a sample on e0 plus a fixed set of ``kept`` of the
-other 2d-1 coordinates.  The squared coordinates of u are
-Dirichlet(1/2, ..., 1/2), so that mass is cos^2(theta) + sin^2(theta) B
-with B ~ Beta(kept/2, (2d-1-kept)/2): sample_fidelities draws one uniform
-and one Beta variate per sample, whatever d is.  sample_states builds the
-full 2d-vectors and stays as the independent geometric route.
+orthogonal to e0, independent of theta: sample_states builds these full
+2d-vectors and stays as the independent geometric route.
+
+The fidelity estimators only read the squared mass of a sample on e0 plus
+a fixed set of ``kept`` of the other 2d-1 coordinates, and only for normal
+densities.  The normal density is the Poisson kernel of the unit ball in
+R^(2d) at y = sigma e0 (the PKBD of Golzy & Markatou 2020 and Sablica,
+Hornik & Leydold 2023), which sample_fidelities draws exactly as one end
+of a chord: the line y + t w through a uniform direction w meets the
+sphere at t = a > 0 and t = -b < 0, with a b = 1 - sigma^2.  The forward
+end x alone has density (1 - sigma x0) / (|S^(2d-1)| |x - y|^(2d)), and
+keeping it with probability b / (a + b) multiplies that by
+(1 - sigma^2) / (1 - sigma x0), which is the kernel: no rejection step.
+The mass needs only w's e0 coordinate and its kept mass, so each sample
+costs four variates whatever d is, and no polar table is built.
 
 An error sample about an arbitrary base state is produced by drawing the
 error about the north pole e0 and transporting it with the Householder
@@ -33,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import IsotropicDensity, PolarMarginal
+from .distributions import DensityKind, IsotropicDensity, PolarMarginal
 
 DEFAULT_CHUNK_SIZE = 16384
 
@@ -110,22 +118,45 @@ def sample_states(density: IsotropicDensity, n: int,
 
 def sample_fidelities(density: IsotropicDensity, kept: int, n: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Squared mass of n error samples about e0 on e0 plus kept coordinates.
+    """Squared mass of n normal errors about e0 on e0 plus kept coordinates.
 
     kept counts coordinates orthogonal to e0, 1 <= kept <= 2d-1; the
     result has the law of (x[:, :kept + 1] ** 2).sum(axis=1) over rows x
-    of sample_states.  Each value is cos^2(theta) + sin^2(theta) B with
-    B ~ Beta(kept/2, (2d-1-kept)/2), computed as 1 - sin^2(theta) (1 - B).
-    Consumption order is fixed: polar uniforms first, then Beta variates;
-    at kept = 2d-1 every coordinate is kept, B = 1 and no Beta is drawn.
+    of sample_states.  The direction w has e0 coordinate Z0 / sqrt(N) and
+    kept mass K / N, N = Z0^2 + K + R.  Let
+    H = sqrt(Z0^2 + (1 - sigma^2) (K + R)); in units of 1 / sqrt(N) the
+    chord ends are H - sigma Z0 and -(H + sigma Z0), and the forward one
+    is kept when 2 H U <= H + sigma Z0.  With c = T / N for the kept end
+    T, the value is (sigma + c Z0)^2 + c^2 K, a sum that stays exact when
+    the value is tiny, where 1 - c^2 R cancels.
+    Consumption order is fixed: Z0, K (a squared normal at kept = 1, else
+    2 Gamma(kept/2)), R = 2 Gamma(rest/2), U; at kept = 2d-1 every
+    coordinate is kept, the value is 1 and nothing is drawn.
     """
+    if density.kind is not DensityKind.NORMAL:
+        raise ValueError(f"sample_fidelities draws normal densities only, "
+                         f"got {density.descriptor()}")
     if not 1 <= kept <= 2 * density.d - 1:
         raise ValueError(f"kept must lie in [1, {2 * density.d - 1}] at "
                          f"d={density.d}, got {kept}")
     rest = 2 * density.d - 1 - kept
-    theta = np.asarray(sample_theta0(density.marginal, rng, n))
-    b = rng.beta(kept / 2, rest / 2, n) if rest else 1.0
-    return 1.0 - np.sin(theta) ** 2 * (1.0 - b)
+    if rest == 0:
+        return np.ones(n)
+    sigma = density.sigma
+    z0 = rng.standard_normal(n)
+    if kept == 1:
+        k = np.square(rng.standard_normal(n))
+    else:
+        k = 2.0 * rng.standard_gamma(kept / 2, n)
+    r = 2.0 * rng.standard_gamma(rest / 2, n)
+    u = rng.random(n)
+    off_e0 = k + r
+    z0_sq = z0 * z0
+    h = np.sqrt(z0_sq + (1.0 - sigma * sigma) * off_e0)
+    sz = sigma * z0
+    # copysign picks the end without a mask: +h is the forward end
+    c = (np.copysign(h, h + sz - 2.0 * h * u) - sz) / (z0_sq + off_e0)
+    return np.square(sigma + c * z0) + c * c * k
 
 
 def compose_errors(bases: np.ndarray, density: IsotropicDensity,
@@ -165,21 +196,21 @@ def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
     if chunk_size < 1:
         raise ValueError(f"need chunk_size >= 1, got {chunk_size}")
-    sizes = [min(chunk_size, n_samples - i * chunk_size)
-             for i in range((n_samples + chunk_size - 1) // chunk_size)]
+    n_chunks = -(-n_samples // chunk_size)
 
     def run_chunk(i: int):
-        values = np.asarray(value_fn(streams.chunk(i), sizes[i]), dtype=float)
-        if values.shape != (sizes[i],):
+        size = min(chunk_size, n_samples - i * chunk_size)
+        values = np.asarray(value_fn(streams.chunk(i), size), dtype=float)
+        if values.shape != (size,):
             raise ValueError(f"value_fn returned shape {values.shape}, "
-                             f"expected ({sizes[i]},)")
+                             f"expected ({size},)")
         return float(values.sum()), float(np.square(values).sum())
 
-    if workers > 1 and len(sizes) > 1:
+    if workers > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_chunk, range(len(sizes))))
+            partials = list(pool.map(run_chunk, range(n_chunks)))
     else:
-        partials = [run_chunk(i) for i in range(len(sizes))]
+        partials = [run_chunk(i) for i in range(n_chunks)]
 
     total = 0.0
     total_sq = 0.0

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import isoqec
+from isoqec import cli
 from isoqec.cli import main
 
 
@@ -76,7 +77,7 @@ class TestSweepCommand:
                      "--workers", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("code", [[13, 1], [1100, 1]])
+    @pytest.mark.parametrize("code", [[41, 1], [1100, 1]])
     def test_codes_beyond_the_sampler_exit_2(self, tmp_path, capsys, code):
         rc = main(["sweep", "--config", write_config(tmp_path,
                                                      code_list=[code])])
@@ -93,6 +94,20 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "chunk_size" in err and "Traceback" not in err
+
+    def test_too_many_chunks_exit_2(self, tmp_path, capsys, monkeypatch):
+        # rejected by the config: run_sweep, the only caller of mc_mean,
+        # never starts, so no array or thread exists
+        def refuse(config):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        config = write_config(tmp_path, sigma_grid=[0.5],
+                              n_samples=2 ** 31, chunk_size=1)
+        assert main(["sweep", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n_samples" in err and "chunk_size" in err
+        assert "Traceback" not in err
 
     def test_too_many_workers_exit_2(self, tmp_path, capsys):
         # rejected by the config, before any thread starts

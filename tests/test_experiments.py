@@ -7,10 +7,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from isoqec.distributions import PolarMarginal
 from isoqec.experiments import (
     DEFAULT_CODES,
     DEFAULT_SIGMA_GRID,
     FIGURE_CODES,
+    MAX_CHUNKS,
     MAX_CODE_QUBITS,
     CheckResult,
     ConfigError,
@@ -64,6 +66,12 @@ class TestSweepConfig:
             small_config(code_list=((3,),))
         with pytest.raises(ConfigError, match=str(MAX_CODE_QUBITS)):
             small_config(code_list=((MAX_CODE_QUBITS + 1, 1),))
+
+    def test_rejects_too_many_chunks(self):
+        small_config(n_samples=MAX_CHUNKS, chunk_size=1)
+        with pytest.raises(ConfigError, match="n_samples") as exc:
+            small_config(n_samples=MAX_CHUNKS + 1, chunk_size=1)
+        assert "chunk_size" in str(exc.value)
 
     def test_rejects_bad_plumbing_values(self):
         with pytest.raises(ConfigError):
@@ -185,6 +193,23 @@ class TestRunSweep:
             < 4 * row.mc_se_phi_tilde
         assert abs(row.mc_f2_psi0 - row.f2_psi0) < 4 * row.mc_se_psi0
         assert row.mc_se_psi > 0
+
+    def test_builds_no_polar_table(self, monkeypatch):
+        def refuse(self, density):
+            raise AssertionError("a sweep built a polar marginal")
+        monkeypatch.setattr(PolarMarginal, "__init__", refuse)
+        rows = run_sweep(small_config(code_list=((3, 1), (5, 4))))
+        assert len(rows) == 4 and check_ordering(rows) == []
+
+    def test_largest_code_tracks_closed_forms(self):
+        # n = MAX_CODE_QUBITS = 40 is accepted; n = 41 exits 2 (test_cli)
+        row = run_sweep(small_config(code_list=((40, 39),),
+                                     sigma_grid=(0.5,), n_samples=1000))[0]
+        for slot in ("psi", "phi_tilde", "psi0"):
+            mc = getattr(row, f"mc_f2_{slot}")
+            se = getattr(row, f"mc_se_{slot}")
+            assert se > 0.0, slot
+            assert abs(mc - getattr(row, f"f2_{slot}")) < 5 * se, slot
 
     def test_writes_requested_outputs(self, tmp_path):
         csv_path = tmp_path / "rows.csv"

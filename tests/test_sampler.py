@@ -151,60 +151,80 @@ class TestSampleStates:
         assert np.max(np.abs(off)) < 4 / math.sqrt(u.shape[0])
 
 
-FIDELITY_CODE = BlockCode(CodeParams(3, 1))  # d = 8, d'' = 4 blocks
-
-
-def _fidelity_cases():
-    return [
-        ("normal", IsotropicDensity.normal(0.6, 8)),
-        ("cap", IsotropicDensity.uniform_cap(math.pi / 3, 8)),
-    ]
+# (density, code) pairs: kept = 1 and kept = 2 d'' - 1 are the two masses
+# the raw and block-sum estimators read
+FIDELITY_CASES = {
+    "d8": (IsotropicDensity.normal(0.6, 8), BlockCode(CodeParams(3, 1))),
+    "d64": (IsotropicDensity.normal(0.9, 64), BlockCode(CodeParams(6, 2))),
+}
 
 
 class TestSampleFidelities:
-    @pytest.mark.parametrize("case", range(2))
+    @pytest.mark.parametrize("case", FIDELITY_CASES)
     def test_matches_full_state_sampler(self, case):
         # two-sample KS against the squared masses read off full states
-        label, density = _fidelity_cases()[case]
+        density, code = FIDELITY_CASES[case]
         n = 40000
-        x = sample_states(density, n, streams(35, case).chunk(0))
-        r = FIDELITY_CODE.block_matrix(x)
+        tag = list(FIDELITY_CASES).index(case)
+        x = sample_states(density, n, streams(35, tag).chunk(0))
+        r = code.block_matrix(x)
         full = {1: x[:, 0] ** 2 + x[:, 1] ** 2,
-                2 * FIDELITY_CODE.n_blocks - 1:
+                2 * code.n_blocks - 1:
                     (r[:, :, 0] ** 2 + r[:, :, 1] ** 2).sum(axis=1)}
         for kept, want in full.items():
             got = sample_fidelities(density, kept, n,
-                                    streams(36, case, kept).chunk(0))
+                                    streams(36, tag, kept).chunk(0))
             p = stats.ks_2samp(got, want).pvalue
-            assert p > 1e-3, (label, kept, p)
+            assert p > 1e-3, (case, kept, p)
 
-    def test_beta_mean(self):
-        # B is independent of theta, so E[value] = 1 - E[sin^2] (1 - E[B])
-        # with E[B] = kept / (2d - 1)
-        for case, (label, density) in enumerate(_fidelity_cases()):
-            d = density.d
-            for kept in (1, 2 * FIDELITY_CODE.n_blocks - 1, d, 2 * d - 2):
+    def test_mean_matches_sin2_moment(self):
+        # E[value] = 1 - E[sin^2] (1 - kept / (2d - 1)): the kept share of
+        # the mass off e0 is Beta(kept/2, rest/2), independent of theta
+        d = 8
+        for case, sigma in enumerate((0.0, 0.6, 0.95)):
+            density = IsotropicDensity.normal(sigma, d)
+            for kept in (1, 7, d, 2 * d - 2):
                 values = sample_fidelities(density, kept, 100000,
                                            streams(37, case, kept).chunk(0))
                 want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
                 se = values.std(ddof=1) / math.sqrt(values.size)
-                assert abs(values.mean() - want) < 3 * se, (label, kept)
+                assert abs(values.mean() - want) < 3 * se, (sigma, kept)
+
+    @pytest.mark.parametrize("n", [12, 15, 18, 24, 40])
+    def test_exact_at_large_codes(self, n):
+        # a polar table over [0, pi] misses the width ~1/sqrt(2d) peak of
+        # g here: 15 SE off at n = 18, sigma = 0 with 1M samples
+        d = 2 ** n
+        n_samples = 1_000_000 if n == 18 else 100_000
+        for i, sigma in enumerate((0.0, 0.5, 0.9)):
+            density = IsotropicDensity.normal(sigma, d)
+            for kept in (1, 2 ** (n - 1) - 1):
+                est = mc_mean(
+                    lambda rng, count: sample_fidelities(density, kept,
+                                                         count, rng),
+                    n_samples, streams(39, n, i, kept % 1000))
+                want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
+                assert est.std_error > 0.0
+                assert abs(est.value - want) < 5 * est.std_error, (sigma, kept)
 
     def test_all_coordinates_kept_is_exactly_one(self):
-        # no Beta(., 0) draw: only the polar uniforms are consumed
+        # nothing is drawn when every coordinate is kept
         density = IsotropicDensity.normal(0.7, 4)
         rng = streams(38).chunk(0)
         values = sample_fidelities(density, 7, 1000, rng)
         assert np.array_equal(values, np.ones(1000))
-        after = streams(38).chunk(0)
-        after.random(1000)
-        assert rng.random() == after.random()
+        assert rng.random() == streams(38).chunk(0).random()
 
     def test_rejects_kept_out_of_range(self):
         density = IsotropicDensity.uniform(4)
         for kept in (0, 8):
             with pytest.raises(ValueError):
                 sample_fidelities(density, kept, 10, streams(39).chunk(0))
+
+    def test_rejects_caps(self):
+        density = IsotropicDensity.uniform_cap(math.pi / 3, 8)
+        with pytest.raises(ValueError, match="normal densities only"):
+            sample_fidelities(density, 1, 10, streams(39).chunk(0))
 
 
 class TestComposeError:
