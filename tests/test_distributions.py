@@ -152,6 +152,37 @@ class TestPolarMarginal:
             total = density.marginal.expectation(lambda t: 1.0)
             assert total == pytest.approx(1.0, abs=1e-9), label
 
+    @pytest.mark.parametrize("density", [
+        *(IsotropicDensity.normal(s, d) for d in (1, 2, 8, 32, 128, 4096)
+          for s in (0.0, 0.5, 0.99)),
+        IsotropicDensity.uniform_cap(math.pi / 4, 8),
+        IsotropicDensity.uniform_cap(math.pi, 2),
+    ], ids=lambda density: "-".join(map(str, density.descriptor().values())))
+    def test_table_inverts_its_cdf_and_keeps_the_exact_mean(self, density):
+        # sample_states draws theta0 from this table; it must span the
+        # support, invert its own CDF at every node, and carry the mean
+        # angle that quadrature of the exact density gives
+        m = density.marginal
+        assert (m.theta[0], m.theta[-1]) == density.support
+        assert np.all(np.diff(m.theta) > 0)
+        assert m.cdf[0] == 0.0 and m.cdf[-1] == 1.0
+        step = np.diff(m.cdf)
+        inner = np.nonzero((step[:-1] > 0) & (step[1:] > 0))[0] + 1
+        assert np.array_equal(m.ppf(m.cdf[inner]), m.theta[inner])
+        u = (np.arange(200_000) + 0.5) / 200_000
+        draws = m.ppf(u)
+        assert np.all(np.diff(draws) >= 0)
+        assert draws.mean() == pytest.approx(m.expectation(lambda t: t),
+                                             rel=1e-3)
+
+    def test_out_of_range_draws_match_interpolation(self):
+        m = IsotropicDensity.normal(0.5, 8).marginal
+        u = np.array([-0.5, 0.25, 1.5])
+        got = m.ppf(u)
+        assert np.array_equal(got, np.interp(u, m.cdf, m.theta))
+        assert (got[0], got[2]) == (m.theta[0], m.theta[-1])
+        assert np.isnan(m.ppf(np.array([0.5, np.nan]))[1])
+
     @pytest.mark.parametrize("build", [
         lambda: IsotropicDensity.normal(0.5, 8),
         lambda: IsotropicDensity.uniform_cap(math.pi / 4, 8),
