@@ -17,12 +17,20 @@ variates per sample without building the state.  The sampled form
 builds full states with sampler.sample_states and draws an explicit
 syndrome per sample.  Both are unbiased and are kept as independent
 routes to the same number.
+
+Both estimators, like the raw one, take a sequence of densities that
+share d and return one estimate per density.  The raw and block-sum
+estimators evaluate every density on one shared draw per chunk, so a
+whole sigma grid costs one draw; the sampled form runs one estimate per
+density on the same streams.  Either way estimate j is bit-identical to
+a one-density call at densities[j].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -96,41 +104,58 @@ def _sampled_values(x: np.ndarray, code: BlockCode,
     return np.divide(num, p_sel, out=np.zeros_like(num), where=p_sel > 0)
 
 
-def raw_fidelity_mc(density: IsotropicDensity, d: int, n_samples: int,
-                    streams: RngStreams, *,
+def _checked(densities: Sequence[IsotropicDensity],
+             d: int) -> tuple[IsotropicDensity, ...]:
+    densities = tuple(densities)
+    if not densities:
+        raise ValueError("need at least one density")
+    for density in densities:
+        if density.d != d:
+            raise ValueError(f"density has d={density.d}, expected {d}")
+    return densities
+
+
+def raw_fidelity_mc(densities: Sequence[IsotropicDensity], d: int,
+                    n_samples: int, streams: RngStreams, *,
                     chunk_size: int = DEFAULT_CHUNK_SIZE,
-                    workers: int = 1) -> McEstimate:
-    """Monte Carlo squared fidelity of the raw perturbed state."""
-    if density.d != d:
-        raise ValueError(f"density has d={density.d}, expected {d}")
+                    workers: int = 1) -> tuple[McEstimate, ...]:
+    """Monte Carlo squared fidelity of the raw perturbed state, per density."""
+    densities = _checked(densities, d)
 
     def value_fn(rng: np.random.Generator, count: int) -> np.ndarray:
         # the second coordinate is the only one kept beside e0
-        return sample_fidelities(density, 1, count, rng)
+        return sample_fidelities(densities, 1, count, rng)
 
     return mc_mean(value_fn, n_samples, streams,
                    chunk_size=chunk_size, workers=workers)
 
 
-def corrected_fidelity_mc(density: IsotropicDensity, code: BlockCode,
-                          n_samples: int, streams: RngStreams, *,
+def corrected_fidelity_mc(densities: Sequence[IsotropicDensity],
+                          code: BlockCode, n_samples: int,
+                          streams: RngStreams, *,
                           estimator: CorrectionEstimator =
                           CorrectionEstimator.BLOCK_SUM,
                           chunk_size: int = DEFAULT_CHUNK_SIZE,
-                          workers: int = 1) -> McEstimate:
-    """Monte Carlo squared fidelity after syndrome measurement and recovery."""
-    if density.d != code.params.d:
-        raise ValueError(
-            f"density has d={density.d}, expected {code.params.d}")
-
-    def value_fn(rng: np.random.Generator, count: int) -> np.ndarray:
-        if estimator is CorrectionEstimator.BLOCK_SUM:
+                          workers: int = 1) -> tuple[McEstimate, ...]:
+    """Monte Carlo squared fidelity after syndrome measurement and
+    recovery, per density."""
+    densities = _checked(densities, code.params.d)
+    kwargs = {"chunk_size": chunk_size, "workers": workers}
+    if estimator is CorrectionEstimator.BLOCK_SUM:
+        def value_fn(rng: np.random.Generator, count: int) -> np.ndarray:
             # each block's first amplitude: e0 plus 2 d'' - 1 coordinates
-            return sample_fidelities(density, 2 * code.n_blocks - 1, count,
-                                     rng)
-        # states consume the stream first, then the syndrome draws
-        x = sample_states(density, count, rng)
-        return _sampled_values(x, code, rng)
+            return sample_fidelities(densities, 2 * code.n_blocks - 1,
+                                     count, rng)
 
-    return mc_mean(value_fn, n_samples, streams,
-                   chunk_size=chunk_size, workers=workers)
+        return mc_mean(value_fn, n_samples, streams, **kwargs)
+
+    def sampled_fn(density: IsotropicDensity):
+        def value_fn(rng: np.random.Generator, count: int) -> np.ndarray:
+            # states consume the stream first, then the syndrome draws
+            x = sample_states(density, count, rng)
+            return _sampled_values(x, code, rng)
+        return value_fn
+
+    return tuple(est for density in densities
+                 for est in mc_mean(sampled_fn(density), n_samples, streams,
+                                    **kwargs))

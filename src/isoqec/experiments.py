@@ -18,13 +18,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import platform
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .closedform import (
     BoundVariant,
     bound_corrected_upper,
@@ -77,9 +80,10 @@ DEFAULT_CODES = ((5, 1), (5, 4), (4, 2), (3, 1))
 DEFAULT_SIGMA_GRID = tuple(round(0.05 * i, 2) for i in range(20))
 FIGURE_CODES = ((5, 1), (5, 4))
 
-# the chord draw is exact at every d, but mc_mean's one-pass variance loses
-# about eps * d of its relative precision: eps * 2**40 ~ 2.4e-4, while at
-# n = 60 the standard error of a near-constant estimate collapses to 0
+# the largest code the tests cover.  The chord draw is exact at every d and
+# the two-pass variance keeps the standard error right at n = 60, but the
+# error shrinks like 2**(-n/2): near n = 90 at 200k samples it falls below
+# the float64 spacing of the value, and a k-SE check means nothing there
 MAX_CODE_QUBITS = 40
 
 # quadrature cross-check grids: half-dimensions for the kernel and the
@@ -287,43 +291,59 @@ def closed_form_rows(code_list: Sequence[tuple[int, int]],
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every cell; write CSV/JSON if the config names paths.
 
-    Cells run in a fixed order; the per-estimate RNG streams are keyed by
-    (cell index, estimate slot), so results do not depend on the worker
-    count used for the chunk-level parallelism inside each estimate.
+    Codes run in a fixed order.  Each code makes three estimates (raw
+    coded state, corrected state, accumulated unencoded state), each over
+    the whole sigma grid: one draw per chunk serves every sigma.  The RNG
+    streams are keyed by (seed, code index, estimate slot, chunk index),
+    so results do not depend on the worker count used for the chunk-level
+    parallelism inside each estimate, and a cell's MC columns do not
+    depend on which other sigmas share its grid.  The three slots keep
+    separate streams: estimates that share a draw are correlated, and
+    check_ordering's combined standard error assumes they are not.
     """
     started = time.perf_counter()
+    kwargs = {"chunk_size": config.chunk_size, "workers": config.workers}
+    # a chunk holds one row of samples per sigma; cap it at MAX_CHUNK_SIZE
+    # floats by running sigma groups, each on the same streams
+    group = MAX_CHUNK_SIZE // min(config.chunk_size, config.n_samples)
     rows = []
-    cell_idx = 0
-    for code in config.code_list:
+    mc_seconds = []
+    for code_idx, code in enumerate(config.code_list):
         params = CodeParams(*code)
         block_code = BlockCode(params)
-        for sigma_c in config.sigma_grid:
-            density, uncoded, columns = _closed_form_cell(
-                params, sigma_c, config.n_steps_override)
-            cell = RngStreams(config.seed).split(cell_idx)
-            kwargs = {"chunk_size": config.chunk_size,
-                      "workers": config.workers}
-            mc_psi = raw_fidelity_mc(density, params.d, config.n_samples,
-                                     cell.split(0), **kwargs)
-            mc_phi = corrected_fidelity_mc(density, block_code,
-                                           config.n_samples, cell.split(1),
-                                           **kwargs)
-            mc_psi0 = raw_fidelity_mc(uncoded, params.d_prime,
-                                      config.n_samples, cell.split(2),
-                                      **kwargs)
-            rows.append(SweepRow(**columns,
-                                 mc_f2_psi=mc_psi.value,
-                                 mc_se_psi=mc_psi.std_error,
-                                 mc_f2_phi_tilde=mc_phi.value,
-                                 mc_se_phi_tilde=mc_phi.std_error,
-                                 mc_f2_psi0=mc_psi0.value,
-                                 mc_se_psi0=mc_psi0.std_error))
-            cell_idx += 1
+        cells = [_closed_form_cell(params, sigma_c, config.n_steps_override)
+                 for sigma_c in config.sigma_grid]
+        coded = [density for density, _, _ in cells]
+        uncoded = [density for _, density, _ in cells]
+        slots = (
+            ("psi", coded, lambda ds, streams: raw_fidelity_mc(
+                ds, params.d, config.n_samples, streams, **kwargs)),
+            ("phi_tilde", coded, lambda ds, streams: corrected_fidelity_mc(
+                ds, block_code, config.n_samples, streams, **kwargs)),
+            ("psi0", uncoded, lambda ds, streams: raw_fidelity_mc(
+                ds, params.d_prime, config.n_samples, streams, **kwargs)),
+        )
+        mc = [{} for _ in cells]
+        for slot_idx, (slot, densities, estimate) in enumerate(slots):
+            slot_started = time.perf_counter()
+            streams = RngStreams(config.seed).split(code_idx).split(slot_idx)
+            estimates = [
+                est for start in range(0, len(densities), group)
+                for est in estimate(densities[start:start + group], streams)]
+            mc_seconds.append({
+                "n": params.n, "m": params.m, "slot": slot,
+                "seconds": time.perf_counter() - slot_started})
+            for columns, est in zip(mc, estimates):
+                columns[f"mc_f2_{slot}"] = est.value
+                columns[f"mc_se_{slot}"] = est.std_error
+        rows.extend(SweepRow(**columns, **mc_columns)
+                    for (_, _, columns), mc_columns in zip(cells, mc))
     elapsed = time.perf_counter() - started
     if config.csv_path is not None:
         write_csv(rows, config.csv_path)
     if config.json_path is not None:
-        write_json_report(config, rows, elapsed, config.json_path)
+        write_json_report(config, rows, elapsed, config.json_path,
+                          mc_seconds)
     return rows
 
 
@@ -377,12 +397,29 @@ def write_csv(rows: Sequence[SweepRow], path) -> None:
 
 
 def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
-                      elapsed_seconds: float, path) -> None:
+                      elapsed_seconds: float, path,
+                      mc_seconds: Sequence[dict]) -> None:
+    """JSON report: config, provenance, rows, violations and timing.
+
+    mc_seconds holds one {"n", "m", "slot", "seconds"} entry per Monte
+    Carlo estimate.  Timing goes only here, never into the CSV, so the
+    CSV stays byte-deterministic.
+    """
     report = {
         "config": asdict(config),
+        "provenance": {
+            "isoqec": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+            "seed": config.seed,
+            "chunk_size": config.chunk_size,
+            "workers": config.workers,
+        },
         "rows": [asdict(row) for row in rows],
         "violations": check_ordering(rows),
-        "timing": {"total_seconds": elapsed_seconds, "n_cells": len(rows)},
+        "timing": {"total_seconds": elapsed_seconds, "n_cells": len(rows),
+                   "mc_seconds": list(mc_seconds)},
     }
     try:
         Path(path).write_text(json.dumps(report, indent=2) + "\n")

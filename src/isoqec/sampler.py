@@ -2,9 +2,10 @@
 
 Determinism contract: every estimate is produced from counter-based
 substreams keyed by (seed, spawn_key..., chunk_index), with fixed chunk
-sizes and partial sums merged in ascending chunk order.  The result is
-bit-identical for a given (seed, n_samples, chunk_size) regardless of how
-many workers execute the chunks.
+sizes and per-chunk (count, mean, M2) merged in ascending chunk order.
+The result is bit-identical for a given (seed, n_samples, chunk_size)
+regardless of how many workers execute the chunks.  A sweep keys its
+streams by (seed, code index, estimate slot, chunk index).
 
 An error sample about e0 is cos(theta) e0 + sin(theta) u, with theta drawn
 from the density's polar marginal and u uniform on the unit sphere
@@ -22,7 +23,10 @@ end x alone has density (1 - sigma x0) / (|S^(2d-1)| |x - y|^(2d)), and
 keeping it with probability b / (a + b) multiplies that by
 (1 - sigma^2) / (1 - sigma x0), which is the kernel: no rejection step.
 The mass needs only w's e0 coordinate and its kept mass, so each sample
-costs four variates whatever d is, and no polar table is built.
+costs four variates whatever d is, and no polar table is built.  sigma
+enters only the arithmetic after the draw, so one draw serves a whole
+sigma grid: each row of the output is an exact, unbiased sample of its
+own density, and the rows are correlated with each other.
 
 An error sample about an arbitrary base state is produced by drawing the
 error about the north pole e0 and transporting it with the Householder
@@ -34,10 +38,9 @@ distances to e0 had.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -116,47 +119,81 @@ def sample_states(density: IsotropicDensity, n: int,
     return coords
 
 
-def sample_fidelities(density: IsotropicDensity, kept: int, n: int,
-                      rng: np.random.Generator) -> np.ndarray:
+def sample_fidelities(densities: Sequence[IsotropicDensity], kept: int,
+                      n: int, rng: np.random.Generator) -> np.ndarray:
     """Squared mass of n normal errors about e0 on e0 plus kept coordinates.
 
-    kept counts coordinates orthogonal to e0, 1 <= kept <= 2d-1; the
-    result has the law of (x[:, :kept + 1] ** 2).sum(axis=1) over rows x
-    of sample_states.  The direction w has e0 coordinate Z0 / sqrt(N) and
-    kept mass K / N, N = Z0^2 + K + R.  Let
-    H = sqrt(Z0^2 + (1 - sigma^2) (K + R)); in units of 1 / sqrt(N) the
-    chord ends are H - sigma Z0 and -(H + sigma Z0), and the forward one
-    is kept when 2 H U <= H + sigma Z0.  With c = T / N for the kept end
-    T, the value is (sigma + c Z0)^2 + c^2 K, a sum that stays exact when
-    the value is tiny, where 1 - c^2 R cancels.
+    Returns a (len(densities), n) array whose row j has the law of
+    (x[:, :kept + 1] ** 2).sum(axis=1) over rows x of
+    sample_states(densities[j], ...); every row is computed from the same
+    variates, and row j is bit-identical to a one-density call at
+    densities[j] on the same generator.  The densities must be normal and
+    share d; kept counts coordinates orthogonal to e0, 1 <= kept <= 2d-1.
+    The direction w has e0 coordinate Z0 / sqrt(N) and kept mass K / N,
+    N = Z0^2 + K + R.  Let H = sqrt(Z0^2 + (1 - sigma^2) (K + R)); in
+    units of 1 / sqrt(N) the chord ends are H - sigma Z0 and
+    -(H + sigma Z0), and the forward one is kept when
+    2 H U <= H + sigma Z0.  With c = T / N for the kept end T, the value
+    is (sigma + c Z0)^2 + c^2 K, a sum that stays exact when the value is
+    tiny, where 1 - c^2 R cancels.
     Consumption order is fixed: Z0, K (a squared normal at kept = 1, else
     2 Gamma(kept/2)), R = 2 Gamma(rest/2), U; at kept = 2d-1 every
     coordinate is kept, the value is 1 and nothing is drawn.
     """
-    if density.kind is not DensityKind.NORMAL:
-        raise ValueError(f"sample_fidelities draws normal densities only, "
-                         f"got {density.descriptor()}")
-    if not 1 <= kept <= 2 * density.d - 1:
-        raise ValueError(f"kept must lie in [1, {2 * density.d - 1}] at "
-                         f"d={density.d}, got {kept}")
-    rest = 2 * density.d - 1 - kept
+    densities = tuple(densities)
+    if not densities:
+        raise ValueError("sample_fidelities needs at least one density")
+    d = densities[0].d
+    for density in densities:
+        if density.kind is not DensityKind.NORMAL:
+            raise ValueError(f"sample_fidelities draws normal densities "
+                             f"only, got {density.descriptor()}")
+        if density.d != d:
+            raise ValueError(f"sample_fidelities needs densities that "
+                             f"share d, got d={d} and d={density.d}")
+    if not 1 <= kept <= 2 * d - 1:
+        raise ValueError(f"kept must lie in [1, {2 * d - 1}] at d={d}, "
+                         f"got {kept}")
+    rest = 2 * d - 1 - kept
     if rest == 0:
-        return np.ones(n)
-    sigma = density.sigma
+        return np.ones((len(densities), n))
     z0 = rng.standard_normal(n)
     if kept == 1:
         k = np.square(rng.standard_normal(n))
     else:
         k = 2.0 * rng.standard_gamma(kept / 2, n)
     r = 2.0 * rng.standard_gamma(rest / 2, n)
-    u = rng.random(n)
+    two_u = 2.0 * rng.random(n)
     off_e0 = k + r
     z0_sq = z0 * z0
-    h = np.sqrt(z0_sq + (1.0 - sigma * sigma) * off_e0)
-    sz = sigma * z0
-    # copysign picks the end without a mask: +h is the forward end
-    c = (np.copysign(h, h + sz - 2.0 * h * u) - sz) / (z0_sq + off_e0)
-    return np.square(sigma + c * z0) + c * c * k
+    norm = z0_sq + off_e0
+    # per sigma, in place, with the rounding of the expressions
+    #   h = sqrt(z0^2 + (1 - sigma^2) off_e0)
+    #   c = (copysign(h, h + sigma z0 - 2 h u) - sigma z0) / norm
+    #   value = (sigma + c z0)^2 + c^2 k
+    # copysign picks the chord end without a mask (+h is the forward end);
+    # h (2 u) rounds as (2 h) u, since both doublings are exact
+    out = np.empty((len(densities), n))
+    h, sz, c, tmp = (np.empty(n) for _ in range(4))
+    for row, density in zip(out, densities):
+        sigma = density.sigma
+        np.multiply(1.0 - sigma * sigma, off_e0, out=h)
+        np.add(z0_sq, h, out=h)
+        np.sqrt(h, out=h)
+        np.multiply(sigma, z0, out=sz)
+        np.add(h, sz, out=c)
+        np.multiply(h, two_u, out=tmp)
+        np.subtract(c, tmp, out=c)
+        np.copysign(h, c, out=c)
+        np.subtract(c, sz, out=c)
+        np.divide(c, norm, out=c)
+        np.multiply(c, z0, out=tmp)
+        np.add(sigma, tmp, out=tmp)
+        np.square(tmp, out=row)
+        np.multiply(c, c, out=c)
+        np.multiply(c, k, out=c)
+        np.add(row, c, out=row)
+    return out
 
 
 def compose_errors(bases: np.ndarray, density: IsotropicDensity,
@@ -185,12 +222,16 @@ def compose_errors(bases: np.ndarray, density: IsotropicDensity,
 def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
             n_samples: int, streams: RngStreams,
             chunk_size: int = DEFAULT_CHUNK_SIZE,
-            workers: int = 1) -> McEstimate:
-    """Deterministic chunked mean of value_fn(rng, count) samples.
+            workers: int = 1) -> tuple[McEstimate, ...]:
+    """Deterministic chunked means of the rows of value_fn(rng, count).
 
-    Chunk i draws from streams.chunk(i); per-chunk partial sums are merged
-    in ascending chunk order, so the estimate depends only on (seed,
-    n_samples, chunk_size), never on scheduling.
+    value_fn returns a (rows, count) array, or (count,) for one row;
+    mc_mean reduces over the last axis and returns one estimate per row.
+    Chunk i draws from streams.chunk(i) and is reduced in two passes to
+    its (count, mean, M2); these are merged with Chan's formula in
+    ascending chunk order, so the estimates depend only on (seed,
+    n_samples, chunk_size), never on scheduling.  The value is the sum
+    of the chunk sums over n_samples.
     """
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
@@ -200,11 +241,14 @@ def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
 
     def run_chunk(i: int):
         size = min(chunk_size, n_samples - i * chunk_size)
-        values = np.asarray(value_fn(streams.chunk(i), size), dtype=float)
-        if values.shape != (size,):
+        values = np.atleast_2d(
+            np.asarray(value_fn(streams.chunk(i), size), dtype=float))
+        if values.ndim != 2 or values.shape[1] != size:
             raise ValueError(f"value_fn returned shape {values.shape}, "
-                             f"expected ({size},)")
-        return float(values.sum()), float(np.square(values).sum())
+                             f"expected (rows, {size})")
+        sums = values.sum(axis=1)
+        dev = values - (sums / size)[:, None]
+        return size, sums, np.square(dev, out=dev).sum(axis=1)
 
     if workers > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -212,15 +256,21 @@ def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
     else:
         partials = [run_chunk(i) for i in range(n_chunks)]
 
-    total = 0.0
-    total_sq = 0.0
-    for s, ss in partials:  # ascending chunk order, fixed reduction order
-        total += s
-        total_sq += ss
-    mean = total / n_samples
-    if n_samples > 1:
-        var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
-        se = math.sqrt(var / n_samples)
-    else:
-        se = 0.0
-    return McEstimate(mean, se, n_samples, streams.seed)
+    shape = partials[0][1].shape
+    count = 0
+    total = mean = m2 = np.zeros(shape)
+    for size, sums, chunk_m2 in partials:  # ascending chunk order
+        if sums.shape != shape:
+            raise ValueError(f"value_fn returned {sums.shape[0]} rows after "
+                             f"{shape[0]} in an earlier chunk")
+        delta = sums / size - mean
+        merged = count + size
+        mean = mean + delta * (size / merged)
+        m2 = m2 + chunk_m2 + delta * delta * (count * size / merged)
+        total = total + sums
+        count = merged
+    values = total / n_samples
+    # m2 is 0 at one sample, where the standard error reads 0
+    errors = np.sqrt(m2 / max(n_samples - 1, 1) / n_samples)
+    return tuple(McEstimate(float(v), float(se), n_samples, streams.seed)
+                 for v, se in zip(values, errors))

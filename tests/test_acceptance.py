@@ -81,17 +81,17 @@ def mc_cells():
             density = IsotropicDensity.normal(sigma_c, params.d)
             uncoded = IsotropicDensity.normal(sigma_u, params.d_prime)
             cell = RngStreams(SEED).split(code_idx * 10 + sigma_idx)
+            (psi,) = raw_fidelity_mc((density,), params.d, N_SAMPLES,
+                                     cell.split(0))
+            (phi_tilde,) = corrected_fidelity_mc(
+                (density,), BlockCode(params), N_SAMPLES, cell.split(1))
+            (psi0,) = raw_fidelity_mc((uncoded,), params.d_prime, N_SAMPLES,
+                                      cell.split(2))
             cells.append(McCell(params, sigma_c, {
-                "psi": (raw_fidelity_mc(density, params.d, N_SAMPLES,
-                                        cell.split(0)),
-                        fidelity_psi_normal(sigma_c, params.d)),
-                "phi_tilde": (corrected_fidelity_mc(density,
-                                                    BlockCode(params),
-                                                    N_SAMPLES, cell.split(1)),
+                "psi": (psi, fidelity_psi_normal(sigma_c, params.d)),
+                "phi_tilde": (phi_tilde,
                               fidelity_psi_normal(sigma_c, params.d_prime)),
-                "psi0": (raw_fidelity_mc(uncoded, params.d_prime, N_SAMPLES,
-                                         cell.split(2)),
-                         fidelity_psi_normal(sigma_u, params.d_prime)),
+                "psi0": (psi0, fidelity_psi_normal(sigma_u, params.d_prime)),
             }))
     return cells, time.perf_counter() - started
 

@@ -134,24 +134,24 @@ class TestMeasureAndCorrect:
 class TestRawFidelityMc:
     def test_matches_closed_form(self):
         density = IsotropicDensity.normal(0.9, 32)
-        est = raw_fidelity_mc(density, 32, 200000, streams(10))
+        (est,) = raw_fidelity_mc((density,), 32, 200000, streams(10))
         assert abs(est.value - 0.8159375) < 3 * est.std_error
 
     def test_uniform_value(self):
         density = IsotropicDensity.uniform(8)
-        est = raw_fidelity_mc(density, 8, 100000, streams(11))
+        (est,) = raw_fidelity_mc((density,), 8, 100000, streams(11))
         assert abs(est.value - 0.125) < 3 * est.std_error
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            raw_fidelity_mc(IsotropicDensity.uniform(8), 16, 1000,
+            raw_fidelity_mc((IsotropicDensity.uniform(8),), 16, 1000,
                             streams(12))
 
     def test_single_amplitude_space_keeps_all_mass(self):
         # at d = 1 both real coordinates are kept: fidelity is exactly 1
         for sigma in (0.0, 0.5, 0.9):
-            est = raw_fidelity_mc(IsotropicDensity.normal(sigma, 1), 1,
-                                  50000, streams(24))
+            (est,) = raw_fidelity_mc((IsotropicDensity.normal(sigma, 1),), 1,
+                                     50000, streams(24))
             assert abs(est.value - 1.0) <= 1e-15
             assert est.std_error == 0.0
 
@@ -160,29 +160,30 @@ class TestCorrectedFidelityMc:
     def test_block_sum_matches_closed_form(self):
         density = IsotropicDensity.normal(0.9, 32)
         code = BlockCode(CodeParams(5, 1))
-        est = corrected_fidelity_mc(density, code, 200000, streams(13))
+        (est,) = corrected_fidelity_mc((density,), code, 200000, streams(13))
         assert abs(est.value - 0.905) < 3 * est.std_error
 
     def test_uniform_narrow_code(self):
         # d' = 2: corrected mass is d'' first-pairs out of 2 d coordinates
         density = IsotropicDensity.uniform(32)
         code = BlockCode(CodeParams(5, 1))
-        est = corrected_fidelity_mc(density, code, 100000, streams(14))
+        (est,) = corrected_fidelity_mc((density,), code, 100000, streams(14))
         assert abs(est.value - 0.5) < 3 * est.std_error
 
     def test_uniform_wide_code(self):
         density = IsotropicDensity.uniform(32)
         code = BlockCode(CodeParams(5, 4))
-        est = corrected_fidelity_mc(density, code, 100000, streams(15))
+        (est,) = corrected_fidelity_mc((density,), code, 100000, streams(15))
         assert abs(est.value - 1 / 16) < 3 * est.std_error
 
     def test_estimators_agree(self):
         density = IsotropicDensity.normal(0.6, 16)
         code = BlockCode(CodeParams(4, 2))
-        a = corrected_fidelity_mc(density, code, 100000, streams(16),
-                                  estimator=CorrectionEstimator.BLOCK_SUM)
-        b = corrected_fidelity_mc(density, code, 100000, streams(17),
-                                  estimator=CorrectionEstimator.SYNDROME_SAMPLED)
+        (a,) = corrected_fidelity_mc((density,), code, 100000, streams(16),
+                                     estimator=CorrectionEstimator.BLOCK_SUM)
+        (b,) = corrected_fidelity_mc(
+            (density,), code, 100000, streams(17),
+            estimator=CorrectionEstimator.SYNDROME_SAMPLED)
         combined = np.hypot(a.std_error, b.std_error)
         assert abs(a.value - b.value) < 3 * combined
         want = fidelity_corrected(density, CodeParams(4, 2))
@@ -193,26 +194,61 @@ class TestCorrectedFidelityMc:
         # averaging over syndromes analytically must not raise variance
         density = IsotropicDensity.normal(0.5, 16)
         code = BlockCode(CodeParams(4, 1))
-        a = corrected_fidelity_mc(density, code, 50000, streams(18),
-                                  estimator=CorrectionEstimator.BLOCK_SUM)
-        b = corrected_fidelity_mc(density, code, 50000, streams(18),
-                                  estimator=CorrectionEstimator.SYNDROME_SAMPLED)
+        (a,) = corrected_fidelity_mc((density,), code, 50000, streams(18),
+                                     estimator=CorrectionEstimator.BLOCK_SUM)
+        (b,) = corrected_fidelity_mc(
+            (density,), code, 50000, streams(18),
+            estimator=CorrectionEstimator.SYNDROME_SAMPLED)
         assert a.std_error < b.std_error
 
     def test_worker_invariance(self):
         density = IsotropicDensity.normal(0.4, 8)
         code = BlockCode(CodeParams(3, 1))
-        a = corrected_fidelity_mc(density, code, 40000, streams(19),
-                                  workers=1)
-        b = corrected_fidelity_mc(density, code, 40000, streams(19),
-                                  workers=3)
+        (a,) = corrected_fidelity_mc((density,), code, 40000, streams(19),
+                                     workers=1)
+        (b,) = corrected_fidelity_mc((density,), code, 40000, streams(19),
+                                     workers=3)
         assert a == b
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            corrected_fidelity_mc(IsotropicDensity.uniform(8),
+            corrected_fidelity_mc((IsotropicDensity.uniform(8),),
                                   BlockCode(CodeParams(5, 1)), 1000,
                                   streams(20))
+
+
+class TestDensitySequences:
+    SIGMAS = (0.0, 0.4, 0.9)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda ds, st: raw_fidelity_mc(ds, 8, 30000, st, chunk_size=7000),
+        lambda ds, st: corrected_fidelity_mc(
+            ds, BlockCode(CodeParams(3, 1)), 30000, st, chunk_size=7000,
+            workers=2),
+        lambda ds, st: corrected_fidelity_mc(
+            ds, BlockCode(CodeParams(3, 1)), 30000, st, chunk_size=7000,
+            estimator=CorrectionEstimator.SYNDROME_SAMPLED),
+    ], ids=["raw", "block_sum", "syndrome_sampled"])
+    def test_each_estimate_equals_a_one_density_call(self, estimate):
+        densities = [IsotropicDensity.normal(s, 8) for s in self.SIGMAS]
+        shared = estimate(densities, streams(25))
+        assert len(shared) == len(densities)
+        for est, density in zip(shared, densities):
+            assert estimate((density,), streams(25)) == (est,)
+
+    def test_rejects_an_empty_sequence(self):
+        with pytest.raises(ValueError, match="at least one density"):
+            raw_fidelity_mc((), 8, 1000, streams(26))
+        for estimator in CorrectionEstimator:
+            with pytest.raises(ValueError, match="at least one density"):
+                corrected_fidelity_mc((), BlockCode(CodeParams(3, 1)), 1000,
+                                      streams(26), estimator=estimator)
+
+    def test_rejects_one_mismatched_density(self):
+        densities = (IsotropicDensity.normal(0.5, 8),
+                     IsotropicDensity.normal(0.5, 16))
+        with pytest.raises(ValueError, match="d=16, expected 8"):
+            raw_fidelity_mc(densities, 8, 1000, streams(27))
 
 
 class TestOrderingBySampling:
@@ -224,10 +260,11 @@ class TestOrderingBySampling:
         sigma_u = sigma_c ** (1 / 5)
         big = IsotropicDensity.normal(sigma_c, params.d)
         small = IsotropicDensity.normal(sigma_u, params.d_prime)
-        raw = raw_fidelity_mc(big, params.d, 100000, streams(21))
-        corrected = corrected_fidelity_mc(big, BlockCode(params), 100000,
-                                          streams(22))
-        uncoded = raw_fidelity_mc(small, params.d_prime, 100000, streams(23))
+        (raw,) = raw_fidelity_mc((big,), params.d, 100000, streams(21))
+        (corrected,) = corrected_fidelity_mc((big,), BlockCode(params),
+                                             100000, streams(22))
+        (uncoded,) = raw_fidelity_mc((small,), params.d_prime, 100000,
+                                     streams(23))
         assert corrected.value - raw.value > -3 * np.hypot(
             corrected.std_error, raw.std_error)
         assert uncoded.value - corrected.value > -3 * np.hypot(

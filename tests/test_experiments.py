@@ -7,11 +7,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from isoqec import codesim, experiments
 from isoqec.distributions import PolarMarginal
 from isoqec.experiments import (
     DEFAULT_CODES,
     DEFAULT_SIGMA_GRID,
     FIGURE_CODES,
+    MAX_CHUNK_SIZE,
     MAX_CHUNKS,
     MAX_CODE_QUBITS,
     CheckResult,
@@ -221,11 +223,22 @@ class TestRunSweep:
         assert header.split(",") == [
             f.name for f in dataclasses.fields(SweepRow)]
         report = json.loads(json_path.read_text())
-        assert set(report) == {"config", "rows", "violations", "timing"}
+        assert set(report) == {"config", "provenance", "rows", "violations",
+                               "timing"}
         assert report["config"]["seed"] == 11
         assert len(report["rows"]) == len(rows) == 2
         assert report["violations"] == []
         assert report["timing"]["n_cells"] == 2
+        provenance = report["provenance"]
+        assert set(provenance) == {"isoqec", "numpy", "scipy", "python",
+                                   "seed", "chunk_size", "workers"}
+        assert (provenance["seed"], provenance["chunk_size"],
+                provenance["workers"]) == (11, config.chunk_size, 1)
+        # one entry per (code, estimate slot), not per cell
+        timed = report["timing"]["mc_seconds"]
+        assert [(t["n"], t["m"], t["slot"]) for t in timed] == [
+            (3, 1, "psi"), (3, 1, "phi_tilde"), (3, 1, "psi0")]
+        assert all(t["seconds"] >= 0.0 for t in timed)
         # the JSON config section feeds back into a valid SweepConfig
         round_tripped = SweepConfig(**report["config"])
         assert round_tripped.code_list == config.code_list
@@ -251,6 +264,65 @@ class TestRunSweep:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0] == outputs[2]
+
+    @staticmethod
+    def _mc_columns(rows):
+        return {(r.n, r.m, r.sigma_c): tuple(
+            getattr(r, f.name) for f in dataclasses.fields(r)
+            if f.name.startswith("mc_")) for r in rows}
+
+    @pytest.mark.parametrize("overrides, groups", [
+        ({"n_samples": 3000, "chunk_size": 1000, "workers": 2}, [3]),
+        # 2**20 // 400000 = 2 sigmas per group: (0.3, 0.6), then (0.9,)
+        ({"n_samples": 400_000, "chunk_size": MAX_CHUNK_SIZE}, [2, 1]),
+    ], ids=["one-group", "sigma-groups"])
+    def test_cell_does_not_depend_on_the_rest_of_the_grid(
+            self, overrides, groups, monkeypatch):
+        calls = []
+        raw = experiments.raw_fidelity_mc
+
+        def counted(densities, *args, **kwargs):
+            calls.append(len(densities))
+            return raw(densities, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "raw_fidelity_mc", counted)
+        codes = ((3, 1), (4, 2))
+        alone = run_sweep(small_config(code_list=codes, sigma_grid=(0.6,),
+                                       **overrides))
+        calls.clear()
+        grid = run_sweep(small_config(code_list=codes,
+                                      sigma_grid=(0.3, 0.6, 0.9),
+                                      **overrides))
+        # two raw slots per code
+        assert calls == groups * 4
+        columns = self._mc_columns(grid)
+        for key, value in self._mc_columns(alone).items():
+            assert columns[key] == value, key
+        # reversed: where sigmas run in groups, 0.9 and 0.3 trade groups
+        reverse = run_sweep(small_config(code_list=codes,
+                                         sigma_grid=(0.9, 0.6, 0.3),
+                                         **overrides))
+        assert self._mc_columns(reverse) == columns
+
+    def test_one_draw_per_chunk_serves_the_whole_grid(self, monkeypatch):
+        calls = []
+        draw = codesim.sample_fidelities
+
+        def counted(densities, *args):
+            calls.append(len(densities))
+            return draw(densities, *args)
+
+        monkeypatch.setattr(codesim, "sample_fidelities", counted)
+        counts = []
+        for grid in ((0.5,), DEFAULT_SIGMA_GRID):
+            calls.clear()
+            run_sweep(small_config(code_list=((3, 1), (5, 4)),
+                                   sigma_grid=grid, n_samples=3000,
+                                   chunk_size=1000))
+            counts.append(len(calls))
+            assert set(calls) == {len(grid)}
+        # 2 codes x 3 slots x 3 chunks, whatever the grid length
+        assert counts == [18, 18]
 
     def test_seed_changes_mc_columns_only(self):
         row_a = run_sweep(small_config(seed=11))[0]

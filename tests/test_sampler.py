@@ -172,8 +172,8 @@ class TestSampleFidelities:
                 2 * code.n_blocks - 1:
                     (r[:, :, 0] ** 2 + r[:, :, 1] ** 2).sum(axis=1)}
         for kept, want in full.items():
-            got = sample_fidelities(density, kept, n,
-                                    streams(36, tag, kept).chunk(0))
+            (got,) = sample_fidelities((density,), kept, n,
+                                       streams(36, tag, kept).chunk(0))
             p = stats.ks_2samp(got, want).pvalue
             assert p > 1e-3, (case, kept, p)
 
@@ -184,8 +184,8 @@ class TestSampleFidelities:
         for case, sigma in enumerate((0.0, 0.6, 0.95)):
             density = IsotropicDensity.normal(sigma, d)
             for kept in (1, 7, d, 2 * d - 2):
-                values = sample_fidelities(density, kept, 100000,
-                                           streams(37, case, kept).chunk(0))
+                (values,) = sample_fidelities(
+                    (density,), kept, 100000, streams(37, case, kept).chunk(0))
                 want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
                 se = values.std(ddof=1) / math.sqrt(values.size)
                 assert abs(values.mean() - want) < 3 * se, (sigma, kept)
@@ -199,8 +199,8 @@ class TestSampleFidelities:
         for i, sigma in enumerate((0.0, 0.5, 0.9)):
             density = IsotropicDensity.normal(sigma, d)
             for kept in (1, 2 ** (n - 1) - 1):
-                est = mc_mean(
-                    lambda rng, count: sample_fidelities(density, kept,
+                (est,) = mc_mean(
+                    lambda rng, count: sample_fidelities((density,), kept,
                                                          count, rng),
                     n_samples, streams(39, n, i, kept % 1000))
                 want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
@@ -211,20 +211,56 @@ class TestSampleFidelities:
         # nothing is drawn when every coordinate is kept
         density = IsotropicDensity.normal(0.7, 4)
         rng = streams(38).chunk(0)
-        values = sample_fidelities(density, 7, 1000, rng)
-        assert np.array_equal(values, np.ones(1000))
+        values = sample_fidelities((density,), 7, 1000, rng)
+        assert np.array_equal(values, np.ones((1, 1000)))
         assert rng.random() == streams(38).chunk(0).random()
 
     def test_rejects_kept_out_of_range(self):
         density = IsotropicDensity.uniform(4)
         for kept in (0, 8):
             with pytest.raises(ValueError):
-                sample_fidelities(density, kept, 10, streams(39).chunk(0))
+                sample_fidelities((density,), kept, 10,
+                                  streams(39).chunk(0))
 
     def test_rejects_caps(self):
         density = IsotropicDensity.uniform_cap(math.pi / 3, 8)
         with pytest.raises(ValueError, match="normal densities only"):
-            sample_fidelities(density, 1, 10, streams(39).chunk(0))
+            sample_fidelities((density,), 1, 10, streams(39).chunk(0))
+
+    @pytest.mark.parametrize("d", [1, 8, 2 ** 20])
+    def test_shared_rows_equal_one_density_calls(self, d):
+        # one draw serves every sigma: row j is the one-density call at
+        # sigma_j on the same generator, bit for bit
+        sigmas = (0.0, 0.05, 0.3, 0.6, 0.9, 0.999)
+        densities = [IsotropicDensity.normal(s, d) for s in sigmas]
+        for kept in sorted({1, 2 * d - 2, 2 * d - 1} - {0}):
+            shared = sample_fidelities(densities, kept, 3000,
+                                       streams(51, kept).chunk(0))
+            assert shared.shape == (len(sigmas), 3000)
+            for row, density in zip(shared, densities):
+                (alone,) = sample_fidelities(
+                    (density,), kept, 3000, streams(51, kept).chunk(0))
+                assert np.array_equal(row, alone), (density.sigma, kept)
+
+    def test_shared_draw_consumes_the_stream_once(self):
+        densities = [IsotropicDensity.normal(s, 8) for s in (0.2, 0.7)]
+        one, many = streams(52).chunk(0), streams(52).chunk(0)
+        sample_fidelities(densities[:1], 3, 500, one)
+        sample_fidelities(densities, 3, 500, many)
+        assert one.random() == many.random()
+
+    @pytest.mark.parametrize("densities, match", [
+        ((), "at least one density"),
+        ((IsotropicDensity.normal(0.5, 8), IsotropicDensity.normal(0.5, 4)),
+         "share d"),
+        ((IsotropicDensity.normal(0.5, 8),
+          IsotropicDensity.uniform_cap(math.pi / 3, 8)),
+         "normal densities only"),
+    ])
+    def test_rejects_bad_density_sequences(self, densities, match):
+        with pytest.raises(ValueError, match=match) as err:
+            sample_fidelities(densities, 1, 10, streams(53).chunk(0))
+        assert "\n" not in str(err.value)
 
 
 class TestComposeError:
@@ -317,7 +353,7 @@ class TestMcMean:
 
     def test_matches_closed_form(self):
         density = IsotropicDensity.normal(0.9, 32)
-        est = mc_mean(self._value_fn(density), 200000, streams(60))
+        (est,) = mc_mean(self._value_fn(density), 200000, streams(60))
         assert abs(est.value - 0.8159375) < 3 * est.std_error
         assert est.n_samples == 200000 and est.seed == SEED
 
@@ -332,16 +368,63 @@ class TestMcMean:
     def test_chunk_size_changes_stream(self):
         # chunking policy is part of the reproducibility key
         density = IsotropicDensity.uniform(2)
-        a = mc_mean(self._value_fn(density), 30000, streams(62),
-                    chunk_size=16384)
-        b = mc_mean(self._value_fn(density), 30000, streams(62),
-                    chunk_size=8192)
+        (a,) = mc_mean(self._value_fn(density), 30000, streams(62),
+                       chunk_size=16384)
+        (b,) = mc_mean(self._value_fn(density), 30000, streams(62),
+                       chunk_size=8192)
         assert a.value != b.value
 
     def test_ragged_final_chunk(self):
         density = IsotropicDensity.uniform(2)
-        est = mc_mean(self._value_fn(density), 16384 + 7, streams(63))
+        (est,) = mc_mean(self._value_fn(density), 16384 + 7, streams(63))
         assert est.n_samples == 16391
+
+    def test_rows_reduce_like_one_row_calls(self):
+        # ragged chunks and threads: each row's estimate is bit-identical
+        # to the same values reduced alone
+        def rows(rng, count):
+            x = rng.standard_normal(count)
+            return np.stack([x, np.exp(x), 3.0 * x * x])
+
+        for workers in (1, 3):
+            shared = mc_mean(rows, 40000, streams(65), chunk_size=7000,
+                             workers=workers)
+            assert len(shared) == 3
+            for j, est in enumerate(shared):
+                alone = mc_mean(lambda rng, count, j=j: rows(rng, count)[j],
+                                40000, streams(65), chunk_size=7000)
+                assert (est,) == alone
+
+    def test_variance_of_nearly_constant_values(self):
+        # a one-pass total_sq - n mean^2 cancels to SE 0.0 here; the
+        # per-chunk two-pass M2 keeps it at 1e-9 / sqrt(n)
+        (est,) = mc_mean(lambda rng, n: 1 + 1e-9 * rng.standard_normal(n),
+                         200_000, RngStreams(3))
+        assert est.std_error == pytest.approx(1e-9 / math.sqrt(200_000),
+                                              rel=0.02)
+        assert abs(est.value - 1.0) < 5 * est.std_error
+
+    def test_merged_moments_match_one_pass_over_all_values(self):
+        # Chan's merge of ragged chunks reproduces the two-pass standard
+        # error of the concatenated values to rounding
+        seen = []
+
+        def fn(rng, count):
+            seen.append(rng.exponential(size=(2, count)))
+            return seen[-1]
+
+        ests = mc_mean(fn, 25000, streams(67), chunk_size=4096)
+        every = np.concatenate(seen, axis=1)
+        for est, values in zip(ests, every):
+            assert est.value == pytest.approx(values.mean(), rel=1e-14)
+            want = values.std(ddof=1) / math.sqrt(values.size)
+            assert est.std_error == pytest.approx(want, rel=1e-12)
+
+    def test_rejects_a_changing_row_count(self):
+        def fn(rng, count):
+            return rng.random((1 if count == 10 else 2, count))
+        with pytest.raises(ValueError, match="rows"):
+            mc_mean(fn, 25, streams(66), chunk_size=10)
 
     def test_rejects_bad_sizes(self):
         density = IsotropicDensity.uniform(2)
