@@ -185,6 +185,11 @@ class SweepConfig:
         if not (_is_int(self.workers) and 1 <= self.workers <= MAX_WORKERS):
             raise ConfigError(f"workers must be an integer in "
                               f"[1, {MAX_WORKERS}], got {self.workers}")
+        for name in ("csv_path", "json_path"):
+            path = getattr(self, name)
+            if path is not None and not (isinstance(path, str) and path):
+                raise ConfigError(f"{name} must be a non-empty string, "
+                                  f"got {path!r}")
 
     @classmethod
     def default(cls, **overrides) -> "SweepConfig":
@@ -415,6 +420,8 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
             "seed": config.seed,
             "chunk_size": config.chunk_size,
             "workers": config.workers,
+            "bit_generator": type(
+                RngStreams(config.seed).chunk(0).bit_generator).__name__,
         },
         "rows": [asdict(row) for row in rows],
         "violations": check_ordering(rows),

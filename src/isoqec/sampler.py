@@ -1,7 +1,7 @@
 """Seeded Monte Carlo sampling of isotropic errors on S^(2d-1).
 
-Determinism contract: every estimate is produced from counter-based
-substreams keyed by (seed, spawn_key..., chunk_index), with fixed chunk
+Determinism contract: every estimate is produced from SeedSequence-keyed
+SFC64 streams, one per (seed, spawn_key..., chunk_index), with fixed chunk
 sizes and per-chunk (count, mean, M2) merged in ascending chunk order.
 The result is bit-identical for a given (seed, n_samples, chunk_size)
 regardless of how many workers execute the chunks.  A sweep keys its
@@ -61,11 +61,14 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class RngStreams:
-    """Counter-based substream factory: (seed, spawn_key) -> Philox streams.
+    """Stream factory: (seed, spawn_key) -> SeedSequence-keyed SFC64 streams.
 
     split() appends a namespace index, chunk() yields the generator for one
-    chunk.  Streams for distinct keys never overlap, and a chunk's stream
-    does not depend on which worker runs it.
+    chunk.  SeedSequence hashes each distinct key into its own 256-bit
+    SFC64 state, so distinct keys give streams that are independent for
+    practical purposes; SFC64's 64-bit counter guarantees each stream a
+    period of at least 2^64.  A chunk's stream does not depend on which
+    worker runs it.
     """
 
     seed: int
@@ -77,7 +80,7 @@ class RngStreams:
     def chunk(self, index: int) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed,
                                      spawn_key=self.spawn_key + (int(index),))
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 def sample_theta0(marginal: PolarMarginal, rng: np.random.Generator,
@@ -157,14 +160,20 @@ def sample_fidelities(densities: Sequence[IsotropicDensity], kept: int,
     rest = 2 * d - 1 - kept
     if rest == 0:
         return np.ones((len(densities), n))
+    # draws are scaled in place; doubling is exact and the sum commutes,
+    # so this rounds like k = 2 gamma, off_e0 = k + 2 gamma, two_u = 2 u
     z0 = rng.standard_normal(n)
     if kept == 1:
-        k = np.square(rng.standard_normal(n))
+        k = rng.standard_normal(n)
+        np.square(k, out=k)
     else:
-        k = 2.0 * rng.standard_gamma(kept / 2, n)
-    r = 2.0 * rng.standard_gamma(rest / 2, n)
-    two_u = 2.0 * rng.random(n)
-    off_e0 = k + r
+        k = rng.standard_gamma(kept / 2, n)
+        k *= 2.0
+    off_e0 = rng.standard_gamma(rest / 2, n)
+    off_e0 *= 2.0
+    off_e0 += k
+    two_u = rng.random(n)
+    two_u *= 2.0
     z0_sq = z0 * z0
     norm = z0_sq + off_e0
     # per sigma, in place, with the rounding of the expressions

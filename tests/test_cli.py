@@ -109,6 +109,24 @@ class TestSweepCommand:
         assert "n_samples" in err and "chunk_size" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides, flags, field", [
+        ({"csv_path": 5}, [], "csv_path"),
+        ({"json_path": ["a"]}, [], "json_path"),
+        ({"csv_path": ""}, [], "csv_path"),
+        ({"json_path": ""}, [], "json_path"),
+        ({}, ["--csv", ""], "csv_path")])
+    def test_bad_output_paths_exit_2_before_sampling(
+            self, tmp_path, capsys, monkeypatch, overrides, flags, field):
+        def refuse(config):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        rc = main(["sweep", "--config", write_config(tmp_path, **overrides),
+                   *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err and "Traceback" not in err
+
     def test_too_many_workers_exit_2(self, tmp_path, capsys):
         # rejected by the config, before any thread starts
         assert main(["sweep", "--config", write_config(tmp_path),

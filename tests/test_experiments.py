@@ -85,6 +85,13 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             small_config(n_steps_override=0)
 
+    def test_rejects_bad_output_paths(self):
+        for field in ("csv_path", "json_path"):
+            for path in (5, ["a"], "", b"rows.csv"):
+                with pytest.raises(ConfigError, match=field) as exc:
+                    small_config(**{field: path})
+                assert "\n" not in str(exc.value)
+
     def test_rejects_booleans_for_integers(self):
         # bool is an int subclass; true/false in a config is a mistake
         for field in ("seed", "workers", "chunk_size", "n_steps_override"):
@@ -231,9 +238,11 @@ class TestRunSweep:
         assert report["timing"]["n_cells"] == 2
         provenance = report["provenance"]
         assert set(provenance) == {"isoqec", "numpy", "scipy", "python",
-                                   "seed", "chunk_size", "workers"}
+                                   "seed", "chunk_size", "workers",
+                                   "bit_generator"}
         assert (provenance["seed"], provenance["chunk_size"],
                 provenance["workers"]) == (11, config.chunk_size, 1)
+        assert provenance["bit_generator"] == "SFC64"
         # one entry per (code, estimate slot), not per cell
         timed = report["timing"]["mc_seconds"]
         assert [(t["n"], t["m"], t["slot"]) for t in timed] == [

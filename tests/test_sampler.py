@@ -57,6 +57,19 @@ class TestRngStreams:
         b = streams(1).chunk(0).random(5)
         assert not np.array_equal(a, b)
 
+    def test_chunk_is_sfc64_backed(self):
+        rng = streams(3).chunk(7)
+        assert isinstance(rng, np.random.Generator)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+
+    def test_stream_words_are_pinned(self):
+        # a change of generator or key order changes every MC column;
+        # these words make it fail here first
+        words = RngStreams(7).split(1).split(2).chunk(3).bit_generator \
+            .random_raw(3)
+        assert [int(w) for w in words] == [
+            6202180545184944473, 16799613261499411397, 1377816837567057303]
+
 
 class TestSampleTheta0:
     def test_matches_marginal_distribution(self):
@@ -190,10 +203,12 @@ class TestSampleFidelities:
                 se = values.std(ddof=1) / math.sqrt(values.size)
                 assert abs(values.mean() - want) < 3 * se, (sigma, kept)
 
-    @pytest.mark.parametrize("n", [12, 15, 18, 24, 40])
+    @pytest.mark.parametrize("n", [12, 15, 18, 24, 40, 60])
     def test_exact_at_large_codes(self, n):
         # a polar table over [0, pi] misses the width ~1/sqrt(2d) peak of
-        # g here: 15 SE off at n = 18, sigma = 0 with 1M samples
+        # g here: 15 SE off at n = 18, sigma = 0 with 1M samples.  The
+        # reference is the normal closed form, since 1 - E[sin^2] (...)
+        # cancels: at n = 60, sigma = 0, kept = 1 it reads 0.0, not 2^-60
         d = 2 ** n
         n_samples = 1_000_000 if n == 18 else 100_000
         for i, sigma in enumerate((0.0, 0.5, 0.9)):
@@ -203,7 +218,7 @@ class TestSampleFidelities:
                     lambda rng, count: sample_fidelities((density,), kept,
                                                          count, rng),
                     n_samples, streams(39, n, i, kept % 1000))
-                want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
+                want = (kept + 1 + (2 * d - 1 - kept) * sigma ** 2) / (2 * d)
                 assert est.std_error > 0.0
                 assert abs(est.value - want) < 5 * est.std_error, (sigma, kept)
 
@@ -241,6 +256,27 @@ class TestSampleFidelities:
                 (alone,) = sample_fidelities(
                     (density,), kept, 3000, streams(51, kept).chunk(0))
                 assert np.array_equal(row, alone), (density.sigma, kept)
+
+    @pytest.mark.parametrize("kept", [1, 5])
+    def test_matches_the_out_of_place_expressions(self, kept):
+        # the in-place draws and per-sigma loop round exactly like the
+        # docstring's expressions on the same variates
+        d, n = 8, 2000
+        sigmas = (0.0, 0.6, 0.95)
+        got = sample_fidelities([IsotropicDensity.normal(s, d)
+                                 for s in sigmas], kept, n,
+                                streams(54, kept).chunk(0))
+        rng = streams(54, kept).chunk(0)
+        z0 = rng.standard_normal(n)
+        k = (np.square(rng.standard_normal(n)) if kept == 1
+             else 2.0 * rng.standard_gamma(kept / 2, n))
+        r = 2.0 * rng.standard_gamma((2 * d - 1 - kept) / 2, n)
+        two_u = 2.0 * rng.random(n)
+        for row, sigma in zip(got, sigmas):
+            h = np.sqrt(z0 * z0 + (1.0 - sigma * sigma) * (k + r))
+            c = (np.copysign(h, h + sigma * z0 - h * two_u)
+                 - sigma * z0) / (z0 * z0 + (k + r))
+            assert np.array_equal(row, (sigma + c * z0) ** 2 + c * c * k)
 
     def test_shared_draw_consumes_the_stream_once(self):
         densities = [IsotropicDensity.normal(s, 8) for s in (0.2, 0.7)]
