@@ -50,8 +50,11 @@ class CodeParams:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
-            raise ValueError("code parameters must be integers")
+        # bool is an int subclass, but true/false as a qubit count is a mistake
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in (self.n, self.m)):
+            raise ValueError(f"code parameters must be integers, "
+                             f"got n={self.n!r}, m={self.m!r}")
         if self.m < 1 or self.n <= self.m:
             raise ValueError(
                 f"need n > m >= 1, got n={self.n}, m={self.m}")
@@ -322,5 +325,13 @@ def variance_compose_n(v_u, n: int):
     v = np.asarray(v_u, dtype=float)
     if not np.all((0.0 <= v) & (v <= 4.0)):
         raise ValueError(f"variance must lie in [0, 4], got {v_u}")
-    out = v if n == 1 else 2.0 - 2.0 * (1.0 - v / 2.0) ** n
+    if n == 1:
+        out = v
+    else:
+        # for v > 2 the base is negative, and numpy's power falls back to
+        # scalar libm pow on negative bases; |base|^n with the sign put
+        # back for odd n stays vectorised
+        base = 1.0 - v / 2.0
+        power = np.power(np.abs(base), n)
+        out = 2.0 - 2.0 * (np.copysign(power, base) if n % 2 else power)
     return out if out.ndim else float(out)

@@ -26,7 +26,15 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach the requested accuracy."""
+    """Adaptive quadrature did not reach the requested accuracy.
+
+    a and b are the interval, neval the integrand evaluations QUADPACK
+    spent on it before giving up.
+    """
+
+    def __init__(self, message: str, a: float, b: float, neval: int):
+        super().__init__(message)
+        self.a, self.b, self.neval = a, b, neval
 
 
 @lru_cache(maxsize=None)
@@ -166,16 +174,33 @@ def poisson_kernel_integrand(d: int, sigma: float,
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"kernel requires 0 <= sigma < 1, got {sigma}")
 
-    def integrand(t: float) -> float:
-        s = math.sin(t)
-        kernel = 1.0 + sigma * sigma - 2.0 * sigma * math.cos(t)
-        core = (s * s / kernel) ** d
-        if variant is KernelVariant.SIN_2D:
-            return core
-        if variant is KernelVariant.COS_SIN_2D_MINUS_2:
-            return core * math.cos(t) / (s * s) if s != 0.0 else 0.0
-        return core / (s * s) if s != 0.0 else 0.0
-
+    # one closure per variant, with the kernel's constant terms hoisted:
+    # Python evaluates 1 + sigma^2 - 2 sigma cos t left to right, so
+    # (1 + sigma^2) - (2 sigma) cos t rounds exactly as the inline form
+    sin, cos = math.sin, math.cos
+    one_plus_sq = 1.0 + sigma * sigma
+    two_sigma = 2.0 * sigma
+    if variant is KernelVariant.SIN_2D:
+        def integrand(t: float) -> float:
+            s = sin(t)
+            return (s * s / (one_plus_sq - two_sigma * cos(t))) ** d
+    elif variant is KernelVariant.COS_SIN_2D_MINUS_2:
+        def integrand(t: float) -> float:
+            s = sin(t)
+            if s == 0.0:
+                return 0.0
+            c = cos(t)
+            sq = s * s
+            return (sq / (one_plus_sq - two_sigma * c)) ** d * c / sq
+    elif variant is KernelVariant.SIN_2D_MINUS_2:
+        def integrand(t: float) -> float:
+            s = sin(t)
+            if s == 0.0:
+                return 0.0
+            sq = s * s
+            return (sq / (one_plus_sq - two_sigma * cos(t))) ** d / sq
+    else:
+        raise ValueError(f"unknown kernel variant {variant!r}")
     return integrand
 
 
@@ -202,6 +227,8 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     out = scipy.integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol,
                                limit=limit, points=points, full_output=True)
     if len(out) > 3:
+        neval = out[2]["neval"]
         raise QuadratureError(
-            f"quadrature on [{a}, {b}] failed to converge: {out[3]}")
+            f"quadrature on [{a}, {b}] failed to converge after "
+            f"neval={neval} evaluations: {out[3]}", a, b, neval)
     return out[0]

@@ -77,6 +77,15 @@ class TestSweepCommand:
                      "--workers", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("code", [[2, True], [True, 1], [3, False]])
+    def test_boolean_code_entries_exit_2(self, tmp_path, capsys, code):
+        rc = main(["sweep", "--config", write_config(tmp_path,
+                                                     code_list=[code])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "integers" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("code", [[41, 1], [1100, 1]])
     def test_codes_beyond_the_sampler_exit_2(self, tmp_path, capsys, code):
         rc = main(["sweep", "--config", write_config(tmp_path,
@@ -216,6 +225,15 @@ class TestVerifyCommands:
         rc = main(["verify", "appendix", "--rel-tol", "0"])
         assert rc == 2
         assert "rel_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rel_tol", ["inf", "1e400", "nan"])
+    def test_appendix_non_finite_tolerance_exits_2(self, capsys, rel_tol):
+        # an infinite tolerance would pass every check whatever its error
+        rc = main(["verify", "appendix", "--rel-tol", rel_tol])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rel_tol" in captured.err and captured.err.count("\n") == 1
 
     def test_theorems_reports_erratum(self, capsys):
         rc = main(["verify", "theorems"])

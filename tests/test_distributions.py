@@ -51,8 +51,9 @@ class TestCodeParams:
         for n, m in [(1, 1), (3, 3), (3, 0), (2, 3)]:
             with pytest.raises(ValueError):
                 CodeParams(n, m)
-        with pytest.raises(ValueError):
-            CodeParams(3.0, 1)
+        for n, m in [(3.0, 1), (2, True), (True, 1), (3, False)]:
+            with pytest.raises(ValueError, match="integers"):
+                CodeParams(n, m)
 
 
 class TestNormalDensityEval:
@@ -443,6 +444,18 @@ class TestVarianceComposeN:
             got = variance_compose_n(v, n)
             assert got.shape == v.shape
             assert got.tolist() == [variance_compose_n(x, n) for x in v]
+
+    def test_negative_base_above_two(self):
+        # for v > 2 the base 1 - v/2 is negative; the sign is put back
+        # by hand, so check every step count against libm's pow
+        v = np.linspace(2.0, 4.0, 2001)
+        for n in range(1, 65):
+            got = variance_compose_n(v, n)
+            assert got.tolist() == [variance_compose_n(x, n) for x in v]
+            assert variance_compose_n(4.0, n) == (4.0 if n % 2 else 0.0)
+            want = [2 - 2 * math.pow(1 - x / 2, n) for x in v]
+            # one ulp of [2, 4), 2^-51 ~ 4.4e-16
+            assert np.max(np.abs(got - want)) <= np.spacing(2.0)
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+import scipy.integrate
 
 from isoqec import codesim, experiments
 from isoqec.distributions import PolarMarginal
@@ -91,6 +92,12 @@ class TestSweepConfig:
                 with pytest.raises(ConfigError, match=field) as exc:
                     small_config(**{field: path})
                 assert "\n" not in str(exc.value)
+
+    def test_rejects_boolean_code_entries(self):
+        for code in ((2, True), (True, 1), (3, False)):
+            with pytest.raises(ConfigError, match="integers") as exc:
+                small_config(code_list=(code,))
+            assert "\n" not in str(exc.value)
 
     def test_rejects_booleans_for_integers(self):
         # bool is an int subclass; true/false in a config is a mistake
@@ -394,6 +401,22 @@ class TestVerifyAppendix:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ConfigError):
             verify_appendix(rel_tol=0.0)
+
+    def test_each_integral_is_computed_once(self, monkeypatch):
+        # 129 sin-power + 35 partial (alpha < pi) + 84 kernel quadratures;
+        # the sphere recursion and the alpha = pi caps reuse sin-power ones
+        calls = []
+        quad = scipy.integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(None)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        verify_appendix()
+        assert len(calls) == 248
+        verify_theorems()
+        assert len(calls) == 248
 
     def test_to_dict_shape(self):
         report = verify_appendix()

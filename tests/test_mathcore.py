@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from isoqec.experiments import KERNEL_D_GRID, KERNEL_SIGMA_GRID
 from isoqec.mathcore import (
     KernelVariant,
     QuadratureError,
@@ -208,6 +209,36 @@ class TestPoissonKernelIntegral:
                             ref, rel=1e-10, abs=1e-13)
 
 
+def inline_kernel_integrand(d, sigma, variant, t):
+    # the integrand written out in one expression per variant
+    s = math.sin(t)
+    core = (s * s / (1.0 + sigma * sigma - 2.0 * sigma * math.cos(t))) ** d
+    if variant is KernelVariant.SIN_2D:
+        return core
+    if s == 0.0:
+        return 0.0
+    if variant is KernelVariant.COS_SIN_2D_MINUS_2:
+        return core * math.cos(t) / (s * s)
+    return core / (s * s)
+
+
+class TestKernelIntegrand:
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    def test_matches_inline_formula_exactly(self, variant):
+        for d in KERNEL_D_GRID:
+            for sigma in KERNEL_SIGMA_GRID:
+                f = poisson_kernel_integrand(d, sigma, variant)
+                ts = [0.0, math.acos(sigma), math.pi] \
+                    + [math.pi * i / 97 for i in range(1, 97)]
+                for t in ts:
+                    assert f(t) == inline_kernel_integrand(
+                        d, sigma, variant, t), (d, sigma, t)
+
+    def test_rejects_unknown_variant(self):
+        with pytest.raises(ValueError):
+            poisson_kernel_integrand(2, 0.5, "sin_2d")
+
+
 class TestAdaptiveQuadrature:
     def test_simple_integral(self):
         assert adaptive_quadrature(math.sin, 0.0, math.pi,
@@ -227,9 +258,12 @@ class TestAdaptiveQuadrature:
             poisson_kernel_integral(d, sigma, KernelVariant.SIN_2D), rel=1e-9)
 
     def test_divergent_integrand_raises(self):
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError) as exc:
             adaptive_quadrature(lambda t: 1.0 / t if t > 0 else 0.0,
                                 0.0, 1.0, 1e-10)
+        assert (exc.value.a, exc.value.b) == (0.0, 1.0)
+        assert isinstance(exc.value.neval, int) and exc.value.neval > 0
+        assert f"neval={exc.value.neval}" in str(exc.value)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
