@@ -320,8 +320,9 @@ def variance_compose_n(v_u, n: int):
 
     v_u may be an array; the result then has its shape.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"step count must be a positive integer, got {n}")
+    # bool is an int subclass, but true/false as a step count is a mistake
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+        raise ValueError(f"step count must be a positive integer, got {n!r}")
     v = np.asarray(v_u, dtype=float)
     if not np.all((0.0 <= v) & (v <= 4.0)):
         raise ValueError(f"variance must lie in [0, 4], got {v_u}")

@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import platform
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -128,13 +129,18 @@ class SweepConfig:
     json_path: str | None = None
 
     def __post_init__(self):
+        # a string is iterable, but its characters are no list entries
         try:
+            if isinstance(self.code_list, str):
+                raise TypeError("a string is not a list of codes")
             object.__setattr__(self, "code_list",
                                tuple(tuple(c) for c in self.code_list))
         except TypeError as exc:
             raise ConfigError(f"code_list must be a list of [n, m] pairs, "
                               f"got {self.code_list!r}") from exc
         try:
+            if isinstance(self.sigma_grid, str):
+                raise TypeError("a string is not a list of numbers")
             sigmas = tuple(self.sigma_grid)
         except TypeError as exc:
             raise ConfigError(f"sigma_grid must be a list of numbers, "
@@ -169,11 +175,25 @@ class SweepConfig:
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, "
                               f"got {self.seed}")
+        # 1/steps must convert to float, as _closed_form_cell takes it
         if self.n_steps_override is not None and not (
                 _is_int(self.n_steps_override)
-                and self.n_steps_override >= 1):
-            raise ConfigError(f"n_steps_override must be a positive integer, "
+                and 1 <= self.n_steps_override <= sys.float_info.max):
+            raise ConfigError(f"n_steps_override must be an integer in "
+                              f"[1, {sys.float_info.max:g}], "
                               f"got {self.n_steps_override}")
+        # sigma_u = sigma ** (1/steps) must stay below 1 after rounding,
+        # with steps = n or n_steps_override, as _closed_form_cell has it
+        steps_used = ({code[0] for code in self.code_list}
+                      if self.n_steps_override is None
+                      else {self.n_steps_override})
+        for steps in sorted(steps_used):
+            for sigma in self.sigma_grid:
+                if sigma ** (1.0 / steps) >= 1.0:
+                    raise ConfigError(
+                        f"sigma {sigma!r} over {steps} steps gives "
+                        f"sigma_u = sigma ** (1/{steps}) = 1.0 in floating "
+                        f"point; sigma_u must lie below 1")
         if not (_is_int(self.chunk_size)
                 and 1 <= self.chunk_size <= MAX_CHUNK_SIZE):
             raise ConfigError(f"chunk_size must be an integer in "
@@ -294,56 +314,99 @@ def closed_form_rows(code_list: Sequence[tuple[int, int]],
     return rows
 
 
+_SLOTS = ("psi", "phi_tilde", "psi0")
+
+
+def _law_keys(params: CodeParams) -> tuple[tuple[int, int], ...]:
+    """Stream keys of a cell's three error laws, in _SLOTS order.
+
+    An estimate is the mean squared mass that a normal error leaves on
+    e0 plus ``kept`` coordinates of S^(2d-1), so its law is fixed by
+    (d, kept) and sigma.  The key is (log2 d, log2 of the kept complex
+    amplitudes): (n, 0) for the raw coded state, (n, n - m) for the
+    corrected one (its d'' block amplitudes) and (m, 0) for the
+    unencoded one.  Small integers only: SeedSequence splits a large int
+    into 32-bit words, so a raw d could collide with a pair of keys.
+    n > m >= 1 makes a cell's three keys distinct.
+    """
+    return ((params.n, 0), (params.n, params.n - params.m), (params.m, 0))
+
+
+def _estimate_law(key: tuple[int, int],
+                  densities: Sequence[IsotropicDensity],
+                  config: SweepConfig, streams: RngStreams):
+    """One estimate per density of the law with this stream key."""
+    n, kept_log2 = key
+    kwargs = {"chunk_size": config.chunk_size, "workers": config.workers}
+    if kept_log2 == 0:
+        return raw_fidelity_mc(densities, 2 ** n, config.n_samples, streams,
+                               **kwargs)
+    block_code = BlockCode(CodeParams(n, n - kept_log2))
+    return corrected_fidelity_mc(densities, block_code, config.n_samples,
+                                 streams, **kwargs)
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every cell; write CSV/JSON if the config names paths.
 
-    Codes run in a fixed order.  Each code makes three estimates (raw
-    coded state, corrected state, accumulated unencoded state), each over
-    the whole sigma grid: one draw per chunk serves every sigma.  The RNG
-    streams are keyed by (seed, code index, estimate slot, chunk index),
-    so results do not depend on the worker count used for the chunk-level
-    parallelism inside each estimate, and a cell's MC columns do not
-    depend on which other sigmas share its grid.  The three slots keep
-    separate streams: estimates that share a draw are correlated, and
-    check_ordering's combined standard error assumes they are not.
+    Every cell needs three Monte Carlo estimates (raw coded state,
+    corrected state, accumulated unencoded state), and each one's law is
+    fixed by its _law_keys entry and a sigma (sigma_c for the coded
+    slots, sigma_u for the unencoded one).  The sweep collects the
+    distinct laws over the whole code list and makes one estimate per
+    law over the union of the sigmas its cells need: one draw per chunk
+    serves every sigma, and codes that need the same law share it.  The
+    RNG streams are keyed by (seed, law key, chunk index), so a cell's MC
+    columns do not depend on the worker count, the other sigmas, or
+    which other codes are listed and in what order.  A cell's three laws
+    keep separate streams: estimates that share a draw are correlated,
+    and check_ordering's combined standard error assumes they are not.
     """
     started = time.perf_counter()
-    kwargs = {"chunk_size": config.chunk_size, "workers": config.workers}
     # a chunk holds one row of samples per sigma; cap it at MAX_CHUNK_SIZE
     # floats by running sigma groups, each on the same streams
     group = MAX_CHUNK_SIZE // min(config.chunk_size, config.n_samples)
-    rows = []
-    mc_seconds = []
-    for code_idx, code in enumerate(config.code_list):
+    cells = []
+    # law key -> ({sigma: density}, [(n, m, slot) served])
+    laws: dict[tuple[int, int], tuple[dict, list]] = {}
+    for code in config.code_list:
         params = CodeParams(*code)
-        block_code = BlockCode(params)
-        cells = [_closed_form_cell(params, sigma_c, config.n_steps_override)
-                 for sigma_c in config.sigma_grid]
-        coded = [density for density, _, _ in cells]
-        uncoded = [density for _, density, _ in cells]
-        slots = (
-            ("psi", coded, lambda ds, streams: raw_fidelity_mc(
-                ds, params.d, config.n_samples, streams, **kwargs)),
-            ("phi_tilde", coded, lambda ds, streams: corrected_fidelity_mc(
-                ds, block_code, config.n_samples, streams, **kwargs)),
-            ("psi0", uncoded, lambda ds, streams: raw_fidelity_mc(
-                ds, params.d_prime, config.n_samples, streams, **kwargs)),
-        )
-        mc = [{} for _ in cells]
-        for slot_idx, (slot, densities, estimate) in enumerate(slots):
-            slot_started = time.perf_counter()
-            streams = RngStreams(config.seed).split(code_idx).split(slot_idx)
-            estimates = [
-                est for start in range(0, len(densities), group)
-                for est in estimate(densities[start:start + group], streams)]
-            mc_seconds.append({
-                "n": params.n, "m": params.m, "slot": slot,
-                "seconds": time.perf_counter() - slot_started})
-            for columns, est in zip(mc, estimates):
-                columns[f"mc_f2_{slot}"] = est.value
-                columns[f"mc_se_{slot}"] = est.std_error
-        rows.extend(SweepRow(**columns, **mc_columns)
-                    for (_, _, columns), mc_columns in zip(cells, mc))
+        keys = _law_keys(params)
+        code_cells = [
+            _closed_form_cell(params, sigma_c, config.n_steps_override)
+            for sigma_c in config.sigma_grid]
+        coded = [density for density, _, _ in code_cells]
+        uncoded = [density for _, density, _ in code_cells]
+        for key, slot, slot_densities in zip(keys, _SLOTS,
+                                             (coded, coded, uncoded)):
+            densities, served = laws.setdefault(key, ({}, []))
+            for density in slot_densities:
+                densities.setdefault(density.sigma, density)
+            served.append((params.n, params.m, slot))
+        cells.extend((keys, cell) for cell in code_cells)
+    estimates = {}
+    mc_seconds = []
+    for key, (densities, served) in laws.items():
+        law_started = time.perf_counter()
+        streams = RngStreams(config.seed).split(key[0]).split(key[1])
+        ordered = [densities[sigma] for sigma in sorted(densities)]
+        for start in range(0, len(ordered), group):
+            batch = ordered[start:start + group]
+            for density, est in zip(
+                    batch, _estimate_law(key, batch, config, streams)):
+                estimates[key, density.sigma] = est
+        mc_seconds.append({
+            "key": list(key), "cells": [list(cell) for cell in served],
+            "seconds": time.perf_counter() - law_started})
+    rows = []
+    for keys, (density, uncoded, columns) in cells:
+        mc_columns = {}
+        for key, slot, sigma in zip(keys, _SLOTS, (
+                density.sigma, density.sigma, uncoded.sigma)):
+            est = estimates[key, sigma]
+            mc_columns[f"mc_f2_{slot}"] = est.value
+            mc_columns[f"mc_se_{slot}"] = est.std_error
+        rows.append(SweepRow(**columns, **mc_columns))
     elapsed = time.perf_counter() - started
     if config.csv_path is not None:
         write_csv(rows, config.csv_path)
@@ -407,9 +470,10 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
                       mc_seconds: Sequence[dict]) -> None:
     """JSON report: config, provenance, rows, violations and timing.
 
-    mc_seconds holds one {"n", "m", "slot", "seconds"} entry per Monte
-    Carlo estimate.  Timing goes only here, never into the CSV, so the
-    CSV stays byte-deterministic.
+    mc_seconds holds one {"key", "cells", "seconds"} entry per Monte
+    Carlo estimate, that is per error law: its stream key and the
+    [n, m, slot] cells it serves.  Timing goes only here, never into the
+    CSV, so the CSV stays byte-deterministic.
     """
     report = {
         "config": asdict(config),

@@ -5,7 +5,10 @@ SFC64 streams, one per (seed, spawn_key..., chunk_index), with fixed chunk
 sizes and per-chunk (count, mean, M2) merged in ascending chunk order.
 The result is bit-identical for a given (seed, n_samples, chunk_size)
 regardless of how many workers execute the chunks.  A sweep keys its
-streams by (seed, code index, estimate slot, chunk index).
+streams by (seed, law key, chunk index), where the law key is the pair of
+small integers (log2 d, log2 of the kept complex amplitudes) that fixes
+what an estimate samples: every cell that needs the same law reads the
+same streams.
 
 An error sample about e0 is cos(theta) e0 + sin(theta) u, with theta drawn
 from the density's polar marginal and u uniform on the unit sphere

@@ -57,6 +57,38 @@ class TestSweepCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert next(iter(overrides)) in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_grid", "0.5"), ("code_list", "[[3, 1]]")])
+    def test_string_lists_are_named_whole(self, tmp_path, capsys, key,
+                                          value):
+        # a string iterates by character; the message quotes what was given
+        rc = main(["sweep", "--config",
+                   write_config(tmp_path, **{key: value})])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err and repr(value) in err
+
+    @pytest.mark.parametrize("overrides, sigma, steps", [
+        ({"sigma_grid": [0.9999999999999999]}, "0.9999999999999999", "3"),
+        ({"sigma_grid": [0.5], "n_steps_override": 2 ** 70}, "0.5",
+         str(2 ** 70))])
+    def test_sigma_u_rounding_to_one_exits_2(self, tmp_path, capsys,
+                                             overrides, sigma, steps):
+        config = write_config(tmp_path, n_samples=1000, **overrides)
+        assert main(["sweep", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"sigma {sigma} " in err and f"{steps} steps" in err
+
+    def test_steps_beyond_float_range_exit_2(self, tmp_path, capsys):
+        # 1 / steps has no float value; the config says so, not a traceback
+        config = write_config(tmp_path, n_steps_override=10 ** 400)
+        assert main(["sweep", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n_steps_override" in err and "Traceback" not in err
+
     def test_seed_override_changes_estimates(self, tmp_path):
         config = write_config(tmp_path)
         outputs = []

@@ -403,6 +403,13 @@ class TestVarianceComposeN:
     def test_single_step_is_identity(self):
         assert variance_compose_n(1.37, 1) == 1.37
 
+    @pytest.mark.parametrize("n", [True, False, 0, -1, 2.0])
+    def test_rejects_bad_step_counts(self, n):
+        # bool is an int subclass, but True is no step count of 1
+        with pytest.raises(ValueError, match="step count") as exc:
+            variance_compose_n(3.0, n)
+        assert repr(n) in str(exc.value)
+
     def test_identity_and_absorbing(self):
         assert variance_compose_n(0.0, 5) == 0.0
         assert variance_compose_n(2.0, 2) == 2.0

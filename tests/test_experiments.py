@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 
 from isoqec import codesim, experiments
-from isoqec.distributions import PolarMarginal
+from isoqec.distributions import CodeParams, PolarMarginal
 from isoqec.experiments import (
     DEFAULT_CODES,
     DEFAULT_SIGMA_GRID,
@@ -250,10 +250,11 @@ class TestRunSweep:
         assert (provenance["seed"], provenance["chunk_size"],
                 provenance["workers"]) == (11, config.chunk_size, 1)
         assert provenance["bit_generator"] == "SFC64"
-        # one entry per (code, estimate slot), not per cell
+        # one entry per error law, naming its key and the cells it serves
         timed = report["timing"]["mc_seconds"]
-        assert [(t["n"], t["m"], t["slot"]) for t in timed] == [
-            (3, 1, "psi"), (3, 1, "phi_tilde"), (3, 1, "psi0")]
+        assert [(t["key"], t["cells"]) for t in timed] == [
+            ([3, 0], [[3, 1, "psi"]]), ([3, 2], [[3, 1, "phi_tilde"]]),
+            ([1, 0], [[3, 1, "psi0"]])]
         assert all(t["seconds"] >= 0.0 for t in timed)
         # the JSON config section feeds back into a valid SweepConfig
         round_tripped = SweepConfig(**report["config"])
@@ -273,13 +274,15 @@ class TestRunSweep:
             assert float(record["mc_se_psi0"]) == row.mc_se_psi0
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
+        # codes that share laws, four chunks per estimate
         outputs = []
-        for tag, workers in (("a", 1), ("b", 1), ("c", 3)):
+        for tag, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 3)):
             path = tmp_path / f"{tag}.csv"
-            run_sweep(small_config(csv_path=str(path), workers=workers))
+            run_sweep(small_config(code_list=((5, 1), (5, 4), (4, 2)),
+                                   chunk_size=500, csv_path=str(path),
+                                   workers=workers))
             outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert outputs[0] == outputs[2]
+        assert outputs[1:] == outputs[:1] * 3
 
     @staticmethod
     def _mc_columns(rows):
@@ -287,13 +290,18 @@ class TestRunSweep:
             getattr(r, f.name) for f in dataclasses.fields(r)
             if f.name.startswith("mc_")) for r in rows}
 
-    @pytest.mark.parametrize("overrides, groups", [
-        ({"n_samples": 3000, "chunk_size": 1000, "workers": 2}, [3]),
-        # 2**20 // 400000 = 2 sigmas per group: (0.3, 0.6), then (0.9,)
-        ({"n_samples": 400_000, "chunk_size": MAX_CHUNK_SIZE}, [2, 1]),
+    # (4, 2) and (5, 4) share the law (4, 0): F(Psi) of (4, 2) at sigma_c
+    # and F(Psi0) of (5, 4) at sigma_c ** (1/5); the raw laws run in the
+    # order (4, 0), (2, 0), (5, 0), one call per law and sigma group
+    @pytest.mark.parametrize("overrides, calls_alone, calls_grid", [
+        ({"n_samples": 3000, "chunk_size": 1000, "workers": 2},
+         [2, 1, 1], [6, 3, 3]),
+        # 2**20 // 400000 = 2 sigmas per group
+        ({"n_samples": 400_000, "chunk_size": MAX_CHUNK_SIZE},
+         [2, 1, 1], [2, 2, 2, 2, 1, 2, 1]),
     ], ids=["one-group", "sigma-groups"])
     def test_cell_does_not_depend_on_the_rest_of_the_grid(
-            self, overrides, groups, monkeypatch):
+            self, overrides, calls_alone, calls_grid, monkeypatch):
         calls = []
         raw = experiments.raw_fidelity_mc
 
@@ -302,19 +310,19 @@ class TestRunSweep:
             return raw(densities, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "raw_fidelity_mc", counted)
-        codes = ((3, 1), (4, 2))
+        codes = ((4, 2), (5, 4))
         alone = run_sweep(small_config(code_list=codes, sigma_grid=(0.6,),
                                        **overrides))
+        assert calls == calls_alone
         calls.clear()
         grid = run_sweep(small_config(code_list=codes,
                                       sigma_grid=(0.3, 0.6, 0.9),
                                       **overrides))
-        # two raw slots per code
-        assert calls == groups * 4
+        assert calls == calls_grid
         columns = self._mc_columns(grid)
         for key, value in self._mc_columns(alone).items():
             assert columns[key] == value, key
-        # reversed: where sigmas run in groups, 0.9 and 0.3 trade groups
+        # reversed: sigma groups follow the sorted union, not the grid order
         reverse = run_sweep(small_config(code_list=codes,
                                          sigma_grid=(0.9, 0.6, 0.3),
                                          **overrides))
@@ -332,13 +340,57 @@ class TestRunSweep:
         counts = []
         for grid in ((0.5,), DEFAULT_SIGMA_GRID):
             calls.clear()
-            run_sweep(small_config(code_list=((3, 1), (5, 4)),
+            run_sweep(small_config(code_list=((5, 1), (5, 4)),
                                    sigma_grid=grid, n_samples=3000,
                                    chunk_size=1000))
             counts.append(len(calls))
             assert set(calls) == {len(grid)}
-        # 2 codes x 3 slots x 3 chunks, whatever the grid length
-        assert counts == [18, 18]
+        # 5 distinct laws x 3 chunks, whatever the grid length: both codes
+        # read F(Psi) from the law (5, 0)
+        assert counts == [15, 15]
+
+    def test_cell_does_not_depend_on_the_other_codes(self):
+        grid = {"sigma_grid": (0.0, 0.6), "chunk_size": 1000}
+        base = self._mc_columns(run_sweep(small_config(
+            code_list=((5, 4), (4, 2), (3, 1)), **grid)))
+        for codes in (((3, 1), (4, 2), (5, 4)), ((4, 2),),
+                      ((5, 1), (4, 2), (5, 4), (3, 1))):
+            columns = self._mc_columns(run_sweep(small_config(
+                code_list=codes, **grid)))
+            for key in set(base) & set(columns):
+                assert columns[key] == base[key], (codes, key)
+
+    def test_cells_of_one_law_share_their_estimate(self, tmp_path):
+        # n_steps_override = 1 makes sigma_u = sigma_c, so F(Psi0) of
+        # (5, 4) is the law of F(Psi) of (4, 2) at the same sigma
+        json_path = tmp_path / "report.json"
+        rows = run_sweep(small_config(
+            code_list=((5, 1), (5, 4), (4, 2)), n_steps_override=1,
+            json_path=str(json_path)))
+        by_code = {}
+        for row in rows:
+            by_code.setdefault((row.n, row.m), []).append(row)
+        for r51, r54, r42 in zip(by_code[5, 1], by_code[5, 4],
+                                 by_code[4, 2]):
+            assert (r51.mc_f2_psi, r51.mc_se_psi) == (
+                r54.mc_f2_psi, r54.mc_se_psi)
+            assert (r54.mc_f2_psi0, r54.mc_se_psi0) == (
+                r42.mc_f2_psi, r42.mc_se_psi)
+            assert r51.mc_f2_phi_tilde != r54.mc_f2_phi_tilde
+        timed = json.loads(json_path.read_text())["timing"]["mc_seconds"]
+        served = {tuple(t["key"]): t["cells"] for t in timed}
+        assert served[5, 0] == [[5, 1, "psi"], [5, 4, "psi"]]
+        assert served[4, 0] == [[5, 4, "psi0"], [4, 2, "psi"]]
+        assert len(timed) == 7
+
+    def test_a_cells_three_laws_are_distinct(self):
+        for n in range(2, MAX_CODE_QUBITS + 1):
+            for m in range(1, n):
+                keys = experiments._law_keys(CodeParams(n, m))
+                assert len(set(keys)) == 3, (n, m)
+                # small integers, far from SeedSequence's 32-bit words
+                assert all(0 <= k <= MAX_CODE_QUBITS
+                           for key in keys for k in key), (n, m)
 
     def test_seed_changes_mc_columns_only(self):
         row_a = run_sweep(small_config(seed=11))[0]
