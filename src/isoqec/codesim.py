@@ -12,10 +12,10 @@ Two Monte Carlo estimators of the corrected fidelity are provided.  The
 block-sum form averages over syndrome outcomes analytically per sample
 and has the lower variance: summed over blocks, the recovered fidelity is
 the squared mass on the d'' first amplitudes, i.e. on e0 plus 2d''-1
-other real coordinates, which sampler.sample_fidelities draws from four
-variates per sample without building the state.  The sampled form
-builds full states with sampler.sample_states and draws an explicit
-syndrome per sample.  Both are unbiased and are kept as independent
+other real coordinates, which sampler.fidelity_sampler draws from four
+variates per sample without building the state, reusing its arrays from
+chunk to chunk.  The sampled form builds full states with
+sampler.sample_states and draws an explicit syndrome per sample.  Both are unbiased and are kept as independent
 routes to the same number.
 
 Both estimators, like the raw one, take a sequence of densities that
@@ -39,8 +39,8 @@ from .sampler import (
     DEFAULT_CHUNK_SIZE,
     McEstimate,
     RngStreams,
+    fidelity_sampler,
     mc_mean,
-    sample_fidelities,
     sample_states,
 )
 
@@ -121,12 +121,8 @@ def raw_fidelity_mc(densities: Sequence[IsotropicDensity], d: int,
                     workers: int = 1) -> tuple[McEstimate, ...]:
     """Monte Carlo squared fidelity of the raw perturbed state, per density."""
     densities = _checked(densities, d)
-
-    def value_fn(rng: np.random.Generator, count: int) -> np.ndarray:
-        # the second coordinate is the only one kept beside e0
-        return sample_fidelities(densities, 1, count, rng)
-
-    return mc_mean(value_fn, n_samples, streams,
+    # the second coordinate is the only one kept beside e0
+    return mc_mean(fidelity_sampler(densities, 1), n_samples, streams,
                    chunk_size=chunk_size, workers=workers)
 
 
@@ -142,12 +138,9 @@ def corrected_fidelity_mc(densities: Sequence[IsotropicDensity],
     densities = _checked(densities, code.params.d)
     kwargs = {"chunk_size": chunk_size, "workers": workers}
     if estimator is CorrectionEstimator.BLOCK_SUM:
-        def value_fn(rng: np.random.Generator, count: int) -> np.ndarray:
-            # each block's first amplitude: e0 plus 2 d'' - 1 coordinates
-            return sample_fidelities(densities, 2 * code.n_blocks - 1,
-                                     count, rng)
-
-        return mc_mean(value_fn, n_samples, streams, **kwargs)
+        # each block's first amplitude: e0 plus 2 d'' - 1 coordinates
+        return mc_mean(fidelity_sampler(densities, 2 * code.n_blocks - 1),
+                       n_samples, streams, **kwargs)
 
     def sampled_fn(density: IsotropicDensity):
         def value_fn(rng: np.random.Generator, count: int) -> np.ndarray:

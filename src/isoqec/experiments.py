@@ -58,6 +58,11 @@ from .mathcore import (
 )
 from .sampler import DEFAULT_CHUNK_SIZE, RngStreams
 
+try:
+    import resource
+except ImportError:  # not on every platform, e.g. Windows
+    resource = None
+
 __all__ = [
     "ConfigError",
     "SweepConfig",
@@ -149,8 +154,9 @@ class SweepConfig:
             if not _is_real(sigma):
                 raise ConfigError(f"sigma_grid entries must be numbers, "
                                   f"got {sigma!r}")
+        # + 0.0 turns -0.0 into 0.0, which the CSV would print as -0
         object.__setattr__(self, "sigma_grid",
-                           tuple(float(s) for s in sigmas))
+                           tuple(float(s) + 0.0 for s in sigmas))
         if not self.code_list:
             raise ConfigError("code_list must not be empty")
         for code in self.code_list:
@@ -346,6 +352,17 @@ def _estimate_law(key: tuple[int, int],
                                  streams, **kwargs)
 
 
+def _usage() -> dict[str, float]:
+    """CPU seconds and minor page faults of this process so far, over
+    all its threads; empty where the resource module is missing."""
+    if resource is None:
+        return {}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"cpu_user_seconds": usage.ru_utime,
+            "cpu_sys_seconds": usage.ru_stime,
+            "minor_page_faults": usage.ru_minflt}
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every cell; write CSV/JSON if the config names paths.
 
@@ -363,6 +380,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     and check_ordering's combined standard error assumes they are not.
     """
     started = time.perf_counter()
+    usage_started = _usage()
     # a chunk holds one row of samples per sigma; cap it at MAX_CHUNK_SIZE
     # floats by running sigma groups, each on the same streams
     group = MAX_CHUNK_SIZE // min(config.chunk_size, config.n_samples)
@@ -408,11 +426,13 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             mc_columns[f"mc_se_{slot}"] = est.std_error
         rows.append(SweepRow(**columns, **mc_columns))
     elapsed = time.perf_counter() - started
+    usage = {name: value - usage_started[name]
+             for name, value in _usage().items()}
     if config.csv_path is not None:
         write_csv(rows, config.csv_path)
     if config.json_path is not None:
         write_json_report(config, rows, elapsed, config.json_path,
-                          mc_seconds)
+                          mc_seconds, usage)
     return rows
 
 
@@ -467,13 +487,17 @@ def write_csv(rows: Sequence[SweepRow], path) -> None:
 
 def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
                       elapsed_seconds: float, path,
-                      mc_seconds: Sequence[dict]) -> None:
+                      mc_seconds: Sequence[dict],
+                      usage: dict[str, float]) -> None:
     """JSON report: config, provenance, rows, violations and timing.
 
     mc_seconds holds one {"key", "cells", "seconds"} entry per Monte
     Carlo estimate, that is per error law: its stream key and the
-    [n, m, slot] cells it serves.  Timing goes only here, never into the
-    CSV, so the CSV stays byte-deterministic.
+    [n, m, slot] cells it serves.  usage holds the sweep's CPU user and
+    sys seconds and minor page faults, summed over all threads, as
+    run_sweep takes them from getrusage (empty where that is missing).
+    Timing goes only here, never into the CSV, so the CSV stays
+    byte-deterministic.
     """
     report = {
         "config": asdict(config),
@@ -491,7 +515,7 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
         "rows": [asdict(row) for row in rows],
         "violations": check_ordering(rows),
         "timing": {"total_seconds": elapsed_seconds, "n_cells": len(rows),
-                   "mc_seconds": list(mc_seconds)},
+                   **usage, "mc_seconds": list(mc_seconds)},
     }
     try:
         Path(path).write_text(json.dumps(report, indent=2) + "\n")

@@ -31,6 +31,22 @@ enters only the arithmetic after the draw, so one draw serves a whole
 sigma grid: each row of the output is an exact, unbiased sample of its
 own density, and the rows are correlated with each other.
 
+Memory: a Monte Carlo estimate allocates its chunk arrays once per
+thread and reuses them for every chunk that thread runs, so the chunk
+kernel allocates nothing in steady state and takes no page faults per
+chunk.  fidelity_sampler owns the draw's ten scratch arrays of chunk_size
+floats (Z0, K, R, U, Z0^2, N and four per-sigma temporaries) and its
+(rows, chunk_size) output; mc_mean owns one row of chunk_size floats for
+centring.  Both are threading.local, one set per worker thread, never
+shared; a ragged last chunk uses leading slices.  Per thread that is
+(11 + rows) * chunk_size * 8 bytes: 1.4 MiB plus 128 KiB per row at
+the default chunk size, and at most 96 MiB at the sweep's largest chunk
+(2^20 samples; a sweep caps rows * chunk_size at 2^20 floats).  It
+lives as long as the estimate (the sampler and the mc_mean call) and is
+freed when the estimate returns, so no sample-sized memory outlives an
+estimate.  The public sample_fidelities makes a sampler of its own per
+call and returns a fresh array that the caller owns.
+
 An error sample about an arbitrary base state is produced by drawing the
 error about the north pole e0 and transporting it with the Householder
 reflection taking e0 to the base.  The reflection is orthogonal, so it
@@ -41,6 +57,7 @@ distances to e0 had.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -86,6 +103,25 @@ class RngStreams:
         return np.random.Generator(np.random.SFC64(seq))
 
 
+class _Scratch(threading.local):
+    """Float buffers reused from chunk to chunk, one set per thread.
+
+    A threading.local, so every thread that uses an instance gets buffers
+    of its own and no buffer is ever shared between threads.  get returns
+    the leading size floats of a named buffer, growing it first when it is
+    shorter, so a ragged last chunk uses leading slices.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, size: int) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size)
+        return buf[:size]
+
+
 def sample_theta0(marginal: PolarMarginal, rng: np.random.Generator,
                   size: int | None = None):
     """Polar angles by inverse-CDF through the tabulated marginal."""
@@ -129,8 +165,8 @@ def sample_fidelities(densities: Sequence[IsotropicDensity], kept: int,
                       n: int, rng: np.random.Generator) -> np.ndarray:
     """Squared mass of n normal errors about e0 on e0 plus kept coordinates.
 
-    Returns a (len(densities), n) array whose row j has the law of
-    (x[:, :kept + 1] ** 2).sum(axis=1) over rows x of
+    Returns a fresh (len(densities), n) array, owned by the caller, whose
+    row j has the law of (x[:, :kept + 1] ** 2).sum(axis=1) over rows x of
     sample_states(densities[j], ...); every row is computed from the same
     variates, and row j is bit-identical to a one-density call at
     densities[j] on the same generator.  The densities must be normal and
@@ -145,6 +181,20 @@ def sample_fidelities(densities: Sequence[IsotropicDensity], kept: int,
     Consumption order is fixed: Z0, K (a squared normal at kept = 1, else
     2 Gamma(kept/2)), R = 2 Gamma(rest/2), U; at kept = 2d-1 every
     coordinate is kept, the value is 1 and nothing is drawn.
+    """
+    # a sampler of its own: its scratch, output included, dies with it
+    return fidelity_sampler(densities, kept)(rng, n)
+
+
+def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
+                     ) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """sample_fidelities(densities, kept, count, rng) as a reusing value_fn.
+
+    The arguments are checked once, here.  Each call value_fn(rng, count)
+    draws the same variates and returns the same values as
+    sample_fidelities, but into the calling thread's scratch arrays of
+    this sampler, its output included, so the returned array is
+    overwritten by that thread's next call: mc_mean reads it first.
     """
     densities = tuple(densities)
     if not densities:
@@ -161,51 +211,60 @@ def sample_fidelities(densities: Sequence[IsotropicDensity], kept: int,
         raise ValueError(f"kept must lie in [1, {2 * d - 1}] at d={d}, "
                          f"got {kept}")
     rest = 2 * d - 1 - kept
-    if rest == 0:
-        return np.ones((len(densities), n))
-    # draws are scaled in place; doubling is exact and the sum commutes,
-    # so this rounds like k = 2 gamma, off_e0 = k + 2 gamma, two_u = 2 u
-    z0 = rng.standard_normal(n)
-    if kept == 1:
-        k = rng.standard_normal(n)
-        np.square(k, out=k)
-    else:
-        k = rng.standard_gamma(kept / 2, n)
-        k *= 2.0
-    off_e0 = rng.standard_gamma(rest / 2, n)
-    off_e0 *= 2.0
-    off_e0 += k
-    two_u = rng.random(n)
-    two_u *= 2.0
-    z0_sq = z0 * z0
-    norm = z0_sq + off_e0
-    # per sigma, in place, with the rounding of the expressions
-    #   h = sqrt(z0^2 + (1 - sigma^2) off_e0)
-    #   c = (copysign(h, h + sigma z0 - 2 h u) - sigma z0) / norm
-    #   value = (sigma + c z0)^2 + c^2 k
-    # copysign picks the chord end without a mask (+h is the forward end);
-    # h (2 u) rounds as (2 h) u, since both doublings are exact
-    out = np.empty((len(densities), n))
-    h, sz, c, tmp = (np.empty(n) for _ in range(4))
-    for row, density in zip(out, densities):
-        sigma = density.sigma
-        np.multiply(1.0 - sigma * sigma, off_e0, out=h)
-        np.add(z0_sq, h, out=h)
-        np.sqrt(h, out=h)
-        np.multiply(sigma, z0, out=sz)
-        np.add(h, sz, out=c)
-        np.multiply(h, two_u, out=tmp)
-        np.subtract(c, tmp, out=c)
-        np.copysign(h, c, out=c)
-        np.subtract(c, sz, out=c)
-        np.divide(c, norm, out=c)
-        np.multiply(c, z0, out=tmp)
-        np.add(sigma, tmp, out=tmp)
-        np.square(tmp, out=row)
-        np.multiply(c, c, out=c)
-        np.multiply(c, k, out=c)
-        np.add(row, c, out=row)
-    return out
+    sigmas = tuple(density.sigma for density in densities)
+    scratch = _Scratch()
+
+    def value_fn(rng: np.random.Generator, n: int) -> np.ndarray:
+        out = scratch.get("out", len(sigmas) * n).reshape(len(sigmas), n)
+        if rest == 0:
+            out.fill(1.0)
+            return out
+        # draws are scaled in place; doubling is exact and the sum
+        # commutes, so this rounds like k = 2 gamma, off_e0 = k + 2 gamma,
+        # two_u = 2 u
+        z0 = rng.standard_normal(out=scratch.get("z0", n))
+        k = scratch.get("k", n)
+        if kept == 1:
+            rng.standard_normal(out=k)
+            np.square(k, out=k)
+        else:
+            rng.standard_gamma(kept / 2, out=k)
+            k *= 2.0
+        off_e0 = rng.standard_gamma(rest / 2, out=scratch.get("off_e0", n))
+        off_e0 *= 2.0
+        off_e0 += k
+        two_u = rng.random(out=scratch.get("two_u", n))
+        two_u *= 2.0
+        z0_sq = np.multiply(z0, z0, out=scratch.get("z0_sq", n))
+        norm = np.add(z0_sq, off_e0, out=scratch.get("norm", n))
+        # per sigma, in place, with the rounding of the expressions
+        #   h = sqrt(z0^2 + (1 - sigma^2) off_e0)
+        #   c = (copysign(h, h + sigma z0 - 2 h u) - sigma z0) / norm
+        #   value = (sigma + c z0)^2 + c^2 k
+        # copysign picks the chord end without a mask (+h is the forward
+        # end); h (2 u) rounds as (2 h) u, since both doublings are exact
+        h, sz, c, tmp = (scratch.get(name, n)
+                         for name in ("h", "sz", "c", "tmp"))
+        for row, sigma in zip(out, sigmas):
+            np.multiply(1.0 - sigma * sigma, off_e0, out=h)
+            np.add(z0_sq, h, out=h)
+            np.sqrt(h, out=h)
+            np.multiply(sigma, z0, out=sz)
+            np.add(h, sz, out=c)
+            np.multiply(h, two_u, out=tmp)
+            np.subtract(c, tmp, out=c)
+            np.copysign(h, c, out=c)
+            np.subtract(c, sz, out=c)
+            np.divide(c, norm, out=c)
+            np.multiply(c, z0, out=tmp)
+            np.add(sigma, tmp, out=tmp)
+            np.square(tmp, out=row)
+            np.multiply(c, c, out=c)
+            np.multiply(c, k, out=c)
+            np.add(row, c, out=row)
+        return out
+
+    return value_fn
 
 
 def compose_errors(bases: np.ndarray, density: IsotropicDensity,
@@ -243,13 +302,17 @@ def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
     its (count, mean, M2); these are merged with Chan's formula in
     ascending chunk order, so the estimates depend only on (seed,
     n_samples, chunk_size), never on scheduling.  The value is the sum
-    of the chunk sums over n_samples.
+    of the chunk sums over n_samples.  mc_mean never writes to the array
+    value_fn returns, and is done with it before the same thread calls
+    value_fn again, so value_fn may hand back one reused array; the
+    centring uses one reused row of chunk_size floats per thread.
     """
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
     if chunk_size < 1:
         raise ValueError(f"need chunk_size >= 1, got {chunk_size}")
     n_chunks = -(-n_samples // chunk_size)
+    scratch = _Scratch()
 
     def run_chunk(i: int):
         size = min(chunk_size, n_samples - i * chunk_size)
@@ -259,8 +322,14 @@ def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
             raise ValueError(f"value_fn returned shape {values.shape}, "
                              f"expected (rows, {size})")
         sums = values.sum(axis=1)
-        dev = values - (sums / size)[:, None]
-        return size, sums, np.square(dev, out=dev).sum(axis=1)
+        means = sums / size
+        # centre one row at a time, leaving value_fn's array untouched
+        dev = scratch.get("dev", size)
+        m2 = np.empty_like(sums)
+        for j, row in enumerate(values):
+            np.subtract(row, means[j], out=dev)
+            m2[j] = np.square(dev, out=dev).sum()
+        return size, sums, m2
 
     if workers > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

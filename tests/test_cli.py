@@ -109,6 +109,19 @@ class TestSweepCommand:
                      "--workers", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_zero_sigma_is_written_as_zero(self, tmp_path):
+        # -0.0 is a valid sigma; sigma_c would print it as -0 beside a
+        # sigma_u of 0
+        path = tmp_path / "rows.csv"
+        config = write_config(tmp_path, sigma_grid=[0.0, -0.0],
+                              n_samples=1000)
+        assert main(["sweep", "--config", config, "--csv", str(path)]) == 0
+        with path.open(newline="") as handle:
+            records = list(csv.DictReader(handle))
+        assert [r["sigma_c"] for r in records] == ["0", "0"]
+        assert all(value != "-0" for record in records
+                   for value in record.values())
+
     @pytest.mark.parametrize("code", [[2, True], [True, 1], [3, False]])
     def test_boolean_code_entries_exit_2(self, tmp_path, capsys, code):
         rc = main(["sweep", "--config", write_config(tmp_path,

@@ -260,6 +260,19 @@ class TestRunSweep:
         round_tripped = SweepConfig(**report["config"])
         assert round_tripped.code_list == config.code_list
 
+    def test_json_timing_has_cpu_seconds_and_page_faults(self, tmp_path):
+        pytest.importorskip("resource")
+        path = tmp_path / "report.json"
+        run_sweep(small_config(json_path=str(path)))
+        timing = json.loads(path.read_text())["timing"]
+        assert set(timing) == {"total_seconds", "n_cells", "mc_seconds",
+                               "cpu_user_seconds", "cpu_sys_seconds",
+                               "minor_page_faults"}
+        assert timing["cpu_user_seconds"] >= 0.0
+        assert timing["cpu_sys_seconds"] >= 0.0
+        assert isinstance(timing["minor_page_faults"], int)
+        assert timing["minor_page_faults"] >= 0
+
     def test_csv_round_trips_exactly(self, tmp_path):
         path = tmp_path / "rows.csv"
         rows = run_sweep(small_config(csv_path=str(path)))
@@ -330,13 +343,17 @@ class TestRunSweep:
 
     def test_one_draw_per_chunk_serves_the_whole_grid(self, monkeypatch):
         calls = []
-        draw = codesim.sample_fidelities
+        make = codesim.fidelity_sampler
 
-        def counted(densities, *args):
-            calls.append(len(densities))
-            return draw(densities, *args)
+        def counted(densities, kept):
+            value_fn = make(densities, kept)
 
-        monkeypatch.setattr(codesim, "sample_fidelities", counted)
+            def draw(rng, count):
+                calls.append(len(densities))
+                return value_fn(rng, count)
+            return draw
+
+        monkeypatch.setattr(codesim, "fidelity_sampler", counted)
         counts = []
         for grid in ((0.5,), DEFAULT_SIGMA_GRID):
             calls.clear()

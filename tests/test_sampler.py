@@ -4,6 +4,7 @@ standard errors unless the quantity is exact.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from isoqec.closedform import fidelity_psi
 from isoqec.sampler import (
     RngStreams,
     compose_errors,
+    fidelity_sampler,
     mc_mean,
     sample_fidelities,
     sample_states,
@@ -39,6 +41,42 @@ def streams(*key):
     for k in key:
         base = base.split(k)
     return base
+
+
+def out_of_place_fidelities(sigmas, d, kept, n, rng):
+    """sample_fidelities' docstring expressions, evaluated out of place."""
+    if kept == 2 * d - 1:
+        return np.ones((len(sigmas), n))
+    z0 = rng.standard_normal(n)
+    k = (np.square(rng.standard_normal(n)) if kept == 1
+         else 2.0 * rng.standard_gamma(kept / 2, n))
+    r = 2.0 * rng.standard_gamma((2 * d - 1 - kept) / 2, n)
+    two_u = 2.0 * rng.random(n)
+    rows = []
+    for sigma in sigmas:
+        h = np.sqrt(z0 * z0 + (1.0 - sigma * sigma) * (k + r))
+        c = (np.copysign(h, h + sigma * z0 - h * two_u)
+             - sigma * z0) / (z0 * z0 + (k + r))
+        rows.append((sigma + c * z0) ** 2 + c * c * k)
+    return np.array(rows)
+
+
+def whole_chunk_mc_mean(value_fn, n_samples, streams, chunk_size):
+    """mc_mean's values and errors, each chunk centred whole out of place."""
+    count, total, mean, m2 = 0, 0.0, 0.0, 0.0
+    for i in range(-(-n_samples // chunk_size)):
+        size = min(chunk_size, n_samples - i * chunk_size)
+        values = np.atleast_2d(value_fn(streams.chunk(i), size))
+        sums = values.sum(axis=1)
+        chunk_m2 = np.square(values - (sums / size)[:, None]).sum(axis=1)
+        delta = sums / size - mean
+        merged = count + size
+        mean = mean + delta * (size / merged)
+        m2 = m2 + chunk_m2 + delta * delta * (count * size / merged)
+        total = total + sums
+        count = merged
+    return (total / n_samples,
+            np.sqrt(m2 / max(n_samples - 1, 1) / n_samples))
 
 
 class TestRngStreams:
@@ -266,17 +304,38 @@ class TestSampleFidelities:
         got = sample_fidelities([IsotropicDensity.normal(s, d)
                                  for s in sigmas], kept, n,
                                 streams(54, kept).chunk(0))
-        rng = streams(54, kept).chunk(0)
-        z0 = rng.standard_normal(n)
-        k = (np.square(rng.standard_normal(n)) if kept == 1
-             else 2.0 * rng.standard_gamma(kept / 2, n))
-        r = 2.0 * rng.standard_gamma((2 * d - 1 - kept) / 2, n)
-        two_u = 2.0 * rng.random(n)
-        for row, sigma in zip(got, sigmas):
-            h = np.sqrt(z0 * z0 + (1.0 - sigma * sigma) * (k + r))
-            c = (np.copysign(h, h + sigma * z0 - h * two_u)
-                 - sigma * z0) / (z0 * z0 + (k + r))
-            assert np.array_equal(row, (sigma + c * z0) ** 2 + c * c * k)
+        want = out_of_place_fidelities(sigmas, d, kept, n,
+                                       streams(54, kept).chunk(0))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kept", [1, 5, 15])
+    def test_reused_scratch_matches_the_out_of_place_expressions(self, kept):
+        # one thread, samplers of unequal row counts taking turns over
+        # chunks of changing count: each chunk equals the out-of-place
+        # expressions on its own stream, whatever the scratch held before
+        d = 8
+        groups = ((0.0, 0.6, 0.95), (0.3,), (0.5, 0.999))
+        samplers = [fidelity_sampler([IsotropicDensity.normal(s, d)
+                                      for s in sigmas], kept)
+                    for sigmas in groups]
+        for i, count in enumerate((700, 3, 1, 700, 699, 1000, 2)):
+            for j, (sigmas, value_fn) in enumerate(zip(groups, samplers)):
+                got = value_fn(streams(56, kept, j).chunk(i), count)
+                want = out_of_place_fidelities(
+                    sigmas, d, kept, count, streams(56, kept, j).chunk(i))
+                assert np.array_equal(got, want), (count, sigmas)
+
+    @pytest.mark.parametrize("kept", [3, 7])
+    def test_successive_calls_share_no_memory(self, kept):
+        # the public call returns a fresh array: a later call neither
+        # aliases nor overwrites it
+        densities = [IsotropicDensity.normal(s, 4) for s in (0.2, 0.7)]
+        rng = streams(57, kept).chunk(0)
+        first = sample_fidelities(densities, kept, 500, rng)
+        before = first.copy()
+        second = sample_fidelities(densities, kept, 500, rng)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, before)
 
     def test_shared_draw_consumes_the_stream_once(self):
         densities = [IsotropicDensity.normal(s, 8) for s in (0.2, 0.7)]
@@ -455,6 +514,41 @@ class TestMcMean:
             assert est.value == pytest.approx(values.mean(), rel=1e-14)
             want = values.std(ddof=1) / math.sqrt(values.size)
             assert est.std_error == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n_samples, chunk_size", [
+        (10007, 1000), (7, 1), (2500, 4096), (200_000, 16384)])
+    def test_matches_whole_chunk_reduction_of_out_of_place_values(
+            self, n_samples, chunk_size):
+        # reused sampler scratch and per-row centring give the bits of the
+        # out-of-place values centred whole, on any worker count, and
+        # leave value_fn's arrays untouched
+        d, kept, sigmas = 8, 5, (0.0, 0.6, 0.95)
+        densities = [IsotropicDensity.normal(s, d) for s in sigmas]
+        want = whole_chunk_mc_mean(
+            lambda rng, count: out_of_place_fidelities(sigmas, d, kept,
+                                                       count, rng),
+            n_samples, streams(68), chunk_size)
+        # threads switch often, so scratch shared between them would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                got = mc_mean(fidelity_sampler(densities, kept), n_samples,
+                              streams(68), chunk_size=chunk_size,
+                              workers=workers)
+                assert ([(e.value, e.std_error) for e in got]
+                        == list(zip(*want))), workers
+        finally:
+            sys.setswitchinterval(interval)
+        returned = []
+
+        def fn(rng, count):
+            values = rng.exponential(size=(2, count))
+            returned.append((values, values.copy()))
+            return values
+
+        mc_mean(fn, n_samples, streams(69), chunk_size=chunk_size)
+        assert all(np.array_equal(a, b) for a, b in returned)
 
     def test_rejects_a_changing_row_count(self):
         def fn(rng, count):
