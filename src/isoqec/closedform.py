@@ -10,7 +10,7 @@ for a bare state, and w = d - d'' for a block code that recovers all but
 one pair per syndrome block.  Equivalently F^2 is the mean squared mass
 a perturbed state keeps on e0 plus kept = 2d - 1 - 2w other coordinates,
 cos^2 + sin^2 B with B ~ Beta(kept/2, (2d-1-kept)/2) independent of theta0;
-sampler.sample_fidelities draws that mass for normal densities.
+sampler.fidelity_sampler draws that mass for normal densities.
 
 The PRINTED variant of the corrected-fidelity upper bound reproduces a
 published denominator 2d' - 1 that its own derivation does not support;
@@ -27,7 +27,6 @@ import numpy as np
 
 from .distributions import (
     CodeParams,
-    DensityKind,
     IsotropicDensity,
     condition_18,
     moment_sin2,
@@ -45,7 +44,6 @@ class BoundVariant(Enum):
 class FidelityReport:
     """Closed-form fidelities, bounds and the bound's applicability flag."""
 
-    params: CodeParams
     f2_psi: float          # error acting on the encoded state
     f2_phi_tilde: float    # after syndrome measurement and correction
     f2_psi0: float         # error acting on the unencoded state
@@ -55,18 +53,16 @@ class FidelityReport:
 
 
 def _kept_fidelity(density: IsotropicDensity, kept: int) -> float:
-    # mean of sample_fidelities: 1 - sin^2 theta (1 - B), E[B] = kept/(2d-1)
+    # mean of fidelity_sampler's values: 1 - sin^2 theta (1 - B),
+    # E[B] = kept/(2d-1)
     return 1.0 - moment_sin2(density) * (1.0 - kept / (2 * density.d - 1))
 
 
-def fidelity_psi(density: IsotropicDensity, d: int) -> float:
-    """Squared fidelity of the raw perturbed state on S^(2d-1).
+def fidelity_psi(density: IsotropicDensity) -> float:
+    """Squared fidelity of the raw perturbed state on S^(2d-1), d = density.d.
 
     On the logical sphere (d = d') this is the unencoded fidelity.
     """
-    if density.d != d:
-        raise ValueError(
-            f"density lives at half-dimension {density.d}, expected {d}")
     return _kept_fidelity(density, 1)
 
 
@@ -147,29 +143,16 @@ def lemma_g(n: int, x):
 
 
 def full_report(density: IsotropicDensity, params: CodeParams,
-                n_steps: int | None = None,
-                uncoded: IsotropicDensity | None = None) -> FidelityReport:
+                uncoded: IsotropicDensity) -> FidelityReport:
     """All closed-form quantities for one code/density cell.
 
-    density is the composed error on the coded sphere S^(2d-1).  For a
-    normal density the matching unencoded error is derived by splitting
-    sigma across n_steps (default: the code's qubit count n); any other
-    kind needs the unencoded density supplied explicitly.
+    density is the composed error on the coded sphere S^(2d-1) and
+    uncoded the accumulated error on the logical sphere S^(2d'-1).
     """
     if density.d != params.d:
         raise ValueError(
             f"density lives at half-dimension {density.d}, "
             f"expected coded dimension {params.d}")
-    steps = params.n if n_steps is None else n_steps
-    if not (isinstance(steps, int) and steps >= 1):
-        raise ValueError(f"step count must be a positive integer, got {steps}")
-    if uncoded is None:
-        if density.kind is not DensityKind.NORMAL:
-            raise ValueError(
-                "only normal densities split into per-step errors in closed "
-                "form; pass the unencoded density explicitly")
-        sigma_u = density.sigma ** (1.0 / steps)
-        uncoded = IsotropicDensity.normal(sigma_u, params.d_prime)
     if uncoded.d != params.d_prime:
         raise ValueError(
             f"unencoded density lives at half-dimension {uncoded.d}, "
@@ -177,10 +160,9 @@ def full_report(density: IsotropicDensity, params: CodeParams,
     v_c = variance_of(density)
     v_u = variance_of(uncoded)
     return FidelityReport(
-        params=params,
-        f2_psi=fidelity_psi(density, params.d),
+        f2_psi=fidelity_psi(density),
         f2_phi_tilde=fidelity_corrected(density, params),
-        f2_psi0=fidelity_psi(uncoded, params.d_prime),
+        f2_psi0=fidelity_psi(uncoded),
         lb_psi0=bound_psi0_lower(v_u, params.d_prime),
         ub_phi_tilde=bound_corrected_upper(v_c, params, BoundVariant.PROOF),
         cond18=condition_18(density).holds,

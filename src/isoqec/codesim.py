@@ -9,27 +9,27 @@ logical space, so the corrected fidelity is the squared magnitude of the
 block's first amplitude after renormalization.
 
 Two Monte Carlo estimators of the corrected fidelity are provided.  The
-block-sum form averages over syndrome outcomes analytically per sample
-and has the lower variance: summed over blocks, the recovered fidelity is
-the squared mass on the d'' first amplitudes, i.e. on e0 plus 2d''-1
-other real coordinates, which sampler.fidelity_sampler draws from four
-variates per sample without building the state, reusing its arrays from
-chunk to chunk.  The sampled form builds full states with
-sampler.sample_states and draws an explicit syndrome per sample.  Both are unbiased and are kept as independent
-routes to the same number.
+block-sum form, corrected_fidelity_mc, averages over syndrome outcomes
+analytically per sample and has the lower variance: summed over blocks,
+the recovered fidelity is the squared mass on the d'' first amplitudes,
+i.e. on e0 plus 2d''-1 other real coordinates, which
+sampler.fidelity_sampler draws from four variates per sample without
+building the state, reusing its arrays from chunk to chunk.  The sampled
+form, syndrome_sampled_fidelity_mc, builds full states with
+sampler.sample_states and draws an explicit syndrome per sample.  Both
+are unbiased and are kept as independent routes to the same number.
 
-Both estimators, like the raw one, take a sequence of densities that
-share d and return one estimate per density.  The raw and block-sum
-estimators evaluate every density on one shared draw per chunk, so a
-whole sigma grid costs one draw; the sampled form runs one estimate per
-density on the same streams.  Either way estimate j is bit-identical to
-a one-density call at densities[j].
+All three estimators take a sequence of densities that share d and
+return one estimate per density.  The raw and block-sum estimators
+evaluate every density on one shared draw per chunk, so a whole sigma
+grid costs one draw; the sampled form runs one estimate per density on
+the same streams.  Either way estimate j is bit-identical to a
+one-density call at densities[j].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -46,9 +46,9 @@ from .sampler import (
 
 __all__ = [
     "BlockCode",
-    "CorrectionEstimator",
     "raw_fidelity_mc",
     "corrected_fidelity_mc",
+    "syndrome_sampled_fidelity_mc",
 ]
 
 
@@ -76,13 +76,6 @@ class BlockCode:
                 f"got {coords.shape[-1]}")
         return coords.reshape(*coords.shape[:-1],
                               self.n_blocks, self.block_width)
-
-
-class CorrectionEstimator(Enum):
-    """How the corrected fidelity is averaged per sample."""
-
-    BLOCK_SUM = "block_sum"
-    SYNDROME_SAMPLED = "syndrome_sampled"
 
 
 def _sampled_values(x: np.ndarray, code: BlockCode,
@@ -115,12 +108,11 @@ def _checked(densities: Sequence[IsotropicDensity],
     return densities
 
 
-def raw_fidelity_mc(densities: Sequence[IsotropicDensity], d: int,
-                    n_samples: int, streams: RngStreams, *,
+def raw_fidelity_mc(densities: Sequence[IsotropicDensity], n_samples: int,
+                    streams: RngStreams, *,
                     chunk_size: int = DEFAULT_CHUNK_SIZE,
                     workers: int = 1) -> tuple[McEstimate, ...]:
     """Monte Carlo squared fidelity of the raw perturbed state, per density."""
-    densities = _checked(densities, d)
     # the second coordinate is the only one kept beside e0
     return mc_mean(fidelity_sampler(densities, 1), n_samples, streams,
                    chunk_size=chunk_size, workers=workers)
@@ -129,18 +121,27 @@ def raw_fidelity_mc(densities: Sequence[IsotropicDensity], d: int,
 def corrected_fidelity_mc(densities: Sequence[IsotropicDensity],
                           code: BlockCode, n_samples: int,
                           streams: RngStreams, *,
-                          estimator: CorrectionEstimator =
-                          CorrectionEstimator.BLOCK_SUM,
                           chunk_size: int = DEFAULT_CHUNK_SIZE,
                           workers: int = 1) -> tuple[McEstimate, ...]:
     """Monte Carlo squared fidelity after syndrome measurement and
-    recovery, per density."""
+    recovery, per density, averaged over syndromes in closed form."""
     densities = _checked(densities, code.params.d)
-    kwargs = {"chunk_size": chunk_size, "workers": workers}
-    if estimator is CorrectionEstimator.BLOCK_SUM:
-        # each block's first amplitude: e0 plus 2 d'' - 1 coordinates
-        return mc_mean(fidelity_sampler(densities, 2 * code.n_blocks - 1),
-                       n_samples, streams, **kwargs)
+    # each block's first amplitude: e0 plus 2 d'' - 1 coordinates
+    return mc_mean(fidelity_sampler(densities, 2 * code.n_blocks - 1),
+                   n_samples, streams, chunk_size=chunk_size,
+                   workers=workers)
+
+
+def syndrome_sampled_fidelity_mc(densities: Sequence[IsotropicDensity],
+                                 code: BlockCode, n_samples: int,
+                                 streams: RngStreams
+                                 ) -> tuple[McEstimate, ...]:
+    """corrected_fidelity_mc with one drawn syndrome per full state.
+
+    The geometric reference route: one estimate per density, each on
+    the same streams.
+    """
+    densities = _checked(densities, code.params.d)
 
     def sampled_fn(density: IsotropicDensity):
         def value_fn(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -150,5 +151,4 @@ def corrected_fidelity_mc(densities: Sequence[IsotropicDensity],
         return value_fn
 
     return tuple(est for density in densities
-                 for est in mc_mean(sampled_fn(density), n_samples, streams,
-                                    **kwargs))
+                 for est in mc_mean(sampled_fn(density), n_samples, streams))

@@ -154,6 +154,11 @@ class SweepConfig:
             if not _is_real(sigma):
                 raise ConfigError(f"sigma_grid entries must be numbers, "
                                   f"got {sigma!r}")
+            # the raw value first: an int beyond float range would overflow
+            # float(), and a value just below 1 may round up to 1.0 in it
+            if not (0.0 <= sigma < 1.0 and float(sigma) < 1.0):
+                raise ConfigError(f"sigma values must lie in [0, 1), "
+                                  f"got {sigma}")
         # + 0.0 turns -0.0 into 0.0, which the CSV would print as -0
         object.__setattr__(self, "sigma_grid",
                            tuple(float(s) + 0.0 for s in sigmas))
@@ -171,10 +176,6 @@ class SweepConfig:
                                   f"n <= {MAX_CODE_QUBITS} qubits")
         if not self.sigma_grid:
             raise ConfigError("sigma_grid must not be empty")
-        for sigma in self.sigma_grid:
-            if not 0.0 <= sigma < 1.0:
-                raise ConfigError(f"sigma values must lie in [0, 1), "
-                                  f"got {sigma}")
         if not (_is_int(self.n_samples) and self.n_samples >= 1000):
             raise ConfigError(f"n_samples must be an integer >= 1000, "
                               f"got {self.n_samples}")
@@ -276,12 +277,16 @@ class SweepRow:
 
 def _closed_form_cell(params: CodeParams, sigma_c: float,
                       n_steps: int | None):
-    """Densities and closed-form columns for one cell."""
+    """Densities and closed-form columns for one cell.
+
+    The unencoded error splits sigma_c over n_steps steps, the code's
+    qubit count n when n_steps is None: sigma_u = sigma_c ** (1/steps).
+    """
     steps = params.n if n_steps is None else n_steps
     sigma_u = sigma_c ** (1.0 / steps)
     density = IsotropicDensity.normal(sigma_c, params.d)
     uncoded = IsotropicDensity.normal(sigma_u, params.d_prime)
-    report = full_report(density, params, n_steps=steps, uncoded=uncoded)
+    report = full_report(density, params, uncoded)
     v_c = variance_of(density)
     columns = {
         "n": params.n,
@@ -303,15 +308,13 @@ def _closed_form_cell(params: CodeParams, sigma_c: float,
 
 
 def closed_form_rows(code_list: Sequence[tuple[int, int]],
-                     sigma_grid: Sequence[float],
-                     n_steps_override: int | None = None) -> list[SweepRow]:
+                     sigma_grid: Sequence[float]) -> list[SweepRow]:
     """Closed-form columns only; MC columns are NaN placeholders."""
     rows = []
     for code in code_list:
         params = CodeParams(*code)
         for sigma_c in sigma_grid:
-            _, _, columns = _closed_form_cell(params, sigma_c,
-                                              n_steps_override)
+            _, _, columns = _closed_form_cell(params, sigma_c, None)
             rows.append(SweepRow(**columns,
                                  mc_f2_psi=math.nan, mc_se_psi=math.nan,
                                  mc_f2_phi_tilde=math.nan,
@@ -345,8 +348,7 @@ def _estimate_law(key: tuple[int, int],
     n, kept_log2 = key
     kwargs = {"chunk_size": config.chunk_size, "workers": config.workers}
     if kept_log2 == 0:
-        return raw_fidelity_mc(densities, 2 ** n, config.n_samples, streams,
-                               **kwargs)
+        return raw_fidelity_mc(densities, config.n_samples, streams, **kwargs)
     block_code = BlockCode(CodeParams(n, n - kept_log2))
     return corrected_fidelity_mc(densities, block_code, config.n_samples,
                                  streams, **kwargs)
@@ -473,16 +475,21 @@ def _format_cell(value) -> str:
     return "%.17g" % value
 
 
+def _write_text(path, text: str, what: str) -> None:
+    # open raises ValueError, not OSError, on a path with a NUL byte
+    try:
+        Path(path).write_text(text)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def write_csv(rows: Sequence[SweepRow], path) -> None:
     names = [f.name for f in fields(SweepRow)]
     lines = [",".join(names)]
     for row in rows:
         record = asdict(row)
         lines.append(",".join(_format_cell(record[name]) for name in names))
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write CSV {path}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n", "CSV")
 
 
 def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
@@ -517,10 +524,7 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
         "timing": {"total_seconds": elapsed_seconds, "n_cells": len(rows),
                    **usage, "mc_seconds": list(mc_seconds)},
     }
-    try:
-        Path(path).write_text(json.dumps(report, indent=2) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write JSON report {path}: {exc}") from exc
+    _write_text(path, json.dumps(report, indent=2) + "\n", "JSON report")
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +686,7 @@ def _check_normal_closed_forms() -> CheckResult:
         params = CodeParams(n, m)
         for sigma in (0.0, 0.3, 0.7, 0.9, 0.99):
             density = IsotropicDensity.normal(sigma, params.d)
-            worst = max(worst, abs(fidelity_psi(density, params.d)
+            worst = max(worst, abs(fidelity_psi(density)
                                    - fidelity_psi_normal(sigma, params.d)))
             worst = max(worst, abs(fidelity_corrected(density, params)
                                    - fidelity_psi_normal(sigma,
@@ -702,8 +706,7 @@ def _check_uncoded_lower_bound() -> CheckResult:
     for d_prime in (2, 4, 16):
         for density in _density_family(d_prime):
             v_u = variance_of(density)
-            gap = fidelity_psi(density, d_prime) \
-                - bound_psi0_lower(v_u, d_prime)
+            gap = fidelity_psi(density) - bound_psi0_lower(v_u, d_prime)
             min_gap = min(min_gap, gap)
             cases += 1
     passed = min_gap >= -1e-12
@@ -885,7 +888,4 @@ def emit_figure2(rows: Sequence[SweepRow], path) -> None:
                      f'fill="#222">{label}</text>')
         legend_x += 36 + 8 * len(label)
     parts.append('</svg>')
-    try:
-        Path(path).write_text("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write figure {path}: {exc}") from exc
+    _write_text(path, "\n".join(parts) + "\n", "figure")

@@ -19,7 +19,7 @@ The fidelity estimators only read the squared mass of a sample on e0 plus
 a fixed set of ``kept`` of the other 2d-1 coordinates, and only for normal
 densities.  The normal density is the Poisson kernel of the unit ball in
 R^(2d) at y = sigma e0 (the PKBD of Golzy & Markatou 2020 and Sablica,
-Hornik & Leydold 2023), which sample_fidelities draws exactly as one end
+Hornik & Leydold 2023), which fidelity_sampler draws exactly as one end
 of a chord: the line y + t w through a uniform direction w meets the
 sphere at t = a > 0 and t = -b < 0, with a b = 1 - sigma^2.  The forward
 end x alone has density (1 - sigma x0) / (|S^(2d-1)| |x - y|^(2d)), and
@@ -44,15 +44,7 @@ the default chunk size, and at most 96 MiB at the sweep's largest chunk
 (2^20 samples; a sweep caps rows * chunk_size at 2^20 floats).  It
 lives as long as the estimate (the sampler and the mc_mean call) and is
 freed when the estimate returns, so no sample-sized memory outlives an
-estimate.  The public sample_fidelities makes a sampler of its own per
-call and returns a fresh array that the caller owns.
-
-An error sample about an arbitrary base state is produced by drawing the
-error about the north pole e0 and transporting it with the Householder
-reflection taking e0 to the base.  The reflection is orthogonal, so it
-maps the isotropic law about e0 exactly onto the isotropic law about the
-base; in particular distances to the base keep the distribution the
-distances to e0 had.
+estimate.
 """
 
 from __future__ import annotations
@@ -161,16 +153,19 @@ def sample_states(density: IsotropicDensity, n: int,
     return coords
 
 
-def sample_fidelities(densities: Sequence[IsotropicDensity], kept: int,
-                      n: int, rng: np.random.Generator) -> np.ndarray:
-    """Squared mass of n normal errors about e0 on e0 plus kept coordinates.
+def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
+                     ) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Squared mass of normal errors about e0 on e0 plus kept coordinates.
 
-    Returns a fresh (len(densities), n) array, owned by the caller, whose
-    row j has the law of (x[:, :kept + 1] ** 2).sum(axis=1) over rows x of
+    Returns value_fn(rng, n), a Monte Carlo value function for mc_mean.
+    Its (len(densities), n) array has in row j the law of
+    (x[:, :kept + 1] ** 2).sum(axis=1) over rows x of
     sample_states(densities[j], ...); every row is computed from the same
-    variates, and row j is bit-identical to a one-density call at
+    variates, and row j is bit-identical to a one-density sampler's at
     densities[j] on the same generator.  The densities must be normal and
     share d; kept counts coordinates orthogonal to e0, 1 <= kept <= 2d-1.
+    The arguments are checked once, here.
+
     The direction w has e0 coordinate Z0 / sqrt(N) and kept mass K / N,
     N = Z0^2 + K + R.  Let H = sqrt(Z0^2 + (1 - sigma^2) (K + R)); in
     units of 1 / sqrt(N) the chord ends are H - sigma Z0 and
@@ -181,31 +176,23 @@ def sample_fidelities(densities: Sequence[IsotropicDensity], kept: int,
     Consumption order is fixed: Z0, K (a squared normal at kept = 1, else
     2 Gamma(kept/2)), R = 2 Gamma(rest/2), U; at kept = 2d-1 every
     coordinate is kept, the value is 1 and nothing is drawn.
-    """
-    # a sampler of its own: its scratch, output included, dies with it
-    return fidelity_sampler(densities, kept)(rng, n)
 
-
-def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
-                     ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """sample_fidelities(densities, kept, count, rng) as a reusing value_fn.
-
-    The arguments are checked once, here.  Each call value_fn(rng, count)
-    draws the same variates and returns the same values as
-    sample_fidelities, but into the calling thread's scratch arrays of
-    this sampler, its output included, so the returned array is
-    overwritten by that thread's next call: mc_mean reads it first.
+    Each call writes into the calling thread's scratch arrays of this
+    sampler, its output included, so the returned array is overwritten by
+    that thread's next call: mc_mean reads it first.  A sampler made for
+    one call, fidelity_sampler(densities, kept)(rng, n), hands back an
+    array that no other sampler ever writes to.
     """
     densities = tuple(densities)
     if not densities:
-        raise ValueError("sample_fidelities needs at least one density")
+        raise ValueError("fidelity_sampler needs at least one density")
     d = densities[0].d
     for density in densities:
         if density.kind is not DensityKind.NORMAL:
-            raise ValueError(f"sample_fidelities draws normal densities "
+            raise ValueError(f"fidelity_sampler draws normal densities "
                              f"only, got {density.descriptor()}")
         if density.d != d:
-            raise ValueError(f"sample_fidelities needs densities that "
+            raise ValueError(f"fidelity_sampler needs densities that "
                              f"share d, got d={d} and d={density.d}")
     if not 1 <= kept <= 2 * d - 1:
         raise ValueError(f"kept must lie in [1, {2 * d - 1}] at d={d}, "
@@ -265,29 +252,6 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
         return out
 
     return value_fn
-
-
-def compose_errors(bases: np.ndarray, density: IsotropicDensity,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Apply one isotropic error about each row of bases, batched.
-
-    Draws about e0 and reflects e0 onto each base; for a base equal to e0
-    the transport is the identity.
-    """
-    bases = np.asarray(bases, dtype=float)
-    n = bases.shape[0]
-    if bases.shape != (n, 2 * density.d):
-        raise ValueError(f"bases shape {bases.shape} does not match "
-                         f"half-dimension {density.d}")
-    fresh = sample_states(density, n, rng)
-    w = bases.copy()
-    w[:, 0] -= 1.0
-    wsq = np.einsum("ij,ij->i", w, w)
-    safe = wsq > 1e-28
-    coef = np.zeros(n)
-    np.divide(2.0 * np.einsum("ij,ij->i", w, fresh), wsq, out=coef,
-              where=safe)
-    return fresh - coef[:, None] * w
 
 
 def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from suite import make_suite, mean_se, reference_states
+from suite import compose_errors, make_suite, mean_se, reference_states
 
 from isoqec.closedform import (
     BoundVariant,
@@ -45,7 +45,7 @@ from isoqec.experiments import (
     verify_theorems,
     write_csv,
 )
-from isoqec.sampler import RngStreams, compose_errors
+from isoqec.sampler import RngStreams
 
 SEED = 20260819
 N_SAMPLES = 200_000
@@ -81,12 +81,10 @@ def mc_cells():
             density = IsotropicDensity.normal(sigma_c, params.d)
             uncoded = IsotropicDensity.normal(sigma_u, params.d_prime)
             cell = RngStreams(SEED).split(code_idx * 10 + sigma_idx)
-            (psi,) = raw_fidelity_mc((density,), params.d, N_SAMPLES,
-                                     cell.split(0))
+            (psi,) = raw_fidelity_mc((density,), N_SAMPLES, cell.split(0))
             (phi_tilde,) = corrected_fidelity_mc(
                 (density,), BlockCode(params), N_SAMPLES, cell.split(1))
-            (psi0,) = raw_fidelity_mc((uncoded,), params.d_prime, N_SAMPLES,
-                                      cell.split(2))
+            (psi0,) = raw_fidelity_mc((uncoded,), N_SAMPLES, cell.split(2))
             cells.append(McCell(params, sigma_c, {
                 "psi": (psi, fidelity_psi_normal(sigma_c, params.d)),
                 "phi_tilde": (phi_tilde,
@@ -217,8 +215,7 @@ def test_uncoded_fidelity_lower_bound():
     for d_prime in (2, 4, 16):
         for name, density in make_suite(d_prime):
             v_u = variance_of(density)
-            slack = fidelity_psi(density, d_prime) \
-                - bound_psi0_lower(v_u, d_prime)
+            slack = fidelity_psi(density) - bound_psi0_lower(v_u, d_prime)
             min_slack = min(min_slack, slack)
             cases += 1
     _gate("uncoded-fidelity-lower-bound",

@@ -1,14 +1,19 @@
 """Command line behavior: subcommands, overrides, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import isoqec
 from isoqec import cli
@@ -323,3 +328,114 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["figure2"])
         assert exc.value.code == 2
+
+
+# generated inputs: every accepted input runs, every other one exits 2
+# with a one-line error; in process, so a traceback is a raised exception
+GENERATED = settings(derandomize=True, deadline=None, database=None)
+
+# a config that should run, and at most one key replaced by a value the
+# config must refuse; the edge values of a key are in its good strategy
+_GOOD = {
+    # n up to 45: codes above MAX_CODE_QUBITS = 40 are refused
+    "code_list": st.lists(st.integers(2, 45).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n - 1)).map(list)),
+        min_size=1, max_size=3),
+    "sigma_grid": st.lists(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([-0.0, 5e-324, math.nextafter(1.0, 0.0)])),
+        min_size=1, max_size=3),
+    "n_samples": st.integers(1000, 2000),
+    "seed": st.integers(0, 2 ** 130),
+    "n_steps_override": st.one_of(st.none(), st.integers(1, 2 ** 80)),
+    "chunk_size": st.one_of(st.integers(64, 2500), st.just(2 ** 20)),
+    # at most two threads: test_experiments checks the > 64 rejection
+    "workers": st.sampled_from([1, 2]),
+    "csv_path": st.sampled_from([None, "good"]),
+    "json_path": st.sampled_from([None, "good"]),
+}
+_BAD = {
+    "code_list": st.sampled_from([
+        [], 5, "[[3, 1]]", [[3]], [[3, 1, 1]], [[True, 1]], [[3.0, 1]],
+        ["31"], [None], [[1, 1]], [[2, 0]]]),
+    "sigma_grid": st.sampled_from([
+        [], 5, "0.5", [1.0], [math.nan], [math.inf], [10 ** 400], [True],
+        ["0.5"], [-1e-300]]),
+    # nothing above 2000: with chunk_size 2**20 a large count is valid
+    "n_samples": st.sampled_from([999, 0, -1, 1500.0, True, "2000"]),
+    "seed": st.sampled_from([-1, 1.0, True]),
+    "n_steps_override": st.sampled_from([0, -1, 2.0, True, 10 ** 400]),
+    "chunk_size": st.sampled_from([0, -1, 2 ** 20 + 1, 1.5, True]),
+    "workers": st.sampled_from([0, 2.0, True]),
+    "csv_path": st.sampled_from(["missing", "dir", "nul", "", 5]),
+    "json_path": st.sampled_from(["missing", "nul", "", ["a"]]),
+}
+
+
+def _with_one_bad(drawn):
+    config, bad = drawn
+    return config if bad is None else {**config, bad[0]: bad[1]}
+
+
+_CONFIG = st.tuples(
+    st.fixed_dictionaries(_GOOD),
+    st.one_of(st.none(), st.sampled_from(sorted(_BAD)).flatmap(
+        lambda key: st.tuples(st.just(key), _BAD[key])))).map(_with_one_bad)
+
+
+def _path(kind, tmp, name):
+    """A good, missing-directory, directory or NUL-byte path, or kind."""
+    if not isinstance(kind, str):
+        return kind
+    return {"good": os.path.join(tmp, name),
+            "missing": os.path.join(tmp, "no_dir", name),
+            "dir": tmp,
+            "nul": os.path.join(tmp, "a\x00" + name)}.get(kind, kind)
+
+
+def _run_cleanly(argv):
+    """cli.main in process: exit 0, 1 or 2, and exit 2 says one line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), rc
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if rc == 2:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    return rc
+
+
+class TestGeneratedInputs:
+    @settings(GENERATED, max_examples=60)
+    @given(_CONFIG)
+    @example({"code_list": [[3, 1]], "sigma_grid": [10 ** 400],
+              "n_samples": 1000})
+    @example({"code_list": [[3, 1]], "sigma_grid": [0.5],
+              "n_samples": 1000, "csv_path": "nul"})
+    @example({"code_list": [[3, 1]], "sigma_grid": [0.5],
+              "n_samples": 1000, "json_path": "nul"})
+    def test_sweep_configs(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = dict(data)
+            for key in ("csv_path", "json_path"):
+                if key in data:
+                    data[key] = _path(data[key], tmp, key)
+            config = os.path.join(tmp, "cfg.json")
+            Path(config).write_text(json.dumps(data))
+            _run_cleanly(["sweep", "--config", config])
+
+    @settings(GENERATED, max_examples=12)
+    @given(st.one_of(st.floats(), st.sampled_from(
+        [5e-324, -0.0, 1e-16, 1e-9, math.inf, -math.inf])))
+    def test_verify_appendix_tolerances(self, rel_tol):
+        # one argument: argparse takes "-1e+16" alone for an option
+        _run_cleanly(["verify", "appendix", f"--rel-tol={rel_tol!r}"])
+
+    @settings(GENERATED, max_examples=10)
+    @given(st.sampled_from(["good", "missing", "dir", "nul", ""]))
+    @example("nul")
+    def test_figure2_paths(self, kind):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _run_cleanly(
+                ["figure2", "--out", _path(kind, tmp, "f.svg")]) in (0, 2)

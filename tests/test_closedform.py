@@ -41,6 +41,8 @@ P51 = CodeParams(5, 1)
 P54 = CodeParams(5, 4)
 P42 = CodeParams(4, 2)
 P31 = CodeParams(3, 1)
+# the unencoded error of the (5, 1) cell at sigma_c = 0.9: n = 5 steps
+UNCODED_51 = IsotropicDensity.normal(0.9 ** (1 / 5), 2)
 ALL_CODES = [P51, P54, P42, P31]
 
 
@@ -57,19 +59,19 @@ def sin2_expectation(density):
 class TestFidelityPsi:
     def test_frozen_normal_value(self):
         density = IsotropicDensity.normal(0.9, 32)
-        assert fidelity_psi(density, 32) == pytest.approx(
+        assert fidelity_psi(density) == pytest.approx(
             0.8159375, abs=1e-12)
 
     def test_agrees_with_normal_closed_form(self):
         for d in (1, 2, 8, 32):
             for s in (0.0, 0.3, 0.9, 0.99):
-                got = fidelity_psi(IsotropicDensity.normal(s, d), d)
+                got = fidelity_psi(IsotropicDensity.normal(s, d))
                 assert got == pytest.approx(fidelity_psi_normal(s, d),
                                             abs=1e-12)
 
     def test_uniform_gives_one_over_d(self):
         for d in (1, 2, 4, 32):
-            assert fidelity_psi(IsotropicDensity.uniform(d), d) == pytest.approx(
+            assert fidelity_psi(IsotropicDensity.uniform(d)) == pytest.approx(
                 1.0 / d, abs=1e-12)
 
     def test_moment_identity_all_kinds(self):
@@ -77,15 +79,11 @@ class TestFidelityPsi:
         d = 4
         for label, density in make_suite(d):
             want = 1.0 - (2 * d - 2) / (2 * d - 1) * sin2_expectation(density)
-            assert fidelity_psi(density, d) == pytest.approx(
+            assert fidelity_psi(density) == pytest.approx(
                 want, abs=1e-9), label
 
     def test_trivial_dimension_is_exact(self):
-        assert fidelity_psi(IsotropicDensity.uniform(1), 1) == 1.0
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity_psi(IsotropicDensity.uniform(4), 8)
+        assert fidelity_psi(IsotropicDensity.uniform(1)) == 1.0
 
 
 class TestFidelityPsiNormal:
@@ -122,18 +120,14 @@ class TestFidelityPsi0:
         # sigma_u = 0.9^(1/5) on the logical sphere d' = 2
         sigma_u = 0.9 ** (1.0 / 5.0)
         density = IsotropicDensity.normal(sigma_u, 2)
-        assert fidelity_psi(density, 2) == pytest.approx(
+        assert fidelity_psi(density) == pytest.approx(
             0.9793657577570913544, abs=1e-12)
-        assert fidelity_psi(density, 2) == pytest.approx(
+        assert fidelity_psi(density) == pytest.approx(
             (1.0 + 0.9 ** 0.4) / 2.0, abs=1e-14)
 
     def test_uniform_logical_sphere(self):
-        assert fidelity_psi(IsotropicDensity.uniform(2), 2) == pytest.approx(
+        assert fidelity_psi(IsotropicDensity.uniform(2)) == pytest.approx(
             0.5, abs=1e-12)
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity_psi(IsotropicDensity.uniform(4), 2)
 
 
 class TestFidelityCorrected:
@@ -165,7 +159,7 @@ class TestFidelityCorrected:
     def test_correction_helps_all_kinds(self):
         for params in (P51, P42):
             for label, density in make_suite(params.d):
-                raw = fidelity_psi(density, params.d)
+                raw = fidelity_psi(density)
                 corrected = fidelity_corrected(density, params)
                 assert corrected > raw - 1e-12, label
 
@@ -185,7 +179,7 @@ class TestBoundPsi0Lower:
             for label, density in make_suite(d_prime):
                 v_u = variance_of(density)
                 lb = bound_psi0_lower(v_u, d_prime)
-                assert fidelity_psi(density, d_prime) >= lb - 1e-9, (
+                assert fidelity_psi(density) >= lb - 1e-9, (
                     label, d_prime)
 
     def test_gap_to_normal_fidelity_is_exact_sixth(self):
@@ -277,7 +271,8 @@ class TestLemmaG:
 
 class TestFullReport:
     def test_frozen_cell(self):
-        report = full_report(IsotropicDensity.normal(0.9, 32), P51)
+        report = full_report(IsotropicDensity.normal(0.9, 32), P51,
+                             UNCODED_51)
         assert report.f2_psi == pytest.approx(0.8159375, abs=1e-12)
         assert report.f2_phi_tilde == pytest.approx(0.905, abs=1e-12)
         assert report.f2_psi0 == pytest.approx(0.9793657577570914, abs=1e-12)
@@ -287,12 +282,14 @@ class TestFullReport:
         assert report.cond18
 
     def test_ordering_chain(self):
-        report = full_report(IsotropicDensity.normal(0.9, 32), P51)
+        report = full_report(IsotropicDensity.normal(0.9, 32), P51,
+                             UNCODED_51)
         assert report.f2_psi0 >= report.f2_phi_tilde >= report.f2_psi
 
     def test_uniform_cell_endpoints(self):
         # sigma = 0: psi at 1/d, corrected and unencoded both at 1/d'
-        report = full_report(IsotropicDensity.uniform(32), P54)
+        report = full_report(IsotropicDensity.uniform(32), P54,
+                             IsotropicDensity.uniform(16))
         assert report.f2_psi == pytest.approx(1 / 32, abs=1e-12)
         assert report.f2_phi_tilde == pytest.approx(1 / 16, abs=1e-12)
         assert report.f2_psi0 == pytest.approx(1 / 16, abs=1e-12)
@@ -303,18 +300,12 @@ class TestFullReport:
         report = full_report(cap, P51, uncoded=cap_u)
         assert 0.0 < report.f2_psi < report.f2_phi_tilde <= 1.0
 
-    def test_non_normal_requires_uncoded(self):
-        with pytest.raises(ValueError):
-            full_report(IsotropicDensity.uniform_cap(1.0, 32), P51)
-
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError):
-            full_report(IsotropicDensity.uniform(8), P51)
+            full_report(IsotropicDensity.uniform(8), P51, UNCODED_51)
         with pytest.raises(ValueError):
             full_report(IsotropicDensity.normal(0.5, 32), P51,
                         uncoded=IsotropicDensity.uniform(4))
-        with pytest.raises(ValueError):
-            full_report(IsotropicDensity.normal(0.5, 32), P51, n_steps=0)
 
 
 class TestReadmeLibraryExample:
@@ -339,7 +330,9 @@ class TestFullReportAcrossCodeSizes:
     @settings(max_examples=300, deadline=None)
     @given(_code(), st.floats(0.0, 0.999))
     def test_normal_report_matches_closed_forms(self, params, sigma):
-        report = full_report(IsotropicDensity.normal(sigma, params.d), params)
+        sigma_u = sigma ** (1.0 / params.n)
+        report = full_report(IsotropicDensity.normal(sigma, params.d), params,
+                             IsotropicDensity.normal(sigma_u, params.d_prime))
         d, d_prime = params.d, params.d_prime
 
         def normal(s, k):
@@ -348,7 +341,7 @@ class TestFullReportAcrossCodeSizes:
         assert abs(report.f2_psi - normal(sigma, d)) <= 1e-14
         assert abs(report.f2_phi_tilde - normal(sigma, d_prime)) <= 1e-14
         assert abs(report.f2_psi0
-                   - normal(sigma ** (1.0 / params.n), d_prime)) <= 1e-14
+                   - normal(sigma_u, d_prime)) <= 1e-14
         want_ub = 1.0 - (d - params.d_dprime) * 2.0 * (1.0 - sigma) \
             / (2 * d - 1)
         assert abs(report.ub_phi_tilde - want_ub) <= 1e-12
@@ -374,4 +367,4 @@ class TestOrderingTheorems:
             for s in (0.0, 0.5, 0.95):
                 density = IsotropicDensity.normal(s, params.d)
                 assert (fidelity_corrected(density, params)
-                        > fidelity_psi(density, params.d))
+                        > fidelity_psi(density))

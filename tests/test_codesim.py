@@ -8,10 +8,10 @@ import pytest
 from isoqec.closedform import fidelity_corrected, fidelity_psi
 from isoqec.codesim import (
     BlockCode,
-    CorrectionEstimator,
     _sampled_values,
     corrected_fidelity_mc,
     raw_fidelity_mc,
+    syndrome_sampled_fidelity_mc,
 )
 from isoqec.distributions import CodeParams, IsotropicDensity
 from isoqec.sampler import RngStreams, sample_states
@@ -82,7 +82,7 @@ class TestSyndromeProbabilities:
 
 
 class TestMeasureAndCorrect:
-    """The per-sample recovery behind the SYNDROME_SAMPLED estimator."""
+    """The per-sample recovery behind syndrome_sampled_fidelity_mc."""
 
     def test_reference_state_passes_through(self):
         code = BlockCode(CodeParams(5, 1))
@@ -134,23 +134,18 @@ class TestMeasureAndCorrect:
 class TestRawFidelityMc:
     def test_matches_closed_form(self):
         density = IsotropicDensity.normal(0.9, 32)
-        (est,) = raw_fidelity_mc((density,), 32, 200000, streams(10))
+        (est,) = raw_fidelity_mc((density,), 200000, streams(10))
         assert abs(est.value - 0.8159375) < 3 * est.std_error
 
     def test_uniform_value(self):
         density = IsotropicDensity.uniform(8)
-        (est,) = raw_fidelity_mc((density,), 8, 100000, streams(11))
+        (est,) = raw_fidelity_mc((density,), 100000, streams(11))
         assert abs(est.value - 0.125) < 3 * est.std_error
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            raw_fidelity_mc((IsotropicDensity.uniform(8),), 16, 1000,
-                            streams(12))
 
     def test_single_amplitude_space_keeps_all_mass(self):
         # at d = 1 both real coordinates are kept: fidelity is exactly 1
         for sigma in (0.0, 0.5, 0.9):
-            (est,) = raw_fidelity_mc((IsotropicDensity.normal(sigma, 1),), 1,
+            (est,) = raw_fidelity_mc((IsotropicDensity.normal(sigma, 1),),
                                      50000, streams(24))
             assert abs(est.value - 1.0) <= 1e-15
             assert est.std_error == 0.0
@@ -179,11 +174,9 @@ class TestCorrectedFidelityMc:
     def test_estimators_agree(self):
         density = IsotropicDensity.normal(0.6, 16)
         code = BlockCode(CodeParams(4, 2))
-        (a,) = corrected_fidelity_mc((density,), code, 100000, streams(16),
-                                     estimator=CorrectionEstimator.BLOCK_SUM)
-        (b,) = corrected_fidelity_mc(
-            (density,), code, 100000, streams(17),
-            estimator=CorrectionEstimator.SYNDROME_SAMPLED)
+        (a,) = corrected_fidelity_mc((density,), code, 100000, streams(16))
+        (b,) = syndrome_sampled_fidelity_mc((density,), code, 100000,
+                                            streams(17))
         combined = np.hypot(a.std_error, b.std_error)
         assert abs(a.value - b.value) < 3 * combined
         want = fidelity_corrected(density, CodeParams(4, 2))
@@ -194,11 +187,9 @@ class TestCorrectedFidelityMc:
         # averaging over syndromes analytically must not raise variance
         density = IsotropicDensity.normal(0.5, 16)
         code = BlockCode(CodeParams(4, 1))
-        (a,) = corrected_fidelity_mc((density,), code, 50000, streams(18),
-                                     estimator=CorrectionEstimator.BLOCK_SUM)
-        (b,) = corrected_fidelity_mc(
-            (density,), code, 50000, streams(18),
-            estimator=CorrectionEstimator.SYNDROME_SAMPLED)
+        (a,) = corrected_fidelity_mc((density,), code, 50000, streams(18))
+        (b,) = syndrome_sampled_fidelity_mc((density,), code, 50000,
+                                            streams(18))
         assert a.std_error < b.std_error
 
     def test_worker_invariance(self):
@@ -211,23 +202,22 @@ class TestCorrectedFidelityMc:
         assert a == b
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            corrected_fidelity_mc((IsotropicDensity.uniform(8),),
-                                  BlockCode(CodeParams(5, 1)), 1000,
-                                  streams(20))
+        for estimate in (corrected_fidelity_mc, syndrome_sampled_fidelity_mc):
+            with pytest.raises(ValueError, match="d=8, expected 32"):
+                estimate((IsotropicDensity.uniform(8),),
+                         BlockCode(CodeParams(5, 1)), 1000, streams(20))
 
 
 class TestDensitySequences:
     SIGMAS = (0.0, 0.4, 0.9)
 
     @pytest.mark.parametrize("estimate", [
-        lambda ds, st: raw_fidelity_mc(ds, 8, 30000, st, chunk_size=7000),
+        lambda ds, st: raw_fidelity_mc(ds, 30000, st, chunk_size=7000),
         lambda ds, st: corrected_fidelity_mc(
             ds, BlockCode(CodeParams(3, 1)), 30000, st, chunk_size=7000,
             workers=2),
-        lambda ds, st: corrected_fidelity_mc(
-            ds, BlockCode(CodeParams(3, 1)), 30000, st, chunk_size=7000,
-            estimator=CorrectionEstimator.SYNDROME_SAMPLED),
+        lambda ds, st: syndrome_sampled_fidelity_mc(
+            ds, BlockCode(CodeParams(3, 1)), 30000, st),
     ], ids=["raw", "block_sum", "syndrome_sampled"])
     def test_each_estimate_equals_a_one_density_call(self, estimate):
         densities = [IsotropicDensity.normal(s, 8) for s in self.SIGMAS]
@@ -238,17 +228,17 @@ class TestDensitySequences:
 
     def test_rejects_an_empty_sequence(self):
         with pytest.raises(ValueError, match="at least one density"):
-            raw_fidelity_mc((), 8, 1000, streams(26))
-        for estimator in CorrectionEstimator:
+            raw_fidelity_mc((), 1000, streams(26))
+        for estimate in (corrected_fidelity_mc, syndrome_sampled_fidelity_mc):
             with pytest.raises(ValueError, match="at least one density"):
-                corrected_fidelity_mc((), BlockCode(CodeParams(3, 1)), 1000,
-                                      streams(26), estimator=estimator)
+                estimate((), BlockCode(CodeParams(3, 1)), 1000, streams(26))
 
     def test_rejects_one_mismatched_density(self):
         densities = (IsotropicDensity.normal(0.5, 8),
                      IsotropicDensity.normal(0.5, 16))
-        with pytest.raises(ValueError, match="d=16, expected 8"):
-            raw_fidelity_mc(densities, 8, 1000, streams(27))
+        with pytest.raises(ValueError, match="fidelity_sampler needs "
+                           "densities that share d, got d=8 and d=16"):
+            raw_fidelity_mc(densities, 1000, streams(27))
 
 
 class TestOrderingBySampling:
@@ -260,19 +250,18 @@ class TestOrderingBySampling:
         sigma_u = sigma_c ** (1 / 5)
         big = IsotropicDensity.normal(sigma_c, params.d)
         small = IsotropicDensity.normal(sigma_u, params.d_prime)
-        (raw,) = raw_fidelity_mc((big,), params.d, 100000, streams(21))
+        (raw,) = raw_fidelity_mc((big,), 100000, streams(21))
         (corrected,) = corrected_fidelity_mc((big,), BlockCode(params),
                                              100000, streams(22))
-        (uncoded,) = raw_fidelity_mc((small,), params.d_prime, 100000,
-                                     streams(23))
+        (uncoded,) = raw_fidelity_mc((small,), 100000, streams(23))
         assert corrected.value - raw.value > -3 * np.hypot(
             corrected.std_error, raw.std_error)
         assert uncoded.value - corrected.value > -3 * np.hypot(
             uncoded.std_error, corrected.std_error)
         # and each sits on its closed form
-        assert abs(raw.value - fidelity_psi(big, params.d)) \
+        assert abs(raw.value - fidelity_psi(big)) \
             < 3 * raw.std_error
         assert abs(corrected.value - fidelity_corrected(big, params)) \
             < 3 * corrected.std_error
-        assert abs(uncoded.value - fidelity_psi(small, params.d_prime)) \
+        assert abs(uncoded.value - fidelity_psi(small)) \
             < 3 * uncoded.std_error

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 import scipy.integrate
@@ -17,6 +18,7 @@ from isoqec.experiments import (
     MAX_CHUNK_SIZE,
     MAX_CHUNKS,
     MAX_CODE_QUBITS,
+    MAX_WORKERS,
     CheckResult,
     ConfigError,
     SweepConfig,
@@ -55,6 +57,9 @@ class TestSweepConfig:
             small_config(sigma_grid=(0.0, 1.0))
         with pytest.raises(ConfigError):
             small_config(sigma_grid=(-0.1,))
+        # float() rounds this Fraction up to 1.0
+        with pytest.raises(ConfigError, match="lie in"):
+            small_config(sigma_grid=(Fraction(10 ** 20 - 1, 10 ** 20),))
 
     def test_rejects_small_sample_count(self):
         with pytest.raises(ConfigError):
@@ -77,8 +82,9 @@ class TestSweepConfig:
         assert "chunk_size" in str(exc.value)
 
     def test_rejects_bad_plumbing_values(self):
-        with pytest.raises(ConfigError):
-            small_config(workers=0)
+        for workers in (0, MAX_WORKERS + 1, 2 ** 31, 10 ** 400):
+            with pytest.raises(ConfigError, match="workers"):
+                small_config(workers=workers)
         with pytest.raises(ConfigError):
             small_config(chunk_size=0)
         with pytest.raises(ConfigError):
@@ -188,9 +194,14 @@ class TestClosedFormRows:
         assert row.lb_psi0 <= row.f2_psi0 + 1e-12
 
     def test_steps_override_changes_split(self):
-        row = closed_form_rows([(5, 1)], [0.9], n_steps_override=1)[0]
+        # the config's n_steps_override reaches the closed forms and the
+        # unencoded estimate alike
+        (row,) = run_sweep(small_config(code_list=((5, 1),),
+                                        sigma_grid=(0.9,),
+                                        n_steps_override=1))
         assert row.sigma_u == 0.9
         assert row.f2_psi0 == pytest.approx((1 + 0.81) / 2, abs=1e-12)
+        assert abs(row.mc_f2_psi0 - row.f2_psi0) < 5 * row.mc_se_psi0
 
     def test_row_count_and_order(self):
         rows = closed_form_rows([(5, 1), (3, 1)], [0.0, 0.5, 0.9])

@@ -22,16 +22,14 @@ from isoqec.distributions import (
 from isoqec.closedform import fidelity_psi
 from isoqec.sampler import (
     RngStreams,
-    compose_errors,
     fidelity_sampler,
     mc_mean,
-    sample_fidelities,
     sample_states,
     sample_theta0,
     sample_uniform_direction,
 )
 
-from suite import mean_se, reference_states
+from suite import compose_errors, mean_se, reference_states
 
 SEED = 20260819
 
@@ -44,7 +42,7 @@ def streams(*key):
 
 
 def out_of_place_fidelities(sigmas, d, kept, n, rng):
-    """sample_fidelities' docstring expressions, evaluated out of place."""
+    """fidelity_sampler's docstring expressions, evaluated out of place."""
     if kept == 2 * d - 1:
         return np.ones((len(sigmas), n))
     z0 = rng.standard_normal(n)
@@ -210,7 +208,7 @@ FIDELITY_CASES = {
 }
 
 
-class TestSampleFidelities:
+class TestFidelitySampler:
     @pytest.mark.parametrize("case", FIDELITY_CASES)
     def test_matches_full_state_sampler(self, case):
         # two-sample KS against the squared masses read off full states
@@ -223,8 +221,8 @@ class TestSampleFidelities:
                 2 * code.n_blocks - 1:
                     (r[:, :, 0] ** 2 + r[:, :, 1] ** 2).sum(axis=1)}
         for kept, want in full.items():
-            (got,) = sample_fidelities((density,), kept, n,
-                                       streams(36, tag, kept).chunk(0))
+            (got,) = fidelity_sampler((density,), kept)(
+                streams(36, tag, kept).chunk(0), n)
             p = stats.ks_2samp(got, want).pvalue
             assert p > 1e-3, (case, kept, p)
 
@@ -235,8 +233,8 @@ class TestSampleFidelities:
         for case, sigma in enumerate((0.0, 0.6, 0.95)):
             density = IsotropicDensity.normal(sigma, d)
             for kept in (1, 7, d, 2 * d - 2):
-                (values,) = sample_fidelities(
-                    (density,), kept, 100000, streams(37, case, kept).chunk(0))
+                (values,) = fidelity_sampler((density,), kept)(
+                    streams(37, case, kept).chunk(0), 100000)
                 want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
                 se = values.std(ddof=1) / math.sqrt(values.size)
                 assert abs(values.mean() - want) < 3 * se, (sigma, kept)
@@ -252,10 +250,8 @@ class TestSampleFidelities:
         for i, sigma in enumerate((0.0, 0.5, 0.9)):
             density = IsotropicDensity.normal(sigma, d)
             for kept in (1, 2 ** (n - 1) - 1):
-                (est,) = mc_mean(
-                    lambda rng, count: sample_fidelities((density,), kept,
-                                                         count, rng),
-                    n_samples, streams(39, n, i, kept % 1000))
+                (est,) = mc_mean(fidelity_sampler((density,), kept),
+                                 n_samples, streams(39, n, i, kept % 1000))
                 want = (kept + 1 + (2 * d - 1 - kept) * sigma ** 2) / (2 * d)
                 assert est.std_error > 0.0
                 assert abs(est.value - want) < 5 * est.std_error, (sigma, kept)
@@ -264,7 +260,7 @@ class TestSampleFidelities:
         # nothing is drawn when every coordinate is kept
         density = IsotropicDensity.normal(0.7, 4)
         rng = streams(38).chunk(0)
-        values = sample_fidelities((density,), 7, 1000, rng)
+        values = fidelity_sampler((density,), 7)(rng, 1000)
         assert np.array_equal(values, np.ones((1, 1000)))
         assert rng.random() == streams(38).chunk(0).random()
 
@@ -272,13 +268,12 @@ class TestSampleFidelities:
         density = IsotropicDensity.uniform(4)
         for kept in (0, 8):
             with pytest.raises(ValueError):
-                sample_fidelities((density,), kept, 10,
-                                  streams(39).chunk(0))
+                fidelity_sampler((density,), kept)(streams(39).chunk(0), 10)
 
     def test_rejects_caps(self):
         density = IsotropicDensity.uniform_cap(math.pi / 3, 8)
         with pytest.raises(ValueError, match="normal densities only"):
-            sample_fidelities((density,), 1, 10, streams(39).chunk(0))
+            fidelity_sampler((density,), 1)(streams(39).chunk(0), 10)
 
     @pytest.mark.parametrize("d", [1, 8, 2 ** 20])
     def test_shared_rows_equal_one_density_calls(self, d):
@@ -287,12 +282,12 @@ class TestSampleFidelities:
         sigmas = (0.0, 0.05, 0.3, 0.6, 0.9, 0.999)
         densities = [IsotropicDensity.normal(s, d) for s in sigmas]
         for kept in sorted({1, 2 * d - 2, 2 * d - 1} - {0}):
-            shared = sample_fidelities(densities, kept, 3000,
-                                       streams(51, kept).chunk(0))
+            shared = fidelity_sampler(densities, kept)(
+                streams(51, kept).chunk(0), 3000)
             assert shared.shape == (len(sigmas), 3000)
             for row, density in zip(shared, densities):
-                (alone,) = sample_fidelities(
-                    (density,), kept, 3000, streams(51, kept).chunk(0))
+                (alone,) = fidelity_sampler((density,), kept)(
+                    streams(51, kept).chunk(0), 3000)
                 assert np.array_equal(row, alone), (density.sigma, kept)
 
     @pytest.mark.parametrize("kept", [1, 5])
@@ -301,9 +296,9 @@ class TestSampleFidelities:
         # docstring's expressions on the same variates
         d, n = 8, 2000
         sigmas = (0.0, 0.6, 0.95)
-        got = sample_fidelities([IsotropicDensity.normal(s, d)
-                                 for s in sigmas], kept, n,
-                                streams(54, kept).chunk(0))
+        got = fidelity_sampler([IsotropicDensity.normal(s, d)
+                                for s in sigmas], kept)(
+            streams(54, kept).chunk(0), n)
         want = out_of_place_fidelities(sigmas, d, kept, n,
                                        streams(54, kept).chunk(0))
         assert np.array_equal(got, want)
@@ -327,21 +322,21 @@ class TestSampleFidelities:
 
     @pytest.mark.parametrize("kept", [3, 7])
     def test_successive_calls_share_no_memory(self, kept):
-        # the public call returns a fresh array: a later call neither
-        # aliases nor overwrites it
+        # a sampler made for one call owns its array: a later sampler's
+        # call neither aliases nor overwrites it
         densities = [IsotropicDensity.normal(s, 4) for s in (0.2, 0.7)]
         rng = streams(57, kept).chunk(0)
-        first = sample_fidelities(densities, kept, 500, rng)
+        first = fidelity_sampler(densities, kept)(rng, 500)
         before = first.copy()
-        second = sample_fidelities(densities, kept, 500, rng)
+        second = fidelity_sampler(densities, kept)(rng, 500)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, before)
 
     def test_shared_draw_consumes_the_stream_once(self):
         densities = [IsotropicDensity.normal(s, 8) for s in (0.2, 0.7)]
         one, many = streams(52).chunk(0), streams(52).chunk(0)
-        sample_fidelities(densities[:1], 3, 500, one)
-        sample_fidelities(densities, 3, 500, many)
+        fidelity_sampler(densities[:1], 3)(one, 500)
+        fidelity_sampler(densities, 3)(many, 500)
         assert one.random() == many.random()
 
     @pytest.mark.parametrize("densities, match", [
@@ -354,7 +349,7 @@ class TestSampleFidelities:
     ])
     def test_rejects_bad_density_sequences(self, densities, match):
         with pytest.raises(ValueError, match=match) as err:
-            sample_fidelities(densities, 1, 10, streams(53).chunk(0))
+            fidelity_sampler(densities, 1)(streams(53).chunk(0), 10)
         assert "\n" not in str(err.value)
 
 
