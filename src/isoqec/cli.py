@@ -131,9 +131,33 @@ def _cmd_figure2(args) -> int:
     return 0
 
 
+def _join_tolerance(argv):
+    """--rel-tol and a number after it, as one --rel-tol=<number> token.
+
+    argparse reads a lone -1e+16 or -inf as an option rather than as
+    the value, and would exit with its two-line usage error; joined, the
+    value reaches verify_appendix's one-line check.  A prefix such as
+    --rel, which argparse takes for --rel-tol, is joined the same way.
+    """
+    joined = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if flag.startswith("--r") and "--rel-tol".startswith(flag):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{flag}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_tolerance(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

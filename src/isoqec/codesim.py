@@ -13,8 +13,9 @@ block-sum form, corrected_fidelity_mc, averages over syndrome outcomes
 analytically per sample and has the lower variance: summed over blocks,
 the recovered fidelity is the squared mass on the d'' first amplitudes,
 i.e. on e0 plus 2d''-1 other real coordinates, which
-sampler.fidelity_sampler draws from four variates per sample without
-building the state, reusing its arrays from chunk to chunk.  The sampled
+sampler.fidelity_sampler draws without building the state, reusing its
+arrays from chunk to chunk: four variates per sample here, and three for
+the raw estimate's mass on e0 plus one coordinate.  The sampled
 form, syndrome_sampled_fidelity_mc, builds full states with
 sampler.sample_states and draws an explicit syndrome per sample.  Both
 are unbiased and are kept as independent routes to the same number.

@@ -368,6 +368,9 @@ def _usage() -> dict[str, float]:
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every cell; write CSV/JSON if the config names paths.
 
+    An output path that cannot be a file (a NUL byte, a directory, a
+    missing parent directory) raises ConfigError before any sampling.
+
     Every cell needs three Monte Carlo estimates (raw coded state,
     corrected state, accumulated unencoded state), and each one's law is
     fixed by its _law_keys entry and a sigma (sigma_c for the coded
@@ -381,6 +384,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     keep separate streams: estimates that share a draw are correlated,
     and check_ordering's combined standard error assumes they are not.
     """
+    for path, what in ((config.csv_path, "CSV"),
+                       (config.json_path, "JSON report")):
+        if path is not None:
+            _check_output_path(path, what)
     started = time.perf_counter()
     usage_started = _usage()
     # a chunk holds one row of samples per sigma; cap it at MAX_CHUNK_SIZE
@@ -417,6 +424,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 estimates[key, density.sigma] = est
         mc_seconds.append({
             "key": list(key), "cells": [list(cell) for cell in served],
+            "n_sigmas": len(ordered),
             "seconds": time.perf_counter() - law_started})
     rows = []
     for keys, (density, uncoded, columns) in cells:
@@ -475,6 +483,23 @@ def _format_cell(value) -> str:
     return "%.17g" % value
 
 
+def _check_output_path(path: str, what: str) -> None:
+    """Refuse an output path that cannot be a file, before any work.
+
+    A name with a NUL byte, a directory, or a name whose parent is not a
+    directory; _write_text still reports what only writing can show.
+    """
+    if "\0" in path:
+        raise ConfigError(f"cannot write {what} {path!r}: "
+                          f"the path holds a NUL byte")
+    target = Path(path)
+    if target.is_dir():
+        raise ConfigError(f"cannot write {what} {path}: it is a directory")
+    if not target.parent.is_dir():
+        raise ConfigError(f"cannot write {what} {path}: "
+                          f"{target.parent} is not a directory")
+
+
 def _write_text(path, text: str, what: str) -> None:
     # open raises ValueError, not OSError, on a path with a NUL byte
     try:
@@ -498,14 +523,18 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
                       usage: dict[str, float]) -> None:
     """JSON report: config, provenance, rows, violations and timing.
 
-    mc_seconds holds one {"key", "cells", "seconds"} entry per Monte
-    Carlo estimate, that is per error law: its stream key and the
-    [n, m, slot] cells it serves.  usage holds the sweep's CPU user and
-    sys seconds and minor page faults, summed over all threads, as
-    run_sweep takes them from getrusage (empty where that is missing).
+    mc_seconds holds one {"key", "cells", "n_sigmas", "seconds"} entry
+    per Monte Carlo estimate, that is per error law: its stream key, the
+    [n, m, slot] cells it serves and the number of sigmas it evaluates.
+    timing's mc_values_per_second is the throughput over all of them,
+    the sum of n_samples * n_sigmas over the summed seconds.  usage
+    holds the sweep's CPU user and sys seconds and minor page faults,
+    summed over all threads, as run_sweep takes them from getrusage
+    (empty where that is missing).
     Timing goes only here, never into the CSV, so the CSV stays
     byte-deterministic.
     """
+    mc_values = config.n_samples * sum(law["n_sigmas"] for law in mc_seconds)
     report = {
         "config": asdict(config),
         "provenance": {
@@ -522,7 +551,9 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
         "rows": [asdict(row) for row in rows],
         "violations": check_ordering(rows),
         "timing": {"total_seconds": elapsed_seconds, "n_cells": len(rows),
-                   **usage, "mc_seconds": list(mc_seconds)},
+                   **usage, "mc_seconds": list(mc_seconds),
+                   "mc_values_per_second": mc_values / sum(
+                       law["seconds"] for law in mc_seconds)},
     }
     _write_text(path, json.dumps(report, indent=2) + "\n", "JSON report")
 

@@ -21,26 +21,32 @@ densities.  The normal density is the Poisson kernel of the unit ball in
 R^(2d) at y = sigma e0 (the PKBD of Golzy & Markatou 2020 and Sablica,
 Hornik & Leydold 2023), which fidelity_sampler draws exactly as one end
 of a chord: the line y + t w through a uniform direction w meets the
-sphere at t = a > 0 and t = -b < 0, with a b = 1 - sigma^2.  The forward
-end x alone has density (1 - sigma x0) / (|S^(2d-1)| |x - y|^(2d)), and
-keeping it with probability b / (a + b) multiplies that by
+sphere at t = t+ > 0 and t = -t- < 0, with t+ t- = 1 - sigma^2.  The
+forward end x alone has density (1 - sigma x0) / (|S^(2d-1)| |x - y|^(2d)),
+and keeping it with probability t- / (t+ + t-) multiplies that by
 (1 - sigma^2) / (1 - sigma x0), which is the kernel: no rejection step.
-The mass needs only w's e0 coordinate and its kept mass, so each sample
-costs four variates whatever d is, and no polar table is built.  sigma
-enters only the arithmetic after the draw, so one draw serves a whole
-sigma grid: each row of the output is an exact, unbiased sample of its
-own density, and the rows are correlated with each other.
+The mass needs only three numbers per sample: |w0|, the mass P of w on
+e0 plus the kept coordinates, and the coin's V' = 2U - 1.  For the raw
+mass (kept = 1) P is Beta(1, d - 1), drawn by inversion from one
+exponential (Devroye, Non-Uniform Random Variate Generation, 1986), and
+the direction in the (e0, e1) plane from one uniform, so a sample costs
+three variates whatever d is; other kept counts draw four.  No polar
+table is built.  sigma enters only the arithmetic after the draw, so one
+draw serves a whole sigma grid: each row of the output is an exact,
+unbiased sample of its own density, and the rows are correlated with
+each other.
 
 Memory: a Monte Carlo estimate allocates its chunk arrays once per
 thread and reuses them for every chunk that thread runs, so the chunk
 kernel allocates nothing in steady state and takes no page faults per
-chunk.  fidelity_sampler owns the draw's ten scratch arrays of chunk_size
-floats (Z0, K, R, U, Z0^2, N and four per-sigma temporaries) and its
-(rows, chunk_size) output; mc_mean owns one row of chunk_size floats for
-centring.  Both are threading.local, one set per worker thread, never
-shared; a ragged last chunk uses leading slices.  Per thread that is
-(11 + rows) * chunk_size * 8 bytes: 1.4 MiB plus 128 KiB per row at
-the default chunk size, and at most 96 MiB at the sweep's largest chunk
+chunk.  fidelity_sampler owns the draw's eight scratch arrays of
+chunk_size floats (P, a, a^2, the two coefficients, the key and two
+temporaries, which also take the draws) and its (rows, chunk_size)
+output; mc_mean owns one row of chunk_size floats for centring.  Both
+are threading.local, one set per worker thread, never shared; a ragged
+last chunk uses leading slices.  Per thread that is
+(9 + rows) * chunk_size * 8 bytes: 1.1 MiB plus 128 KiB per row at the
+default chunk size, and at most 80 MiB at the sweep's largest chunk
 (2^20 samples; a sweep caps rows * chunk_size at 2^20 floats).  It
 lives as long as the estimate (the sampler and the mc_mean call) and is
 freed when the estimate returns, so no sample-sized memory outlives an
@@ -59,6 +65,9 @@ import numpy as np
 from .distributions import DensityKind, IsotropicDensity, PolarMarginal
 
 DEFAULT_CHUNK_SIZE = 16384
+
+# the least normal float64: floors the chord-end key's denominator
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -166,16 +175,35 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
     share d; kept counts coordinates orthogonal to e0, 1 <= kept <= 2d-1.
     The arguments are checked once, here.
 
-    The direction w has e0 coordinate Z0 / sqrt(N) and kept mass K / N,
-    N = Z0^2 + K + R.  Let H = sqrt(Z0^2 + (1 - sigma^2) (K + R)); in
-    units of 1 / sqrt(N) the chord ends are H - sigma Z0 and
-    -(H + sigma Z0), and the forward one is kept when
-    2 H U <= H + sigma Z0.  With c = T / N for the kept end T, the value
-    is (sigma + c Z0)^2 + c^2 K, a sum that stays exact when the value is
-    tiny, where 1 - c^2 R cancels.
-    Consumption order is fixed: Z0, K (a squared normal at kept = 1, else
-    2 Gamma(kept/2)), R = 2 Gamma(rest/2), U; at kept = 2d-1 every
-    coordinate is kept, the value is 1 and nothing is drawn.
+    Each chunk reduces its draw to P, the mass of the direction w on e0
+    plus the kept coordinates, a = |w0| and V' = 2U - 1:
+      kept = 1: P = -expm1(E / (1 - d)) and a = sqrt(P) cos(pi V / 2),
+        drawn in the order E (standard exponential), V, U (uniforms),
+        since w0^2 + w1^2 is Beta(1, d - 1) and independent of the
+        direction in the (e0, e1) plane.  No normal, no gamma.
+      kept > 1: Z0 (normal), K = 2 Gamma(kept/2), R = 2 Gamma(rest/2),
+        U, in that order; P = (Z0^2 + K) / N and a = |Z0| / sqrt(N) with
+        N = (Z0^2 + K) + R.
+    At kept = 2d-1 every coordinate is kept, the value is 1 and nothing
+    is drawn.  The chord end t from sigma e0 along w has
+    t^2 = 1 - sigma^2 - 2 sigma w0 t, so its value
+    (sigma + t w0)^2 + t^2 (P - w0^2) is
+      P + sigma^2 (1 - P)(1 - 2 a^2) + 2 (1 - P) a (+-k),
+      k = sqrt(sigma^4 a^2 + sigma^2 (1 - sigma^2)),
+    with + for the forward end when w0 = a.  The forward end is kept
+    with probability t- / (t+ + t-), that is iff V' <= 0 or
+    key <= lam, key = V'^2 / ((1 - V'^2) a^2) and
+    lam = sigma^2 / (1 - sigma^2).  The value is unchanged under
+    (w0, V') -> (-w0, -V'), which swaps the ends along with the sign,
+    so the sign of w0 is never needed.  key is signed as V'|V'| (so
+    V' <= 0 always keeps the forward end) and its denominator is floored
+    at the least normal float 2^-1022, which changes no choice: V' > 0 is
+    at least 2^-52, so a floored key is above 2^900, and lam is below
+    2^53 for every sigma below 1.  Per sigma, in nine passes,
+      value = (P + sigma^2 (1 - P)(1 - 2 a^2))
+              + copysign(2 (1 - P) a k, lam - key).
+    It is a sum of terms of size at most 1, so its error is absolute, a
+    few units of 2^-53; at sigma = 0 it is exactly P.
 
     Each call writes into the calling thread's scratch arrays of this
     sampler, its output included, so the returned array is overwritten by
@@ -206,49 +234,71 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
         if rest == 0:
             out.fill(1.0)
             return out
-        # draws are scaled in place; doubling is exact and the sum
-        # commutes, so this rounds like k = 2 gamma, off_e0 = k + 2 gamma,
-        # two_u = 2 u
-        z0 = rng.standard_normal(out=scratch.get("z0", n))
-        k = scratch.get("k", n)
+        p, a, a2, coef_a, coef_b, key, t, s = (
+            scratch.get(name, n)
+            for name in ("p", "a", "a2", "coef_a", "coef_b", "key", "t", "s"))
         if kept == 1:
-            rng.standard_normal(out=k)
-            np.square(k, out=k)
+            # P = -expm1(E / (1 - d)), a = sqrt(P) cos(pi V / 2)
+            rng.standard_exponential(out=p)
+            np.divide(p, 1 - d, out=p)
+            np.expm1(p, out=p)
+            np.negative(p, out=p)
+            rng.random(out=a)
+            np.multiply(a, np.pi / 2, out=a)
+            np.cos(a, out=a)
+            np.multiply(a, np.sqrt(p, out=t), out=a)
         else:
-            rng.standard_gamma(kept / 2, out=k)
-            k *= 2.0
-        off_e0 = rng.standard_gamma(rest / 2, out=scratch.get("off_e0", n))
-        off_e0 *= 2.0
-        off_e0 += k
-        two_u = rng.random(out=scratch.get("two_u", n))
-        two_u *= 2.0
-        z0_sq = np.multiply(z0, z0, out=scratch.get("z0_sq", n))
-        norm = np.add(z0_sq, off_e0, out=scratch.get("norm", n))
-        # per sigma, in place, with the rounding of the expressions
-        #   h = sqrt(z0^2 + (1 - sigma^2) off_e0)
-        #   c = (copysign(h, h + sigma z0 - 2 h u) - sigma z0) / norm
-        #   value = (sigma + c z0)^2 + c^2 k
-        # copysign picks the chord end without a mask (+h is the forward
-        # end); h (2 u) rounds as (2 h) u, since both doublings are exact
-        h, sz, c, tmp = (scratch.get(name, n)
-                         for name in ("h", "sz", "c", "tmp"))
+            # Z0 into a, K into p, R into t; then P = (Z0^2 + K) / N and
+            # a = |Z0| / sqrt(N), N = (Z0^2 + K) + R
+            rng.standard_normal(out=a)
+            rng.standard_gamma(kept / 2, out=p)
+            p *= 2.0
+            rng.standard_gamma(rest / 2, out=t)
+            t *= 2.0
+            p += np.multiply(a, a, out=s)
+            t += p
+            p /= t
+            np.abs(a, out=a)
+            a /= np.sqrt(t, out=t)
+        rng.random(out=key)
+        np.multiply(a, a, out=a2)
+        # value = P + sigma^2 coef_a + (+-) coef_b k, with
+        # coef_a = (1 - P)(1 - 2 a^2) and coef_b = 2 (1 - P) a
+        np.subtract(1.0, p, out=t)
+        np.multiply(t, a, out=coef_b)
+        coef_b *= 2.0
+        np.multiply(a2, -2.0, out=coef_a)
+        coef_a += 1.0
+        coef_a *= t
+        # key = V'|V'| / ((1 - V'^2) a^2), V' = 2U - 1; the denominator
+        # is floored at the least normal float, so key stays finite and
+        # is 0 at V' = 0 (no 0/0 at a = 0, where both ends agree)
+        key *= 2.0
+        key -= 1.0
+        np.multiply(key, key, out=s)
+        np.subtract(1.0, s, out=s)
+        s *= a2
+        np.maximum(s, _TINY, out=s)
+        np.abs(key, out=t)
+        key *= t
+        key /= s
+        # per sigma, nine passes:
+        #   k = sqrt(sigma^4 a^2 + sigma^2 (1 - sigma^2))
+        #   value = (P + sigma^2 coef_a) + copysign(coef_b k, lam - key)
+        # with lam = sigma^2 / (1 - sigma^2): key <= lam keeps the
+        # forward end, whose sign is +
         for row, sigma in zip(out, sigmas):
-            np.multiply(1.0 - sigma * sigma, off_e0, out=h)
-            np.add(z0_sq, h, out=h)
-            np.sqrt(h, out=h)
-            np.multiply(sigma, z0, out=sz)
-            np.add(h, sz, out=c)
-            np.multiply(h, two_u, out=tmp)
-            np.subtract(c, tmp, out=c)
-            np.copysign(h, c, out=c)
-            np.subtract(c, sz, out=c)
-            np.divide(c, norm, out=c)
-            np.multiply(c, z0, out=tmp)
-            np.add(sigma, tmp, out=tmp)
-            np.square(tmp, out=row)
-            np.multiply(c, c, out=c)
-            np.multiply(c, k, out=c)
-            np.add(row, c, out=row)
+            s2 = sigma * sigma
+            lam = s2 / (1.0 - s2)
+            np.multiply(a2, s2 * s2, out=t)
+            np.add(t, s2 * (1.0 - s2), out=t)
+            np.sqrt(t, out=t)
+            np.multiply(t, coef_b, out=t)
+            np.subtract(lam, key, out=s)
+            np.copysign(t, s, out=t)
+            np.multiply(coef_a, s2, out=row)
+            np.add(row, p, out=row)
+            np.add(row, t, out=row)
         return out
 
     return value_fn

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import isoqec
-from isoqec import cli
+from isoqec import cli, experiments
 from isoqec.cli import main
 
 
@@ -168,23 +168,31 @@ class TestSweepCommand:
         assert "n_samples" in err and "chunk_size" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("overrides, flags, field", [
+    @pytest.mark.parametrize("overrides, flags, says", [
         ({"csv_path": 5}, [], "csv_path"),
         ({"json_path": ["a"]}, [], "json_path"),
         ({"csv_path": ""}, [], "csv_path"),
         ({"json_path": ""}, [], "json_path"),
-        ({}, ["--csv", ""], "csv_path")])
+        ({}, ["--csv", ""], "csv_path"),
+        ({}, ["--csv", "missing"], "is not a directory"),
+        ({}, ["--json", "missing"], "is not a directory"),
+        ({}, ["--csv", "dir"], "it is a directory"),
+        ({}, ["--json", "dir"], "it is a directory"),
+        ({}, ["--csv", "nul"], "NUL byte"),
+        ({}, ["--json", "nul"], "NUL byte")])
     def test_bad_output_paths_exit_2_before_sampling(
-            self, tmp_path, capsys, monkeypatch, overrides, flags, field):
-        def refuse(config):
-            raise AssertionError("the sweep started")
-        monkeypatch.setattr(cli, "run_sweep", refuse)
+            self, tmp_path, capsys, monkeypatch, overrides, flags, says):
+        # the raw estimate is the sweep's first
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+        monkeypatch.setattr(experiments, "raw_fidelity_mc", refuse)
+        monkeypatch.setattr(experiments, "corrected_fidelity_mc", refuse)
         rc = main(["sweep", "--config", write_config(tmp_path, **overrides),
-                   *flags])
+                   *(_path(flag, str(tmp_path), "out") for flag in flags)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert field in err and "Traceback" not in err
+        assert says in err and "Traceback" not in err
 
     def test_too_many_workers_exit_2(self, tmp_path, capsys):
         # rejected by the config, before any thread starts
@@ -271,10 +279,16 @@ class TestVerifyCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
 
-    def test_appendix_bad_tolerance_exits_2(self, capsys):
-        rc = main(["verify", "appendix", "--rel-tol", "0"])
+    @pytest.mark.parametrize("flags", [
+        ["--rel-tol", "0"], ["--rel-tol", "-1e+16"], ["--rel-tol=-1e+16"],
+        ["--rel-tol", "-inf"], ["--rel", "-1e+16"]])
+    def test_appendix_bad_tolerance_exits_2(self, capsys, flags):
+        # a negative value in its own argument is the value, not an option
+        rc = main(["verify", "appendix", *flags])
         assert rc == 2
-        assert "rel_tol" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: rel_tol must be finite and positive")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("rel_tol", ["inf", "1e400", "nan"])
     def test_appendix_non_finite_tolerance_exits_2(self, capsys, rel_tol):
@@ -429,8 +443,7 @@ class TestGeneratedInputs:
     @given(st.one_of(st.floats(), st.sampled_from(
         [5e-324, -0.0, 1e-16, 1e-9, math.inf, -math.inf])))
     def test_verify_appendix_tolerances(self, rel_tol):
-        # one argument: argparse takes "-1e+16" alone for an option
-        _run_cleanly(["verify", "appendix", f"--rel-tol={rel_tol!r}"])
+        _run_cleanly(["verify", "appendix", "--rel-tol", repr(rel_tol)])
 
     @settings(GENERATED, max_examples=10)
     @given(st.sampled_from(["good", "missing", "dir", "nul", ""]))

@@ -278,11 +278,17 @@ class TestRunSweep:
         timing = json.loads(path.read_text())["timing"]
         assert set(timing) == {"total_seconds", "n_cells", "mc_seconds",
                                "cpu_user_seconds", "cpu_sys_seconds",
-                               "minor_page_faults"}
+                               "minor_page_faults", "mc_values_per_second"}
         assert timing["cpu_user_seconds"] >= 0.0
         assert timing["cpu_sys_seconds"] >= 0.0
         assert isinstance(timing["minor_page_faults"], int)
         assert timing["minor_page_faults"] >= 0
+        # each law evaluates both sigma_c (or both sigma_u) of the grid;
+        # the throughput is n_samples values per sigma over the summed time
+        laws = timing["mc_seconds"]
+        assert [law["n_sigmas"] for law in laws] == [2, 2, 2]
+        assert timing["mc_values_per_second"] == pytest.approx(
+            2000 * 6 / sum(law["seconds"] for law in laws), rel=1e-12)
 
     def test_csv_round_trips_exactly(self, tmp_path):
         path = tmp_path / "rows.csv"

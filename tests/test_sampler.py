@@ -3,13 +3,17 @@ stream determinism.  Statistical assertions run on fixed seeds at 3
 standard errors unless the quantity is exact.
 """
 
+import itertools
 import math
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from isoqec import sampler as sampler_module
 from isoqec.codesim import BlockCode
 from isoqec.distributions import (
     CodeParams,
@@ -41,22 +45,78 @@ def streams(*key):
     return base
 
 
+def chord_statistics(d, kept, n, rng):
+    """fidelity_sampler's (P, a, key) by its docstring, out of place."""
+    if kept == 1:
+        p = -np.expm1(rng.standard_exponential(n) / (1 - d))
+        a = np.cos(rng.random(n) * (np.pi / 2)) * np.sqrt(p)
+    else:
+        z0 = rng.standard_normal(n)
+        k = 2.0 * rng.standard_gamma(kept / 2, n)
+        r = 2.0 * rng.standard_gamma((2 * d - 1 - kept) / 2, n)
+        norm = r + (z0 * z0 + k)
+        p = (z0 * z0 + k) / norm
+        a = np.abs(z0) / np.sqrt(norm)
+    return p, a, chord_key(a, rng.random(n))
+
+
+def chord_key(a, u):
+    """The end choice's key V'|V'| / ((1 - V'^2) a^2), V' = 2U - 1."""
+    v = 2.0 * u - 1.0
+    return v * np.abs(v) / np.maximum((1.0 - v * v) * (a * a),
+                                      np.finfo(float).tiny)
+
+
+def chord_values(sigmas, p, a, key):
+    """The docstring's value identity, one row per sigma."""
+    coef_a = (1.0 - 2.0 * (a * a)) * (1.0 - p)
+    coef_b = 2.0 * ((1.0 - p) * a)
+    rows = []
+    for sigma in sigmas:
+        s2 = sigma * sigma
+        k = np.sqrt(a * a * (s2 * s2) + s2 * (1.0 - s2))
+        rows.append((coef_a * s2 + p)
+                    + np.copysign(k * coef_b, s2 / (1.0 - s2) - key))
+    return np.array(rows)
+
+
 def out_of_place_fidelities(sigmas, d, kept, n, rng):
     """fidelity_sampler's docstring expressions, evaluated out of place."""
     if kept == 2 * d - 1:
         return np.ones((len(sigmas), n))
-    z0 = rng.standard_normal(n)
-    k = (np.square(rng.standard_normal(n)) if kept == 1
-         else 2.0 * rng.standard_gamma(kept / 2, n))
-    r = 2.0 * rng.standard_gamma((2 * d - 1 - kept) / 2, n)
-    two_u = 2.0 * rng.random(n)
-    rows = []
-    for sigma in sigmas:
-        h = np.sqrt(z0 * z0 + (1.0 - sigma * sigma) * (k + r))
-        c = (np.copysign(h, h + sigma * z0 - h * two_u)
-             - sigma * z0) / (z0 * z0 + (k + r))
-        rows.append((sigma + c * z0) ** 2 + c * c * k)
-    return np.array(rows)
+    return chord_values(sigmas, *chord_statistics(d, kept, n, rng))
+
+
+def chord_form_values(sigma, z0, k, r, u):
+    """The kept chord end's value from its coordinates, the identity's
+    reference: (sigma + c Z0)^2 + c^2 K with c = T / N for the end T."""
+    h = np.sqrt(z0 * z0 + (1.0 - sigma * sigma) * (k + r))
+    c = ((np.copysign(h, h + sigma * z0 - 2.0 * h * u) - sigma * z0)
+         / (z0 * z0 + (k + r)))
+    return (sigma + c * z0) ** 2 + c * c * k
+
+
+class StubGenerator:
+    """Hands out given variates, in order, and records each method drawn.
+
+    Any method it does not have (a normal or a gamma) raises
+    AttributeError, so a draw of one fails the caller.
+    """
+
+    def __init__(self, exponential, uniforms):
+        self.exponential = exponential
+        self.uniforms = list(uniforms)
+        self.calls = []
+
+    def standard_exponential(self, out):
+        self.calls.append("standard_exponential")
+        out[:] = self.exponential
+        return out
+
+    def random(self, out):
+        self.calls.append("random")
+        out[:] = self.uniforms.pop(0)
+        return out
 
 
 def whole_chunk_mc_mean(value_fn, n_samples, streams, chunk_size):
@@ -302,6 +362,113 @@ class TestFidelitySampler:
         want = out_of_place_fidelities(sigmas, d, kept, n,
                                        streams(54, kept).chunk(0))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kept", [1, 5])
+    def test_value_identity_matches_the_chord_form(self, kept):
+        # the same (Z0, K, R, U) through (sigma + c Z0)^2 + c^2 K and
+        # through the identity in (P, a, key), with U -> 1 - U (V' -> -V')
+        # where Z0 < 0: the flip that lets the sampler drop Z0's sign.
+        # Both sides sum terms of size at most 4 after a few roundings
+        # each, so they agree to 64 eps absolute; a = 0 (Z0 = 0) with
+        # V' = -1, 0 and 1/2 included
+        d, n = 8, 20000
+        rng = streams(58, kept).chunk(0)
+        z0 = rng.standard_normal(n)
+        k = (np.square(rng.standard_normal(n)) if kept == 1
+             else 2.0 * rng.standard_gamma(kept / 2, n))
+        r = 2.0 * rng.standard_gamma((2 * d - 1 - kept) / 2, n)
+        u = rng.random(n)
+        z0[:3] = 0.0
+        u[:3] = (0.0, 0.5, 0.75)
+        norm = z0 * z0 + k + r
+        a = np.abs(z0) / np.sqrt(norm)
+        p = (z0 * z0 + k) / norm
+        sigmas = (0.0, 0.3, 0.9, 0.999)
+        got = chord_values(sigmas, p, a,
+                           chord_key(a, np.where(z0 < 0, 1.0 - u, u)))
+        for row, sigma in zip(got, sigmas):
+            want = chord_form_values(sigma, z0, k, r, u)
+            assert np.max(np.abs(row - want)) <= 64 * np.finfo(float).eps, \
+                sigma
+
+    @pytest.mark.parametrize("d", [2, 8, 2 ** 20])
+    def test_raw_law_mass_and_angle(self, d):
+        # P ~ Beta(1, d - 1) and a^2 / P, the cos^2 of a uniform angle,
+        # ~ Beta(1/2, 1/2); the sampler's sigma = 0 row is P itself
+        n = 20000
+        tag = (2, 8, 2 ** 20).index(d)
+        p, a, _ = chord_statistics(d, 1, n, streams(59, tag).chunk(0))
+        (row,) = fidelity_sampler((IsotropicDensity.normal(0.0, d),), 1)(
+            streams(59, tag).chunk(0), n)
+        assert np.array_equal(row, p)
+        assert stats.kstest(p, stats.beta(1, d - 1).cdf).pvalue > 1e-3
+        assert stats.kstest(a * a / p, stats.beta(0.5, 0.5).cdf).pvalue \
+            > 1e-3
+
+    @pytest.mark.parametrize("d", [2, 8, 2 ** 20])
+    def test_boundary_variates_stay_in_the_unit_interval(self, d):
+        # E = 0 gives P = 0 and a = 0, U = 0 gives V' = -1, and V near 1
+        # gives a near 0: every value finite, no warning, no normal or
+        # gamma drawn (the stub has neither)
+        one = math.nextafter(1.0, 0.0)
+        grid = np.array(list(itertools.product(
+            (0.0, 5e-324, 1e-300, 1.0, 40.0, 800.0),
+            (0.0, 2.0 ** -53, 0.5, one),
+            (0.0, 2.0 ** -53, 0.5, 0.5 + 2.0 ** -53, one)))).T
+        sigmas = (0.0, 2.0 ** -30, 0.3, 0.9, 0.999, one)
+        rng = StubGenerator(grid[0], grid[1:])
+        with warnings.catch_warnings(), np.errstate(
+                divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            values = fidelity_sampler(
+                [IsotropicDensity.normal(s, d) for s in sigmas], 1)(
+                rng, grid.shape[1])
+        assert rng.calls == ["standard_exponential", "random", "random"]
+        assert np.all(np.isfinite(values))
+        assert values.min() >= -1e-15 and values.max() <= 1.0 + 1e-15
+
+    def test_each_sigma_row_costs_nine_passes(self, monkeypatch):
+        # the per-sigma loop calls numpy ufuncs by name: count the calls
+        # of a 3-row and a 1-row sampler on the same chunk
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                value = getattr(np, name)
+                if not isinstance(value, np.ufunc):
+                    return value
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return value(*args, **kwargs)
+                return counted
+
+        monkeypatch.setattr(sampler_module, "np", CountingNumpy())
+        for kept in (1, 5):
+            counts = []
+            for sigmas in ((0.5,), (0.2, 0.5, 0.9)):
+                calls.clear()
+                fidelity_sampler([IsotropicDensity.normal(s, 8)
+                                  for s in sigmas], kept)(
+                    streams(61).chunk(0), 100)
+                counts.append(len(calls))
+            assert (counts[1] - counts[0]) / 2 <= 9, (kept, counts)
+
+    @pytest.mark.parametrize("kept", [1, 5])
+    def test_scratch_stays_within_its_bound(self, kept):
+        # (11 + rows) chunk_size floats per thread, of which mc_mean's
+        # centring row is one
+        n, sigmas = 20000, (0.2, 0.5, 0.9)
+        value_fn = fidelity_sampler([IsotropicDensity.normal(s, 8)
+                                     for s in sigmas], kept)
+        rng = streams(62).chunk(0)
+        tracemalloc.start()
+        try:
+            value_fn(rng, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (10 + len(sigmas)) * n * 8
 
     @pytest.mark.parametrize("kept", [1, 5, 15])
     def test_reused_scratch_matches_the_out_of_place_expressions(self, kept):
