@@ -55,9 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vsub = p_verify.add_subparsers(dest="report", required=True)
     p_appendix = vsub.add_parser(
         "appendix", help="integral closed forms vs adaptive quadrature")
-    p_appendix.add_argument("--rel-tol", dest="rel_tol", type=float,
-                            default=1e-9,
-                            help="relative tolerance (default 1e-9)")
     p_appendix.set_defaults(func=_cmd_verify_appendix)
     p_theorems = vsub.add_parser(
         "theorems", help="ordering chain, variance bounds, gap function")
@@ -117,7 +114,7 @@ def _print_report(report) -> int:
 
 
 def _cmd_verify_appendix(args) -> int:
-    return _print_report(verify_appendix(args.rel_tol))
+    return _print_report(verify_appendix())
 
 
 def _cmd_verify_theorems(args) -> int:
@@ -131,33 +128,9 @@ def _cmd_figure2(args) -> int:
     return 0
 
 
-def _join_tolerance(argv):
-    """--rel-tol and a number after it, as one --rel-tol=<number> token.
-
-    argparse reads a lone -1e+16 or -inf as an option rather than as
-    the value, and would exit with its two-line usage error; joined, the
-    value reaches verify_appendix's one-line check.  A prefix such as
-    --rel, which argparse takes for --rel-tol, is joined the same way.
-    """
-    joined = []
-    for token in argv:
-        flag = joined[-1] if joined else ""
-        if flag.startswith("--r") and "--rel-tol".startswith(flag):
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                joined[-1] = f"{flag}={token}"
-                continue
-        joined.append(token)
-    return joined
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(
-        _join_tolerance(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

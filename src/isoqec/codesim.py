@@ -37,7 +37,6 @@ import numpy as np
 
 from .distributions import CodeParams, IsotropicDensity
 from .sampler import (
-    DEFAULT_CHUNK_SIZE,
     McEstimate,
     RngStreams,
     fidelity_sampler,
@@ -111,26 +110,23 @@ def _checked(densities: Sequence[IsotropicDensity],
 
 def raw_fidelity_mc(densities: Sequence[IsotropicDensity], n_samples: int,
                     streams: RngStreams, *,
-                    chunk_size: int = DEFAULT_CHUNK_SIZE,
                     workers: int = 1) -> tuple[McEstimate, ...]:
     """Monte Carlo squared fidelity of the raw perturbed state, per density."""
     # the second coordinate is the only one kept beside e0
     return mc_mean(fidelity_sampler(densities, 1), n_samples, streams,
-                   chunk_size=chunk_size, workers=workers)
+                   workers=workers)
 
 
 def corrected_fidelity_mc(densities: Sequence[IsotropicDensity],
                           code: BlockCode, n_samples: int,
                           streams: RngStreams, *,
-                          chunk_size: int = DEFAULT_CHUNK_SIZE,
                           workers: int = 1) -> tuple[McEstimate, ...]:
     """Monte Carlo squared fidelity after syndrome measurement and
     recovery, per density, averaged over syndromes in closed form."""
     densities = _checked(densities, code.params.d)
     # each block's first amplitude: e0 plus 2 d'' - 1 coordinates
     return mc_mean(fidelity_sampler(densities, 2 * code.n_blocks - 1),
-                   n_samples, streams, chunk_size=chunk_size,
-                   workers=workers)
+                   n_samples, streams, workers=workers)
 
 
 def syndrome_sampled_fidelity_mc(densities: Sequence[IsotropicDensity],

@@ -19,8 +19,8 @@ import functools
 import json
 import math
 import numbers
+import os
 import platform
-import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -99,11 +99,15 @@ KERNEL_D_GRID = (1, 2, 4, 8, 16, 32, 64)
 KERNEL_SIGMA_GRID = (0.0, 0.5, 0.9, 0.99)
 CAP_ANGLE_GRID = (0.3, math.pi / 4, math.pi / 2, 2.0, 3 * math.pi / 4, math.pi)
 
-# arrays of 2**20 floats per chunk stay at a few MB; workers are threads;
-# each chunk of an estimate is one task and one partial sum in memory
-MAX_CHUNK_SIZE = 2 ** 20
-MAX_CHUNKS = 2 ** 16
+# a sweep chunks every estimate at DEFAULT_CHUNK_SIZE samples; each chunk
+# is one task and one partial sum in memory, at most 2**16 of them
+MAX_SAMPLES = 2 ** 16 * DEFAULT_CHUNK_SIZE
+# a chunk holds one row of samples per sigma; sigma groups of this size,
+# each on the same streams, keep it at 2**20 floats (8 MiB)
+SIGMA_GROUP = 2 ** 20 // DEFAULT_CHUNK_SIZE
 MAX_WORKERS = 64
+# verify_appendix's bound on each closed form's relative error
+APPENDIX_REL_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -127,8 +131,6 @@ class SweepConfig:
     sigma_grid: tuple[float, ...]
     n_samples: int = 200_000
     seed: int = 0
-    n_steps_override: int | None = None
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     workers: int = 1
     csv_path: str | None = None
     json_path: str | None = None
@@ -176,40 +178,21 @@ class SweepConfig:
                                   f"n <= {MAX_CODE_QUBITS} qubits")
         if not self.sigma_grid:
             raise ConfigError("sigma_grid must not be empty")
-        if not (_is_int(self.n_samples) and self.n_samples >= 1000):
-            raise ConfigError(f"n_samples must be an integer >= 1000, "
-                              f"got {self.n_samples}")
+        if not (_is_int(self.n_samples)
+                and 1000 <= self.n_samples <= MAX_SAMPLES):
+            raise ConfigError(f"n_samples must be an integer in "
+                              f"[1000, {MAX_SAMPLES}], got {self.n_samples}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, "
                               f"got {self.seed}")
-        # 1/steps must convert to float, as _closed_form_cell takes it
-        if self.n_steps_override is not None and not (
-                _is_int(self.n_steps_override)
-                and 1 <= self.n_steps_override <= sys.float_info.max):
-            raise ConfigError(f"n_steps_override must be an integer in "
-                              f"[1, {sys.float_info.max:g}], "
-                              f"got {self.n_steps_override}")
-        # sigma_u = sigma ** (1/steps) must stay below 1 after rounding,
-        # with steps = n or n_steps_override, as _closed_form_cell has it
-        steps_used = ({code[0] for code in self.code_list}
-                      if self.n_steps_override is None
-                      else {self.n_steps_override})
-        for steps in sorted(steps_used):
+        # _closed_form_cell's sigma_u = sigma ** (1/n) must round below 1
+        for steps in sorted({code[0] for code in self.code_list}):
             for sigma in self.sigma_grid:
                 if sigma ** (1.0 / steps) >= 1.0:
                     raise ConfigError(
                         f"sigma {sigma!r} over {steps} steps gives "
                         f"sigma_u = sigma ** (1/{steps}) = 1.0 in floating "
                         f"point; sigma_u must lie below 1")
-        if not (_is_int(self.chunk_size)
-                and 1 <= self.chunk_size <= MAX_CHUNK_SIZE):
-            raise ConfigError(f"chunk_size must be an integer in "
-                              f"[1, {MAX_CHUNK_SIZE}], got {self.chunk_size}")
-        n_chunks = -(-self.n_samples // self.chunk_size)
-        if n_chunks > MAX_CHUNKS:
-            raise ConfigError(f"n_samples / chunk_size must be at most "
-                              f"{MAX_CHUNKS} chunks, got n_samples="
-                              f"{self.n_samples}, chunk_size={self.chunk_size}")
         if not (_is_int(self.workers) and 1 <= self.workers <= MAX_WORKERS):
             raise ConfigError(f"workers must be an integer in "
                               f"[1, {MAX_WORKERS}], got {self.workers}")
@@ -275,15 +258,13 @@ class SweepRow:
     mc_se_psi0: float
 
 
-def _closed_form_cell(params: CodeParams, sigma_c: float,
-                      n_steps: int | None):
+def _closed_form_cell(params: CodeParams, sigma_c: float):
     """Densities and closed-form columns for one cell.
 
-    The unencoded error splits sigma_c over n_steps steps, the code's
-    qubit count n when n_steps is None: sigma_u = sigma_c ** (1/steps).
+    The unencoded error accumulates over the code's n steps, each at
+    sigma_u = sigma_c ** (1/n), so that n of them compose to sigma_c.
     """
-    steps = params.n if n_steps is None else n_steps
-    sigma_u = sigma_c ** (1.0 / steps)
+    sigma_u = sigma_c ** (1.0 / params.n)
     density = IsotropicDensity.normal(sigma_c, params.d)
     uncoded = IsotropicDensity.normal(sigma_u, params.d_prime)
     report = full_report(density, params, uncoded)
@@ -314,7 +295,7 @@ def closed_form_rows(code_list: Sequence[tuple[int, int]],
     for code in code_list:
         params = CodeParams(*code)
         for sigma_c in sigma_grid:
-            _, _, columns = _closed_form_cell(params, sigma_c, None)
+            _, _, columns = _closed_form_cell(params, sigma_c)
             rows.append(SweepRow(**columns,
                                  mc_f2_psi=math.nan, mc_se_psi=math.nan,
                                  mc_f2_phi_tilde=math.nan,
@@ -346,12 +327,12 @@ def _estimate_law(key: tuple[int, int],
                   config: SweepConfig, streams: RngStreams):
     """One estimate per density of the law with this stream key."""
     n, kept_log2 = key
-    kwargs = {"chunk_size": config.chunk_size, "workers": config.workers}
     if kept_log2 == 0:
-        return raw_fidelity_mc(densities, config.n_samples, streams, **kwargs)
+        return raw_fidelity_mc(densities, config.n_samples, streams,
+                               workers=config.workers)
     block_code = BlockCode(CodeParams(n, n - kept_log2))
     return corrected_fidelity_mc(densities, block_code, config.n_samples,
-                                 streams, **kwargs)
+                                 streams, workers=config.workers)
 
 
 def _usage() -> dict[str, float]:
@@ -369,7 +350,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every cell; write CSV/JSON if the config names paths.
 
     An output path that cannot be a file (a NUL byte, a directory, a
-    missing parent directory) raises ConfigError before any sampling.
+    missing parent directory), or a CSV and a JSON report aimed at one
+    file, raises ConfigError before any sampling.
 
     Every cell needs three Monte Carlo estimates (raw coded state,
     corrected state, accumulated unencoded state), and each one's law is
@@ -383,25 +365,30 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     which other codes are listed and in what order.  A cell's three laws
     keep separate streams: estimates that share a draw are correlated,
     and check_ordering's combined standard error assumes they are not.
+    Every estimate chunks at DEFAULT_CHUNK_SIZE samples and runs its
+    sigmas in groups of SIGMA_GROUP on the same streams; a row does not
+    depend on its group, so the rows depend on (seed, n_samples) alone.
     """
     for path, what in ((config.csv_path, "CSV"),
                        (config.json_path, "JSON report")):
         if path is not None:
             _check_output_path(path, what)
+    # realpath, unlike Path.resolve on Python < 3.13, takes symlink loops
+    if (config.csv_path is not None and config.json_path is not None
+            and os.path.realpath(config.csv_path)
+            == os.path.realpath(config.json_path)):
+        raise ConfigError(f"the CSV {config.csv_path} and the JSON report "
+                          f"{config.json_path} name the same file")
     started = time.perf_counter()
     usage_started = _usage()
-    # a chunk holds one row of samples per sigma; cap it at MAX_CHUNK_SIZE
-    # floats by running sigma groups, each on the same streams
-    group = MAX_CHUNK_SIZE // min(config.chunk_size, config.n_samples)
     cells = []
     # law key -> ({sigma: density}, [(n, m, slot) served])
     laws: dict[tuple[int, int], tuple[dict, list]] = {}
     for code in config.code_list:
         params = CodeParams(*code)
         keys = _law_keys(params)
-        code_cells = [
-            _closed_form_cell(params, sigma_c, config.n_steps_override)
-            for sigma_c in config.sigma_grid]
+        code_cells = [_closed_form_cell(params, sigma_c)
+                      for sigma_c in config.sigma_grid]
         coded = [density for density, _, _ in code_cells]
         uncoded = [density for _, density, _ in code_cells]
         for key, slot, slot_densities in zip(keys, _SLOTS,
@@ -417,8 +404,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         law_started = time.perf_counter()
         streams = RngStreams(config.seed).split(key[0]).split(key[1])
         ordered = [densities[sigma] for sigma in sorted(densities)]
-        for start in range(0, len(ordered), group):
-            batch = ordered[start:start + group]
+        for start in range(0, len(ordered), SIGMA_GROUP):
+            batch = ordered[start:start + SIGMA_GROUP]
             for density, est in zip(
                     batch, _estimate_law(key, batch, config, streams)):
                 estimates[key, density.sigma] = est
@@ -543,7 +530,7 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
             "scipy": scipy.__version__,
             "python": platform.python_version(),
             "seed": config.seed,
-            "chunk_size": config.chunk_size,
+            "chunk_size": DEFAULT_CHUNK_SIZE,
             "workers": config.workers,
             "bit_generator": type(
                 RngStreams(config.seed).chunk(0).bit_generator).__name__,
@@ -591,17 +578,16 @@ def _rel_err(got: float, want: float) -> float:
     return abs(got - want) / abs(want)
 
 
-def _summarize(name: str, errors: list[tuple[float, str]],
-               tol: float) -> CheckResult:
+def _summarize(name: str, errors: list[tuple[float, str]]) -> CheckResult:
     worst, where = max(errors)
-    passed = worst <= tol
+    passed = worst <= APPENDIX_REL_TOL
     return CheckResult(
         name=name, status="ok" if passed else "failed",
         detail=f"{len(errors)} cases, max rel err {worst:.3e} at {where}",
         passed=passed)
 
 
-def verify_appendix(rel_tol: float = 1e-9) -> VerificationReport:
+def verify_appendix() -> VerificationReport:
     """Check every classical integral closed form against quadrature.
 
     Families: sin-power integrals (odd and even exponents to 128), the
@@ -612,11 +598,9 @@ def verify_appendix(rel_tol: float = 1e-9) -> VerificationReport:
     |S^D| = |S^(D-1)| * integral of sin^(D-1), started from |S^0| = 2.
     Each integral of sin^k over [0, alpha] is computed once per report:
     the sphere recursion and the alpha = pi caps reuse the sin-power
-    quadratures, so a report makes 248 QUADPACK calls.
+    quadratures, so a report makes 248 QUADPACK calls.  A family passes
+    when its worst relative error is at most APPENDIX_REL_TOL.
     """
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ConfigError(f"rel_tol must be finite and positive, "
-                          f"got {rel_tol}")
 
     @functools.cache
     def sin_power_quad(k: int, alpha: float) -> float:
@@ -630,7 +614,7 @@ def verify_appendix(rel_tol: float = 1e-9) -> VerificationReport:
         errors = [(_rel_err(sin_power_quad(k, math.pi),
                             sin_power_integral(k)), f"k={k}")
                   for k in exponents]
-        checks.append(_summarize(name, errors, rel_tol))
+        checks.append(_summarize(name, errors))
 
     errors = []
     for d in KERNEL_D_GRID:
@@ -639,7 +623,7 @@ def verify_appendix(rel_tol: float = 1e-9) -> VerificationReport:
             want = math.exp(sin_power_partial(k, alpha).log_integral)
             errors.append((_rel_err(sin_power_quad(k, alpha), want),
                            f"k={k}, alpha={alpha:.6g}"))
-    checks.append(_summarize("sin-power-partial", errors, rel_tol))
+    checks.append(_summarize("sin-power-partial", errors))
 
     variant_names = (
         (KernelVariant.SIN_2D_MINUS_2, "kernel-inverse-square"),
@@ -657,7 +641,7 @@ def verify_appendix(rel_tol: float = 1e-9) -> VerificationReport:
                 want = poisson_kernel_integral(d, sigma, variant)
                 errors.append((_rel_err(ref, want),
                                f"d={d}, sigma={sigma}"))
-        checks.append(_summarize(name, errors, rel_tol))
+        checks.append(_summarize(name, errors))
 
     surface = 2.0  # the 0-sphere is two points
     even_errors = [(_rel_err(surface, sphere_surface(0)), "D=0")]
@@ -667,8 +651,8 @@ def verify_appendix(rel_tol: float = 1e-9) -> VerificationReport:
         target = even_errors if surf_dim % 2 == 0 else odd_errors
         target.append((_rel_err(surface, sphere_surface(surf_dim)),
                        f"D={surf_dim}"))
-    checks.append(_summarize("sphere-even-dim", even_errors, rel_tol))
-    checks.append(_summarize("sphere-odd-dim", odd_errors, rel_tol))
+    checks.append(_summarize("sphere-even-dim", even_errors))
+    checks.append(_summarize("sphere-odd-dim", odd_errors))
 
     return VerificationReport("appendix", tuple(checks))
 

@@ -46,11 +46,11 @@ output; mc_mean owns one row of chunk_size floats for centring.  Both
 are threading.local, one set per worker thread, never shared; a ragged
 last chunk uses leading slices.  Per thread that is
 (9 + rows) * chunk_size * 8 bytes: 1.1 MiB plus 128 KiB per row at the
-default chunk size, and at most 80 MiB at the sweep's largest chunk
-(2^20 samples; a sweep caps rows * chunk_size at 2^20 floats).  It
-lives as long as the estimate (the sampler and the mc_mean call) and is
-freed when the estimate returns, so no sample-sized memory outlives an
-estimate.
+default chunk size.  A sweep chunks at the default size and evaluates
+at most 64 sigmas per draw, so its worst case is (9 + 64) * 16384 * 8
+bytes, about 9.1 MiB.  It lives as long as the estimate (the sampler
+and the mc_mean call) and is freed when the estimate returns, so no
+sample-sized memory outlives an estimate.
 """
 
 from __future__ import annotations
@@ -72,12 +72,10 @@ _TINY = np.finfo(np.float64).tiny
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Mean estimate with its standard error and provenance."""
+    """Mean estimate with its standard error."""
 
     value: float
     std_error: float
-    n_samples: int
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -367,5 +365,5 @@ def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
     values = total / n_samples
     # m2 is 0 at one sample, where the standard error reads 0
     errors = np.sqrt(m2 / max(n_samples - 1, 1) / n_samples)
-    return tuple(McEstimate(float(v), float(se), n_samples, streams.seed)
+    return tuple(McEstimate(float(v), float(se))
                  for v, se in zip(values, errors))

@@ -186,7 +186,7 @@ def test_figure_curves_and_endpoints(tmp_path):
 
 def test_integral_closed_forms_match_quadrature():
     started = time.perf_counter()
-    report = verify_appendix(rel_tol=1e-9)
+    report = verify_appendix()
     elapsed = time.perf_counter() - started
     n_cases = sum(int(check.detail.split()[0]) for check in report.checks)
     _gate("integral-closed-forms-match-quadrature",
@@ -303,8 +303,7 @@ def test_sweep_csv_byte_determinism(tmp_path):
         path = tmp_path / f"{tag}.csv"
         config = SweepConfig(code_list=((5, 1), (3, 1)),
                              sigma_grid=(0.0, 0.9), n_samples=20_000,
-                             seed=SEED, chunk_size=8192, workers=workers,
-                             csv_path=str(path))
+                             seed=SEED, workers=workers, csv_path=str(path))
         rows = run_sweep(config)
         assert len(rows) == 4
         outputs.append(path.read_bytes())

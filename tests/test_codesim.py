@@ -212,10 +212,9 @@ class TestDensitySequences:
     SIGMAS = (0.0, 0.4, 0.9)
 
     @pytest.mark.parametrize("estimate", [
-        lambda ds, st: raw_fidelity_mc(ds, 30000, st, chunk_size=7000),
+        lambda ds, st: raw_fidelity_mc(ds, 30000, st),
         lambda ds, st: corrected_fidelity_mc(
-            ds, BlockCode(CodeParams(3, 1)), 30000, st, chunk_size=7000,
-            workers=2),
+            ds, BlockCode(CodeParams(3, 1)), 30000, st, workers=2),
         lambda ds, st: syndrome_sampled_fidelity_mc(
             ds, BlockCode(CodeParams(3, 1)), 30000, st),
     ], ids=["raw", "block_sum", "syndrome_sampled"])

@@ -1,6 +1,7 @@
 """Sweep plumbing, verification reports, and figure emission."""
 
 import dataclasses
+import inspect
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -11,14 +12,15 @@ import scipy.integrate
 
 from isoqec import codesim, experiments
 from isoqec.distributions import CodeParams, PolarMarginal
+from isoqec.sampler import DEFAULT_CHUNK_SIZE
 from isoqec.experiments import (
     DEFAULT_CODES,
     DEFAULT_SIGMA_GRID,
     FIGURE_CODES,
-    MAX_CHUNK_SIZE,
-    MAX_CHUNKS,
     MAX_CODE_QUBITS,
+    MAX_SAMPLES,
     MAX_WORKERS,
+    SIGMA_GROUP,
     CheckResult,
     ConfigError,
     SweepConfig,
@@ -75,22 +77,21 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match=str(MAX_CODE_QUBITS)):
             small_config(code_list=((MAX_CODE_QUBITS + 1, 1),))
 
-    def test_rejects_too_many_chunks(self):
-        small_config(n_samples=MAX_CHUNKS, chunk_size=1)
+    def test_rejects_too_many_samples(self):
+        # 2**16 chunks of the default size; building the config samples
+        # nothing
+        assert MAX_SAMPLES == 2 ** 16 * DEFAULT_CHUNK_SIZE == 2 ** 30
+        small_config(n_samples=MAX_SAMPLES)
         with pytest.raises(ConfigError, match="n_samples") as exc:
-            small_config(n_samples=MAX_CHUNKS + 1, chunk_size=1)
-        assert "chunk_size" in str(exc.value)
+            small_config(n_samples=MAX_SAMPLES + 1)
+        assert str(MAX_SAMPLES) in str(exc.value)
 
     def test_rejects_bad_plumbing_values(self):
         for workers in (0, MAX_WORKERS + 1, 2 ** 31, 10 ** 400):
             with pytest.raises(ConfigError, match="workers"):
                 small_config(workers=workers)
         with pytest.raises(ConfigError):
-            small_config(chunk_size=0)
-        with pytest.raises(ConfigError):
             small_config(seed=-1)
-        with pytest.raises(ConfigError):
-            small_config(n_steps_override=0)
 
     def test_rejects_bad_output_paths(self):
         for field in ("csv_path", "json_path"):
@@ -105,9 +106,16 @@ class TestSweepConfig:
                 small_config(code_list=(code,))
             assert "\n" not in str(exc.value)
 
+    def test_has_exactly_its_seven_inputs(self):
+        # the sweep chunks at DEFAULT_CHUNK_SIZE and splits the unencoded
+        # error over the code's n steps; neither is an input
+        assert [f.name for f in dataclasses.fields(SweepConfig)] == [
+            "code_list", "sigma_grid", "n_samples", "seed", "workers",
+            "csv_path", "json_path"]
+
     def test_rejects_booleans_for_integers(self):
         # bool is an int subclass; true/false in a config is a mistake
-        for field in ("seed", "workers", "chunk_size", "n_steps_override"):
+        for field in ("seed", "workers", "n_samples"):
             with pytest.raises(ConfigError, match=field):
                 small_config(**{field: True})
 
@@ -193,14 +201,13 @@ class TestClosedFormRows:
         assert row.lb_psi0 == pytest.approx(want, abs=1e-14)
         assert row.lb_psi0 <= row.f2_psi0 + 1e-12
 
-    def test_steps_override_changes_split(self):
-        # the config's n_steps_override reaches the closed forms and the
-        # unencoded estimate alike
+    def test_unencoded_error_splits_over_n_steps(self):
+        # sigma_u = sigma_c ** (1/n) reaches the closed forms and the
+        # unencoded estimate alike; 0.03125 ** (1/5) is 0.5 exactly
         (row,) = run_sweep(small_config(code_list=((5, 1),),
-                                        sigma_grid=(0.9,),
-                                        n_steps_override=1))
-        assert row.sigma_u == 0.9
-        assert row.f2_psi0 == pytest.approx((1 + 0.81) / 2, abs=1e-12)
+                                        sigma_grid=(0.03125,)))
+        assert row.sigma_u == 0.5
+        assert row.f2_psi0 == pytest.approx((1 + 0.25) / 2, abs=1e-12)
         assert abs(row.mc_f2_psi0 - row.f2_psi0) < 5 * row.mc_se_psi0
 
     def test_row_count_and_order(self):
@@ -259,7 +266,7 @@ class TestRunSweep:
                                    "seed", "chunk_size", "workers",
                                    "bit_generator"}
         assert (provenance["seed"], provenance["chunk_size"],
-                provenance["workers"]) == (11, config.chunk_size, 1)
+                provenance["workers"]) == (11, DEFAULT_CHUNK_SIZE, 1)
         assert provenance["bit_generator"] == "SFC64"
         # one entry per error law, naming its key and the cells it serves
         timed = report["timing"]["mc_seconds"]
@@ -267,9 +274,27 @@ class TestRunSweep:
             ([3, 0], [[3, 1, "psi"]]), ([3, 2], [[3, 1, "phi_tilde"]]),
             ([1, 0], [[3, 1, "psi0"]])]
         assert all(t["seconds"] >= 0.0 for t in timed)
-        # the JSON config section feeds back into a valid SweepConfig
-        round_tripped = SweepConfig(**report["config"])
-        assert round_tripped.code_list == config.code_list
+        # the report reproduces its run: its config section rebuilds the
+        # config, and with it the rows
+        assert SweepConfig(**report["config"]) == config
+
+    @pytest.mark.parametrize("csv_name, json_name", [
+        ("out", "out"), ("out", "./out"), ("out", "sub/../out"),
+        ("out", "link")], ids=["same", "dot", "dotdot", "symlink"])
+    def test_rejects_one_file_for_both_reports(
+            self, tmp_path, monkeypatch, csv_name, json_name):
+        # the JSON report would overwrite the CSV; refused before sampling
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+        monkeypatch.setattr(experiments, "raw_fidelity_mc", refuse)
+        monkeypatch.setattr(experiments, "corrected_fidelity_mc", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "out")
+        with pytest.raises(ConfigError, match="same file") as exc:
+            run_sweep(small_config(csv_path=csv_name, json_path=json_name))
+        assert "\n" not in str(exc.value)
+        assert not (tmp_path / "out").exists()
 
     def test_json_timing_has_cpu_seconds_and_page_faults(self, tmp_path):
         pytest.importorskip("resource")
@@ -309,8 +334,8 @@ class TestRunSweep:
         for tag, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 3)):
             path = tmp_path / f"{tag}.csv"
             run_sweep(small_config(code_list=((5, 1), (5, 4), (4, 2)),
-                                   chunk_size=500, csv_path=str(path),
-                                   workers=workers))
+                                   n_samples=3 * DEFAULT_CHUNK_SIZE + 1000,
+                                   csv_path=str(path), workers=workers))
             outputs.append(path.read_bytes())
         assert outputs[1:] == outputs[:1] * 3
 
@@ -323,15 +348,17 @@ class TestRunSweep:
     # (4, 2) and (5, 4) share the law (4, 0): F(Psi) of (4, 2) at sigma_c
     # and F(Psi0) of (5, 4) at sigma_c ** (1/5); the raw laws run in the
     # order (4, 0), (2, 0), (5, 0), one call per law and sigma group
-    @pytest.mark.parametrize("overrides, calls_alone, calls_grid", [
-        ({"n_samples": 3000, "chunk_size": 1000, "workers": 2},
-         [2, 1, 1], [6, 3, 3]),
-        # 2**20 // 400000 = 2 sigmas per group
-        ({"n_samples": 400_000, "chunk_size": MAX_CHUNK_SIZE},
-         [2, 1, 1], [2, 2, 2, 2, 1, 2, 1]),
+    @pytest.mark.parametrize("overrides, sigmas, calls_grid", [
+        # three chunks per estimate
+        ({"n_samples": 2 * DEFAULT_CHUNK_SIZE + 1000, "workers": 2},
+         (0.3, 0.6, 0.9), [6, 3, 3]),
+        # 40 sigmas: the law (4, 0) needs 80, run as groups of 64 and 16
+        ({"n_samples": 1000},
+         tuple(round(0.02 * i, 2) for i in range(1, 41)),
+         [SIGMA_GROUP, 80 - SIGMA_GROUP, 40, 40]),
     ], ids=["one-group", "sigma-groups"])
     def test_cell_does_not_depend_on_the_rest_of_the_grid(
-            self, overrides, calls_alone, calls_grid, monkeypatch):
+            self, overrides, sigmas, calls_grid, monkeypatch):
         calls = []
         raw = experiments.raw_fidelity_mc
 
@@ -343,10 +370,9 @@ class TestRunSweep:
         codes = ((4, 2), (5, 4))
         alone = run_sweep(small_config(code_list=codes, sigma_grid=(0.6,),
                                        **overrides))
-        assert calls == calls_alone
+        assert calls == [2, 1, 1]
         calls.clear()
-        grid = run_sweep(small_config(code_list=codes,
-                                      sigma_grid=(0.3, 0.6, 0.9),
+        grid = run_sweep(small_config(code_list=codes, sigma_grid=sigmas,
                                       **overrides))
         assert calls == calls_grid
         columns = self._mc_columns(grid)
@@ -354,7 +380,7 @@ class TestRunSweep:
             assert columns[key] == value, key
         # reversed: sigma groups follow the sorted union, not the grid order
         reverse = run_sweep(small_config(code_list=codes,
-                                         sigma_grid=(0.9, 0.6, 0.3),
+                                         sigma_grid=sigmas[::-1],
                                          **overrides))
         assert self._mc_columns(reverse) == columns
 
@@ -375,8 +401,8 @@ class TestRunSweep:
         for grid in ((0.5,), DEFAULT_SIGMA_GRID):
             calls.clear()
             run_sweep(small_config(code_list=((5, 1), (5, 4)),
-                                   sigma_grid=grid, n_samples=3000,
-                                   chunk_size=1000))
+                                   sigma_grid=grid,
+                                   n_samples=2 * DEFAULT_CHUNK_SIZE + 1000))
             counts.append(len(calls))
             assert set(calls) == {len(grid)}
         # 5 distinct laws x 3 chunks, whatever the grid length: both codes
@@ -384,7 +410,9 @@ class TestRunSweep:
         assert counts == [15, 15]
 
     def test_cell_does_not_depend_on_the_other_codes(self):
-        grid = {"sigma_grid": (0.0, 0.6), "chunk_size": 1000}
+        # two chunks per estimate
+        grid = {"sigma_grid": (0.0, 0.6),
+                "n_samples": DEFAULT_CHUNK_SIZE + 1000}
         base = self._mc_columns(run_sweep(small_config(
             code_list=((5, 4), (4, 2), (3, 1)), **grid)))
         for codes in (((3, 1), (4, 2), (5, 4)), ((4, 2),),
@@ -395,22 +423,22 @@ class TestRunSweep:
                 assert columns[key] == base[key], (codes, key)
 
     def test_cells_of_one_law_share_their_estimate(self, tmp_path):
-        # n_steps_override = 1 makes sigma_u = sigma_c, so F(Psi0) of
-        # (5, 4) is the law of F(Psi) of (4, 2) at the same sigma
+        # 0.03125 ** (1/5) == 0.5 exactly, so F(Psi0) of (5, 4) at
+        # sigma_c = 0.03125 is the law of F(Psi) of (4, 2) at sigma_c = 0.5
         json_path = tmp_path / "report.json"
         rows = run_sweep(small_config(
-            code_list=((5, 1), (5, 4), (4, 2)), n_steps_override=1,
+            code_list=((5, 1), (5, 4), (4, 2)), sigma_grid=(0.03125, 0.5),
             json_path=str(json_path)))
-        by_code = {}
-        for row in rows:
-            by_code.setdefault((row.n, row.m), []).append(row)
-        for r51, r54, r42 in zip(by_code[5, 1], by_code[5, 4],
-                                 by_code[4, 2]):
+        cell = {(row.n, row.m, row.sigma_c): row for row in rows}
+        for sigma in (0.03125, 0.5):
+            r51, r54 = cell[5, 1, sigma], cell[5, 4, sigma]
             assert (r51.mc_f2_psi, r51.mc_se_psi) == (
                 r54.mc_f2_psi, r54.mc_se_psi)
-            assert (r54.mc_f2_psi0, r54.mc_se_psi0) == (
-                r42.mc_f2_psi, r42.mc_se_psi)
             assert r51.mc_f2_phi_tilde != r54.mc_f2_phi_tilde
+        r54, r42 = cell[5, 4, 0.03125], cell[4, 2, 0.5]
+        assert r54.sigma_u == r42.sigma_c
+        assert (r54.mc_f2_psi0, r54.mc_se_psi0) == (
+            r42.mc_f2_psi, r42.mc_se_psi)
         timed = json.loads(json_path.read_text())["timing"]["mc_seconds"]
         served = {tuple(t["key"]): t["cells"] for t in timed}
         assert served[5, 0] == [[5, 1, "psi"], [5, 4, "psi"]]
@@ -479,14 +507,16 @@ class TestVerifyAppendix:
                          "sphere-odd-dim"]
         assert all(c.status == "ok" for c in report.checks)
 
-    def test_impossible_tolerance_fails(self):
-        report = verify_appendix(rel_tol=1e-16)
+    def test_takes_no_tolerance(self):
+        # every family is judged at APPENDIX_REL_TOL
+        assert inspect.signature(verify_appendix).parameters == {}
+        assert experiments.APPENDIX_REL_TOL == 1e-9
+
+    def test_impossible_tolerance_fails(self, monkeypatch):
+        monkeypatch.setattr(experiments, "APPENDIX_REL_TOL", 1e-16)
+        report = verify_appendix()
         assert not report.passed
         assert any(c.status == "failed" for c in report.checks)
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ConfigError):
-            verify_appendix(rel_tol=0.0)
 
     def test_each_integral_is_computed_once(self, monkeypatch):
         # 129 sin-power + 35 partial (alpha < pi) + 84 kernel quadratures;
