@@ -16,6 +16,9 @@ The PRINTED variant of the corrected-fidelity upper bound reproduces a
 published denominator 2d' - 1 that its own derivation does not support;
 the derivation yields 2d - 1 (PROOF).  Both are kept so the discrepancy
 stays visible in verification output.
+
+full_report gives every closed-form column of a sweep's CSV row for one
+(code, density) cell, named and ordered as in the CSV.
 """
 
 from __future__ import annotations
@@ -42,14 +45,17 @@ class BoundVariant(Enum):
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Closed-form fidelities, bounds and the bound's applicability flag."""
+    """A cell's closed-form columns, in the sweep CSV's names and order."""
 
-    f2_psi: float          # error acting on the encoded state
-    f2_phi_tilde: float    # after syndrome measurement and correction
-    f2_psi0: float         # error acting on the unencoded state
-    lb_psi0: float         # variance-only lower bound on f2_psi0
-    ub_phi_tilde: float    # variance-only upper bound on f2_phi_tilde (PROOF)
-    cond18: bool           # moment condition under which the bound applies
+    v_c: float                   # variance of the composed coded error
+    v_u: float                   # variance of the unencoded error
+    f2_psi: float                # error acting on the encoded state
+    f2_phi_tilde: float          # after syndrome measurement and correction
+    f2_psi0: float               # error acting on the unencoded state
+    lb_psi0: float               # variance-only lower bound on f2_psi0
+    ub_phi_tilde_proof: float    # variance-only upper bound on f2_phi_tilde
+    ub_phi_tilde_printed: float  # the same with the published denominator
+    cond18: bool                 # moment condition under which it applies
 
 
 def _kept_fidelity(density: IsotropicDensity, kept: int) -> float:
@@ -147,12 +153,9 @@ def full_report(density: IsotropicDensity, params: CodeParams,
     """All closed-form quantities for one code/density cell.
 
     density is the composed error on the coded sphere S^(2d-1) and
-    uncoded the accumulated error on the logical sphere S^(2d'-1).
+    uncoded the accumulated error on the logical sphere S^(2d'-1);
+    fidelity_corrected refuses a density at any other d.
     """
-    if density.d != params.d:
-        raise ValueError(
-            f"density lives at half-dimension {density.d}, "
-            f"expected coded dimension {params.d}")
     if uncoded.d != params.d_prime:
         raise ValueError(
             f"unencoded density lives at half-dimension {uncoded.d}, "
@@ -160,10 +163,15 @@ def full_report(density: IsotropicDensity, params: CodeParams,
     v_c = variance_of(density)
     v_u = variance_of(uncoded)
     return FidelityReport(
+        v_c=v_c,
+        v_u=v_u,
         f2_psi=fidelity_psi(density),
         f2_phi_tilde=fidelity_corrected(density, params),
         f2_psi0=fidelity_psi(uncoded),
         lb_psi0=bound_psi0_lower(v_u, params.d_prime),
-        ub_phi_tilde=bound_corrected_upper(v_c, params, BoundVariant.PROOF),
+        ub_phi_tilde_proof=bound_corrected_upper(v_c, params,
+                                                 BoundVariant.PROOF),
+        ub_phi_tilde_printed=bound_corrected_upper(v_c, params,
+                                                   BoundVariant.PRINTED),
         cond18=condition_18(density).holds,
     )

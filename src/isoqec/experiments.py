@@ -1,7 +1,8 @@
 """Grid sweeps, verification reports, and the two-panel summary figure.
 
-run_sweep evaluates every (code, sigma) cell of a configured grid: all
-closed-form columns plus three Monte Carlo estimates (raw coded state,
+closed_form_rows evaluates every (code, sigma) cell of a grid in closed
+form, one full_report per cell; run_sweep starts from those rows and
+fills in three Monte Carlo estimates per cell (raw coded state,
 corrected state, accumulated unencoded state).  Rows serialize to CSV
 and JSON byte-identically for a fixed seed, regardless of worker count.
 
@@ -22,7 +23,7 @@ import numbers
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -185,7 +186,7 @@ class SweepConfig:
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, "
                               f"got {self.seed}")
-        # _closed_form_cell's sigma_u = sigma ** (1/n) must round below 1
+        # closed_form_rows' sigma_u = sigma ** (1/n) must round below 1
         for steps in sorted({code[0] for code in self.code_list}):
             for sigma in self.sigma_grid:
                 if sigma ** (1.0 / steps) >= 1.0:
@@ -234,7 +235,9 @@ class SweepConfig:
 class SweepRow:
     """One (code, sigma_c) cell: closed forms, bounds, and MC estimates.
 
-    Field order is the CSV column order.
+    Field order is the CSV column order; v_c through cond18 are
+    closedform.FidelityReport's fields.  The MC columns stay NaN until
+    run_sweep fills them in.
     """
 
     n: int
@@ -250,64 +253,38 @@ class SweepRow:
     ub_phi_tilde_proof: float
     ub_phi_tilde_printed: float
     cond18: bool
-    mc_f2_psi: float
-    mc_se_psi: float
-    mc_f2_phi_tilde: float
-    mc_se_phi_tilde: float
-    mc_f2_psi0: float
-    mc_se_psi0: float
-
-
-def _closed_form_cell(params: CodeParams, sigma_c: float):
-    """Densities and closed-form columns for one cell.
-
-    The unencoded error accumulates over the code's n steps, each at
-    sigma_u = sigma_c ** (1/n), so that n of them compose to sigma_c.
-    """
-    sigma_u = sigma_c ** (1.0 / params.n)
-    density = IsotropicDensity.normal(sigma_c, params.d)
-    uncoded = IsotropicDensity.normal(sigma_u, params.d_prime)
-    report = full_report(density, params, uncoded)
-    v_c = variance_of(density)
-    columns = {
-        "n": params.n,
-        "m": params.m,
-        "sigma_c": sigma_c,
-        "sigma_u": sigma_u,
-        "v_c": v_c,
-        "v_u": variance_of(uncoded),
-        "f2_psi": report.f2_psi,
-        "f2_phi_tilde": report.f2_phi_tilde,
-        "f2_psi0": report.f2_psi0,
-        "lb_psi0": report.lb_psi0,
-        "ub_phi_tilde_proof": report.ub_phi_tilde,
-        "ub_phi_tilde_printed": bound_corrected_upper(
-            v_c, params, BoundVariant.PRINTED),
-        "cond18": report.cond18,
-    }
-    return density, uncoded, columns
+    mc_f2_psi: float = math.nan
+    mc_se_psi: float = math.nan
+    mc_f2_phi_tilde: float = math.nan
+    mc_se_phi_tilde: float = math.nan
+    mc_f2_psi0: float = math.nan
+    mc_se_psi0: float = math.nan
 
 
 def closed_form_rows(code_list: Sequence[tuple[int, int]],
                      sigma_grid: Sequence[float]) -> list[SweepRow]:
-    """Closed-form columns only; MC columns are NaN placeholders."""
+    """Closed-form columns of every cell; MC columns are NaN placeholders.
+
+    The unencoded error accumulates over the code's n steps, each at
+    sigma_u = sigma_c ** (1/n), so that n of them compose to sigma_c.
+    """
     rows = []
     for code in code_list:
         params = CodeParams(*code)
         for sigma_c in sigma_grid:
-            _, _, columns = _closed_form_cell(params, sigma_c)
-            rows.append(SweepRow(**columns,
-                                 mc_f2_psi=math.nan, mc_se_psi=math.nan,
-                                 mc_f2_phi_tilde=math.nan,
-                                 mc_se_phi_tilde=math.nan,
-                                 mc_f2_psi0=math.nan, mc_se_psi0=math.nan))
+            sigma_u = sigma_c ** (1.0 / params.n)
+            report = full_report(
+                IsotropicDensity.normal(sigma_c, params.d), params,
+                IsotropicDensity.normal(sigma_u, params.d_prime))
+            rows.append(SweepRow(params.n, params.m, sigma_c, sigma_u,
+                                 **vars(report)))
     return rows
 
 
 _SLOTS = ("psi", "phi_tilde", "psi0")
 
 
-def _law_keys(params: CodeParams) -> tuple[tuple[int, int], ...]:
+def _law_keys(n: int, m: int) -> tuple[tuple[int, int], ...]:
     """Stream keys of a cell's three error laws, in _SLOTS order.
 
     An estimate is the mean squared mass that a normal error leaves on
@@ -319,7 +296,7 @@ def _law_keys(params: CodeParams) -> tuple[tuple[int, int], ...]:
     into 32-bit words, so a raw d could collide with a pair of keys.
     n > m >= 1 makes a cell's three keys distinct.
     """
-    return ((params.n, 0), (params.n, params.n - params.m), (params.m, 0))
+    return ((n, 0), (n, n - m), (m, 0))
 
 
 def _estimate_law(key: tuple[int, int],
@@ -350,60 +327,53 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every cell; write CSV/JSON if the config names paths.
 
     An output path that cannot be a file (a NUL byte, a directory, a
-    missing parent directory), or a CSV and a JSON report aimed at one
-    file, raises ConfigError before any sampling.
+    missing parent directory, a symlink loop), or a CSV and a JSON report
+    aimed at one file, raises ConfigError before any sampling.
 
-    Every cell needs three Monte Carlo estimates (raw coded state,
-    corrected state, accumulated unencoded state), and each one's law is
-    fixed by its _law_keys entry and a sigma (sigma_c for the coded
-    slots, sigma_u for the unencoded one).  The sweep collects the
-    distinct laws over the whole code list and makes one estimate per
-    law over the union of the sigmas its cells need: one draw per chunk
-    serves every sigma, and codes that need the same law share it.  The
-    RNG streams are keyed by (seed, law key, chunk index), so a cell's MC
-    columns do not depend on the worker count, the other sigmas, or
-    which other codes are listed and in what order.  A cell's three laws
-    keep separate streams: estimates that share a draw are correlated,
-    and check_ordering's combined standard error assumes they are not.
-    Every estimate chunks at DEFAULT_CHUNK_SIZE samples and runs its
-    sigmas in groups of SIGMA_GROUP on the same streams; a row does not
-    depend on its group, so the rows depend on (seed, n_samples) alone.
+    The rows are closed_form_rows', with three Monte Carlo estimates
+    filled in (raw coded state, corrected state, accumulated unencoded
+    state).  Each one's law is fixed by its _law_keys entry and a sigma
+    (sigma_c for the coded slots, sigma_u for the unencoded one).  The
+    sweep collects the distinct laws over the whole code list and makes
+    one estimate per law over the union of the sigmas its cells need:
+    one draw per chunk serves every sigma, and codes that need the same
+    law share it.  The RNG streams are keyed by (seed, law key, chunk
+    index), so a cell's MC columns do not depend on the worker count,
+    the other sigmas, or which other codes are listed and in what order.
+    A cell's three laws keep separate streams: estimates that share a
+    draw are correlated, and check_ordering's combined standard error
+    assumes they are not.  Every estimate chunks at DEFAULT_CHUNK_SIZE
+    samples and runs its sigmas in groups of SIGMA_GROUP on the same
+    streams; a row does not depend on its group, so the rows depend on
+    (seed, n_samples) alone.
     """
-    for path, what in ((config.csv_path, "CSV"),
-                       (config.json_path, "JSON report")):
-        if path is not None:
-            _check_output_path(path, what)
-    # realpath, unlike Path.resolve on Python < 3.13, takes symlink loops
-    if (config.csv_path is not None and config.json_path is not None
-            and os.path.realpath(config.csv_path)
-            == os.path.realpath(config.json_path)):
+    csv_real, json_real = (
+        None if path is None else _check_output_path(path, what)
+        for path, what in ((config.csv_path, "CSV"),
+                           (config.json_path, "JSON report")))
+    if csv_real is not None and csv_real == json_real:
         raise ConfigError(f"the CSV {config.csv_path} and the JSON report "
                           f"{config.json_path} name the same file")
-    started = time.perf_counter()
     usage_started = _usage()
-    cells = []
-    # law key -> ({sigma: density}, [(n, m, slot) served])
-    laws: dict[tuple[int, int], tuple[dict, list]] = {}
-    for code in config.code_list:
-        params = CodeParams(*code)
-        keys = _law_keys(params)
-        code_cells = [_closed_form_cell(params, sigma_c)
-                      for sigma_c in config.sigma_grid]
-        coded = [density for density, _, _ in code_cells]
-        uncoded = [density for _, density, _ in code_cells]
-        for key, slot, slot_densities in zip(keys, _SLOTS,
-                                             (coded, coded, uncoded)):
-            densities, served = laws.setdefault(key, ({}, []))
-            for density in slot_densities:
-                densities.setdefault(density.sigma, density)
-            served.append((params.n, params.m, slot))
-        cells.extend((keys, cell) for cell in code_cells)
+    started = time.perf_counter()
+    rows = closed_form_rows(config.code_list, config.sigma_grid)
+    closed_form_seconds = time.perf_counter() - started
+    # law key -> ({sigma}, [(n, m, slot) served])
+    laws: dict[tuple[int, int], tuple[set, list]] = {}
+    for n, m in config.code_list:
+        for key, slot in zip(_law_keys(n, m), _SLOTS):
+            laws.setdefault(key, (set(), []))[1].append((n, m, slot))
+    for row in rows:
+        for key, sigma in zip(_law_keys(row.n, row.m),
+                              (row.sigma_c, row.sigma_c, row.sigma_u)):
+            laws[key][0].add(sigma)
     estimates = {}
     mc_seconds = []
-    for key, (densities, served) in laws.items():
+    for key, (sigmas, served) in laws.items():
         law_started = time.perf_counter()
         streams = RngStreams(config.seed).split(key[0]).split(key[1])
-        ordered = [densities[sigma] for sigma in sorted(densities)]
+        ordered = [IsotropicDensity.normal(sigma, 2 ** key[0])
+                   for sigma in sorted(sigmas)]
         for start in range(0, len(ordered), SIGMA_GROUP):
             batch = ordered[start:start + SIGMA_GROUP]
             for density, est in zip(
@@ -413,15 +383,14 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             "key": list(key), "cells": [list(cell) for cell in served],
             "n_sigmas": len(ordered),
             "seconds": time.perf_counter() - law_started})
-    rows = []
-    for keys, (density, uncoded, columns) in cells:
+    for i, row in enumerate(rows):
         mc_columns = {}
-        for key, slot, sigma in zip(keys, _SLOTS, (
-                density.sigma, density.sigma, uncoded.sigma)):
+        for key, slot, sigma in zip(_law_keys(row.n, row.m), _SLOTS, (
+                row.sigma_c, row.sigma_c, row.sigma_u)):
             est = estimates[key, sigma]
             mc_columns[f"mc_f2_{slot}"] = est.value
             mc_columns[f"mc_se_{slot}"] = est.std_error
-        rows.append(SweepRow(**columns, **mc_columns))
+        rows[i] = replace(row, **mc_columns)
     elapsed = time.perf_counter() - started
     usage = {name: value - usage_started[name]
              for name, value in _usage().items()}
@@ -429,7 +398,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         write_csv(rows, config.csv_path)
     if config.json_path is not None:
         write_json_report(config, rows, elapsed, config.json_path,
-                          mc_seconds, usage)
+                          mc_seconds, usage, closed_form_seconds)
     return rows
 
 
@@ -470,21 +439,29 @@ def _format_cell(value) -> str:
     return "%.17g" % value
 
 
-def _check_output_path(path: str, what: str) -> None:
+def _check_output_path(path: str, what: str) -> str:
     """Refuse an output path that cannot be a file, before any work.
 
-    A name with a NUL byte, a directory, or a name whose parent is not a
-    directory; _write_text still reports what only writing can show.
+    A name with a NUL byte, a symlink loop, a directory, or a name whose
+    parent is not a directory, each judged on the path with every link
+    resolved; _write_text still reports what only writing can show.
+    Returns that resolved path.
     """
     if "\0" in path:
         raise ConfigError(f"cannot write {what} {path!r}: "
                           f"the path holds a NUL byte")
-    target = Path(path)
-    if target.is_dir():
+    # realpath, unlike Path.resolve on Python < 3.13, takes symlink loops:
+    # it stops at the link that closes one
+    real = os.path.realpath(path)
+    if os.path.islink(real):
+        raise ConfigError(f"cannot write {what} {path}: it is a symlink loop")
+    if os.path.isdir(real):
         raise ConfigError(f"cannot write {what} {path}: it is a directory")
-    if not target.parent.is_dir():
+    parent = os.path.dirname(real)
+    if not os.path.isdir(parent):
         raise ConfigError(f"cannot write {what} {path}: "
-                          f"{target.parent} is not a directory")
+                          f"{parent} is not a directory")
+    return real
 
 
 def _write_text(path, text: str, what: str) -> None:
@@ -507,8 +484,12 @@ def write_csv(rows: Sequence[SweepRow], path) -> None:
 def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
                       elapsed_seconds: float, path,
                       mc_seconds: Sequence[dict],
-                      usage: dict[str, float]) -> None:
+                      usage: dict[str, float],
+                      closed_form_seconds: float) -> None:
     """JSON report: config, provenance, rows, violations and timing.
+
+    timing's closed_form_seconds is the part of total_seconds that
+    closed_form_rows took.
 
     mc_seconds holds one {"key", "cells", "n_sigmas", "seconds"} entry
     per Monte Carlo estimate, that is per error law: its stream key, the
@@ -537,7 +518,9 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
         },
         "rows": [asdict(row) for row in rows],
         "violations": check_ordering(rows),
-        "timing": {"total_seconds": elapsed_seconds, "n_cells": len(rows),
+        "timing": {"total_seconds": elapsed_seconds,
+                   "closed_form_seconds": closed_form_seconds,
+                   "n_cells": len(rows),
                    **usage, "mc_seconds": list(mc_seconds),
                    "mc_values_per_second": mc_values / sum(
                        law["seconds"] for law in mc_seconds)},

@@ -164,6 +164,12 @@ class TestSweepCommand:
         ({}, ["--json", "dir"], "it is a directory"),
         ({}, ["--csv", "nul"], "NUL byte"),
         ({}, ["--json", "nul"], "NUL byte"),
+        # links that only writing would find unusable: one to itself, and
+        # one into a missing directory
+        ({}, ["--csv", "loop"], "symlink loop"),
+        ({}, ["--csv", "good", "--json", "loop"], "symlink loop"),
+        ({}, ["--csv", "dangling"], "is not a directory"),
+        ({}, ["--csv", "good", "--json", "dangling"], "is not a directory"),
         # the JSON report would overwrite the CSV
         ({}, ["--csv", "good", "--json", "good"], "same file"),
         ({}, ["--csv", "out", "--json", "./out"], "same file")])
@@ -175,12 +181,15 @@ class TestSweepCommand:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(experiments, "raw_fidelity_mc", refuse)
         monkeypatch.setattr(experiments, "corrected_fidelity_mc", refuse)
+        os.symlink("loop", "loop")
+        os.symlink(tmp_path / "no_dir" / "out", "dangling")
         rc = main(["sweep", "--config", write_config(tmp_path, **overrides),
                    *(_path(flag, str(tmp_path), "out") for flag in flags)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert says in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_too_many_workers_exit_2(self, tmp_path, capsys):
         # rejected by the config, before any thread starts

@@ -276,7 +276,7 @@ class TestFullReport:
         assert report.f2_psi == pytest.approx(0.8159375, abs=1e-12)
         assert report.f2_phi_tilde == pytest.approx(0.905, abs=1e-12)
         assert report.f2_psi0 == pytest.approx(0.9793657577570914, abs=1e-12)
-        assert report.ub_phi_tilde == pytest.approx(
+        assert report.ub_phi_tilde_proof == pytest.approx(
             1 - 16 * 0.2 / 63, abs=1e-12)
         assert report.lb_psi0 < report.f2_psi0
         assert report.cond18
@@ -344,7 +344,7 @@ class TestFullReportAcrossCodeSizes:
                    - normal(sigma_u, d_prime)) <= 1e-14
         want_ub = 1.0 - (d - params.d_dprime) * 2.0 * (1.0 - sigma) \
             / (2 * d - 1)
-        assert abs(report.ub_phi_tilde - want_ub) <= 1e-12
+        assert abs(report.ub_phi_tilde_proof - want_ub) <= 1e-12
         # sigma >= 1/(2d-1), in the form free of the division's rounding
         assert report.cond18 == ((2 * d - 1) * sigma >= 1.0)
 

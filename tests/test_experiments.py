@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ import pytest
 import scipy.integrate
 
 from isoqec import codesim, experiments
-from isoqec.distributions import CodeParams, PolarMarginal
+from isoqec.closedform import FidelityReport
+from isoqec.distributions import PolarMarginal
 from isoqec.sampler import DEFAULT_CHUNK_SIZE
 from isoqec.experiments import (
     DEFAULT_CODES,
@@ -181,7 +183,9 @@ class TestClosedFormRows:
         assert row.ub_phi_tilde_printed == pytest.approx(
             -0.06666666666666665, abs=1e-12)
         assert row.cond18 is True
-        assert math.isnan(row.mc_f2_psi)
+        for slot in ("psi", "phi_tilde", "psi0"):
+            assert math.isnan(getattr(row, f"mc_f2_{slot}")), slot
+            assert math.isnan(getattr(row, f"mc_se_{slot}")), slot
 
     def test_uniform_endpoint_columns(self):
         # sigma_c = 0 is the uniform distribution; the accumulated
@@ -215,6 +219,11 @@ class TestClosedFormRows:
         assert [(r.n, r.m, r.sigma_c) for r in rows] == [
             (5, 1, 0.0), (5, 1, 0.5), (5, 1, 0.9),
             (3, 1, 0.0), (3, 1, 0.5), (3, 1, 0.9)]
+
+    def test_report_fields_are_the_csv_closed_form_columns(self):
+        names = [f.name for f in dataclasses.fields(SweepRow)]
+        assert [f.name for f in dataclasses.fields(FidelityReport)] \
+            == names[names.index("v_c"):names.index("cond18") + 1]
 
 
 class TestRunSweep:
@@ -296,14 +305,37 @@ class TestRunSweep:
         assert "\n" not in str(exc.value)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("link, says", [
+        ("loop", "it is a symlink loop"),
+        ("dangling", "no_dir is not a directory")])
+    def test_rejects_unwritable_symlinks_before_sampling(
+            self, tmp_path, monkeypatch, link, says):
+        # a link to itself, or into a missing directory, fails only on
+        # writing; refused before sampling, with nothing written
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+        monkeypatch.setattr(experiments, "raw_fidelity_mc", refuse)
+        monkeypatch.setattr(experiments, "corrected_fidelity_mc", refuse)
+        monkeypatch.chdir(tmp_path)
+        os.symlink("loop", "loop")
+        os.symlink(tmp_path / "no_dir" / "out", "dangling")
+        for paths in ({"csv_path": link},
+                      {"csv_path": "good.csv", "json_path": link}):
+            with pytest.raises(ConfigError, match=says) as exc:
+                run_sweep(small_config(**paths))
+            assert "\n" not in str(exc.value)
+        assert sorted(os.listdir(tmp_path)) == ["dangling", "loop"]
+
     def test_json_timing_has_cpu_seconds_and_page_faults(self, tmp_path):
         pytest.importorskip("resource")
         path = tmp_path / "report.json"
         run_sweep(small_config(json_path=str(path)))
         timing = json.loads(path.read_text())["timing"]
-        assert set(timing) == {"total_seconds", "n_cells", "mc_seconds",
+        assert set(timing) == {"total_seconds", "closed_form_seconds",
+                               "n_cells", "mc_seconds",
                                "cpu_user_seconds", "cpu_sys_seconds",
                                "minor_page_faults", "mc_values_per_second"}
+        assert 0.0 <= timing["closed_form_seconds"] <= timing["total_seconds"]
         assert timing["cpu_user_seconds"] >= 0.0
         assert timing["cpu_sys_seconds"] >= 0.0
         assert isinstance(timing["minor_page_faults"], int)
@@ -448,11 +480,34 @@ class TestRunSweep:
     def test_a_cells_three_laws_are_distinct(self):
         for n in range(2, MAX_CODE_QUBITS + 1):
             for m in range(1, n):
-                keys = experiments._law_keys(CodeParams(n, m))
+                keys = experiments._law_keys(n, m)
                 assert len(set(keys)) == 3, (n, m)
                 # small integers, far from SeedSequence's 32-bit words
                 assert all(0 <= k <= MAX_CODE_QUBITS
                            for key in keys for k in key), (n, m)
+
+    def test_closed_form_columns_are_closed_form_rows(self, tmp_path):
+        # codes sharing laws ((5, 4) and (4, 2)) and a repeated code
+        codes = ((5, 4), (4, 2), (5, 4), (3, 1))
+        sigmas = (0.0, 0.03125, 0.5)
+        json_path = tmp_path / "report.json"
+        swept = run_sweep(small_config(code_list=codes, sigma_grid=sigmas,
+                                       json_path=str(json_path)))
+        closed = closed_form_rows(codes, sigmas)
+        mc = {f"mc_{kind}_{slot}" for kind in ("f2", "se")
+              for slot in ("psi", "phi_tilde", "psi0")}
+        assert len(swept) == len(closed) == 12
+        for row, want in zip(swept, closed):
+            for field in dataclasses.fields(SweepRow):
+                if field.name not in mc:
+                    assert getattr(row, field.name) \
+                        == getattr(want, field.name), field.name
+            assert not any(math.isnan(getattr(row, name)) for name in mc)
+        # each law lists every cell it serves, the repeated code twice
+        timed = json.loads(json_path.read_text())["timing"]["mc_seconds"]
+        served = {tuple(t["key"]): t["cells"] for t in timed}
+        assert served[4, 0] == [[5, 4, "psi0"], [4, 2, "psi"],
+                                [5, 4, "psi0"]]
 
     def test_seed_changes_mc_columns_only(self):
         row_a = run_sweep(small_config(seed=11))[0]
