@@ -41,7 +41,8 @@ from .closedform import (
     full_report,
     lemma_g,
 )
-from .codesim import BlockCode, corrected_fidelity_mc, raw_fidelity_mc
+# run_sweep calls neither: bench/probes.py still wraps both names here
+from .codesim import corrected_fidelity_mc, raw_fidelity_mc  # noqa: F401
 from .distributions import (
     CodeParams,
     IsotropicDensity,
@@ -57,7 +58,13 @@ from .mathcore import (
     sin_power_partial,
     sphere_surface,
 )
-from .sampler import DEFAULT_CHUNK_SIZE, RngStreams
+from .sampler import (
+    DEFAULT_CHUNK_SIZE,
+    RngStreams,
+    Scratch,
+    fidelity_sampler,
+    mc_means,
+)
 
 try:
     import resource
@@ -100,8 +107,8 @@ KERNEL_D_GRID = (1, 2, 4, 8, 16, 32, 64)
 KERNEL_SIGMA_GRID = (0.0, 0.5, 0.9, 0.99)
 CAP_ANGLE_GRID = (0.3, math.pi / 4, math.pi / 2, 2.0, 3 * math.pi / 4, math.pi)
 
-# a sweep chunks every estimate at DEFAULT_CHUNK_SIZE samples; each chunk
-# is one task and one partial sum in memory, at most 2**16 of them
+# a sweep chunks every estimate at DEFAULT_CHUNK_SIZE samples, at most
+# 2**16 chunks each
 MAX_SAMPLES = 2 ** 16 * DEFAULT_CHUNK_SIZE
 # a chunk holds one row of samples per sigma; sigma groups of this size,
 # each on the same streams, keep it at 2**20 floats (8 MiB)
@@ -299,19 +306,6 @@ def _law_keys(n: int, m: int) -> tuple[tuple[int, int], ...]:
     return ((n, 0), (n, n - m), (m, 0))
 
 
-def _estimate_law(key: tuple[int, int],
-                  densities: Sequence[IsotropicDensity],
-                  config: SweepConfig, streams: RngStreams):
-    """One estimate per density of the law with this stream key."""
-    n, kept_log2 = key
-    if kept_log2 == 0:
-        return raw_fidelity_mc(densities, config.n_samples, streams,
-                               workers=config.workers)
-    block_code = BlockCode(CodeParams(n, n - kept_log2))
-    return corrected_fidelity_mc(densities, block_code, config.n_samples,
-                                 streams, workers=config.workers)
-
-
 def _usage() -> dict[str, float]:
     """CPU seconds and minor page faults of this process so far, over
     all its threads; empty where the resource module is missing."""
@@ -345,7 +339,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     assumes they are not.  Every estimate chunks at DEFAULT_CHUNK_SIZE
     samples and runs its sigmas in groups of SIGMA_GROUP on the same
     streams; a row does not depend on its group, so the rows depend on
-    (seed, n_samples) alone.
+    (seed, n_samples) alone.  Each group is one mc_means job, and one
+    mc_means call runs every job's chunks on config.workers threads,
+    with one Scratch for the whole sweep.
     """
     csv_real, json_real = (
         None if path is None else _check_output_path(path, what)
@@ -367,22 +363,33 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         for key, sigma in zip(_law_keys(row.n, row.m),
                               (row.sigma_c, row.sigma_c, row.sigma_u)):
             laws[key][0].add(sigma)
-    estimates = {}
-    mc_seconds = []
-    for key, (sigmas, served) in laws.items():
-        law_started = time.perf_counter()
+    # one job per (law, sigma group); the law (n, kept_log2) keeps
+    # 2 ** kept_log2 complex amplitudes, 2 ** (kept_log2 + 1) - 1 real
+    # coordinates beside e0
+    scratch = Scratch()
+    jobs, batches = [], []
+    for key, (sigmas, _) in laws.items():
         streams = RngStreams(config.seed).split(key[0]).split(key[1])
         ordered = [IsotropicDensity.normal(sigma, 2 ** key[0])
                    for sigma in sorted(sigmas)]
         for start in range(0, len(ordered), SIGMA_GROUP):
             batch = ordered[start:start + SIGMA_GROUP]
-            for density, est in zip(
-                    batch, _estimate_law(key, batch, config, streams)):
-                estimates[key, density.sigma] = est
-        mc_seconds.append({
-            "key": list(key), "cells": [list(cell) for cell in served],
-            "n_sigmas": len(ordered),
-            "seconds": time.perf_counter() - law_started})
+            jobs.append((fidelity_sampler(batch, 2 ** (key[1] + 1) - 1,
+                                          scratch), streams))
+            batches.append((key, batch))
+    mc_started = time.perf_counter()
+    results = mc_means(jobs, config.n_samples, workers=config.workers,
+                       scratch=scratch)
+    mc_wall_seconds = time.perf_counter() - mc_started
+    estimates = {}
+    busy = dict.fromkeys(laws, 0.0)
+    for (key, batch), (ests, seconds) in zip(batches, results):
+        busy[key] += seconds
+        for density, est in zip(batch, ests):
+            estimates[key, density.sigma] = est
+    mc_seconds = [{"key": list(key), "cells": [list(cell) for cell in served],
+                   "n_sigmas": len(sigmas), "seconds": busy[key]}
+                  for key, (sigmas, served) in laws.items()]
     for i, row in enumerate(rows):
         mc_columns = {}
         for key, slot, sigma in zip(_law_keys(row.n, row.m), _SLOTS, (
@@ -398,7 +405,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         write_csv(rows, config.csv_path)
     if config.json_path is not None:
         write_json_report(config, rows, elapsed, config.json_path,
-                          mc_seconds, usage, closed_form_seconds)
+                          mc_seconds, mc_wall_seconds, usage,
+                          closed_form_seconds)
     return rows
 
 
@@ -476,7 +484,8 @@ def write_csv(rows: Sequence[SweepRow], path) -> None:
     names = [f.name for f in fields(SweepRow)]
     lines = [",".join(names)]
     for row in rows:
-        record = asdict(row)
+        # the fields are ints, floats and bools: no deep copy needed
+        record = vars(row)
         lines.append(",".join(_format_cell(record[name]) for name in names))
     _write_text(path, "\n".join(lines) + "\n", "CSV")
 
@@ -484,6 +493,7 @@ def write_csv(rows: Sequence[SweepRow], path) -> None:
 def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
                       elapsed_seconds: float, path,
                       mc_seconds: Sequence[dict],
+                      mc_wall_seconds: float,
                       usage: dict[str, float],
                       closed_form_seconds: float) -> None:
     """JSON report: config, provenance, rows, violations and timing.
@@ -493,9 +503,12 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
 
     mc_seconds holds one {"key", "cells", "n_sigmas", "seconds"} entry
     per Monte Carlo estimate, that is per error law: its stream key, the
-    [n, m, slot] cells it serves and the number of sigmas it evaluates.
-    timing's mc_values_per_second is the throughput over all of them,
-    the sum of n_samples * n_sigmas over the summed seconds.  usage
+    [n, m, slot] cells it serves, the number of sigmas it evaluates and
+    its busy seconds, its chunk times summed over worker threads.  The
+    laws' chunks run on the same threads at once, so these overlap;
+    mc_wall_seconds is the wall time of running them all, and timing's
+    mc_values_per_second is the throughput over it, the sum of
+    n_samples * n_sigmas over mc_wall_seconds.  usage
     holds the sweep's CPU user and sys seconds and minor page faults,
     summed over all threads, as run_sweep takes them from getrusage
     (empty where that is missing).
@@ -516,14 +529,14 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
             "bit_generator": type(
                 RngStreams(config.seed).chunk(0).bit_generator).__name__,
         },
-        "rows": [asdict(row) for row in rows],
+        "rows": [vars(row) for row in rows],
         "violations": check_ordering(rows),
         "timing": {"total_seconds": elapsed_seconds,
                    "closed_form_seconds": closed_form_seconds,
                    "n_cells": len(rows),
                    **usage, "mc_seconds": list(mc_seconds),
-                   "mc_values_per_second": mc_values / sum(
-                       law["seconds"] for law in mc_seconds)},
+                   "mc_wall_seconds": mc_wall_seconds,
+                   "mc_values_per_second": mc_values / mc_wall_seconds},
     }
     _write_text(path, json.dumps(report, indent=2) + "\n", "JSON report")
 

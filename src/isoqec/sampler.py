@@ -36,27 +36,38 @@ draw serves a whole sigma grid: each row of the output is an exact,
 unbiased sample of its own density, and the rows are correlated with
 each other.
 
-Memory: a Monte Carlo estimate allocates its chunk arrays once per
-thread and reuses them for every chunk that thread runs, so the chunk
-kernel allocates nothing in steady state and takes no page faults per
-chunk.  fidelity_sampler owns the draw's eight scratch arrays of
-chunk_size floats (P, a, a^2, the two coefficients, the key and two
-temporaries, which also take the draws) and its (rows, chunk_size)
-output; mc_mean owns one row of chunk_size floats for centring.  Both
-are threading.local, one set per worker thread, never shared; a ragged
-last chunk uses leading slices.  Per thread that is
-(9 + rows) * chunk_size * 8 bytes: 1.1 MiB plus 128 KiB per row at the
-default chunk size.  A sweep chunks at the default size and evaluates
-at most 64 sigmas per draw, so its worst case is (9 + 64) * 16384 * 8
-bytes, about 9.1 MiB.  It lives as long as the estimate (the sampler
-and the mc_mean call) and is freed when the estimate returns, so no
-sample-sized memory outlives an estimate.
+Threads: mc_means runs the chunks of several estimates (jobs) on one set
+of worker threads, the calling thread among them.  Workers take chunks
+greedily from one shared index in (job, chunk) order, and each job's
+partials are folded as they arrive, in ascending chunk order, so an
+estimate never depends on which thread ran which chunk or on the other
+jobs.  A sweep makes one such call for all of its estimates.
+
+Memory: the chunk kernel allocates nothing in steady state and takes no
+page faults per chunk.  Its buffers live in a Scratch, a threading.local
+with one set of named arrays per thread, never shared between threads;
+a sampler and mc_means take one, so a sweep hands the same Scratch to
+every sampler and to mc_means, and each worker reuses one set of buffers
+for every chunk of every job it runs.  fidelity_sampler uses eight
+arrays of chunk_size floats (P, a, a^2, the two coefficients, the key
+and two temporaries, which also take the draws) and its (rows,
+chunk_size) output; mc_means one row of chunk_size floats for centring.
+A ragged last chunk uses leading slices.  Per worker that is
+(9 + rows) * chunk_size * 8 bytes for the largest rows of any job: 1.1
+MiB plus 128 KiB per row at the default chunk size.  A sweep chunks at
+the default size and evaluates at most 64 sigmas per draw, so its worst
+case is (9 + 64) * 16384 * 8 bytes, about 9.1 MiB per worker.  Beside
+it the fold keeps a few running floats per row of each job and, over
+all jobs, fewer than 2 * workers partials of chunks that finished ahead
+of an earlier chunk of their job, however many chunks there are.  The
+buffers live as long as their Scratch, so no sample-sized memory
+outlives a sweep.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -102,13 +113,15 @@ class RngStreams:
         return np.random.Generator(np.random.SFC64(seq))
 
 
-class _Scratch(threading.local):
+class Scratch(threading.local):
     """Float buffers reused from chunk to chunk, one set per thread.
 
     A threading.local, so every thread that uses an instance gets buffers
     of its own and no buffer is ever shared between threads.  get returns
     the leading size floats of a named buffer, growing it first when it is
-    shorter, so a ragged last chunk uses leading slices.
+    shorter, so a ragged last chunk uses leading slices.  Samplers and
+    mc_means that share an instance share each thread's buffers: a
+    thread must be done with one call's arrays before its next call.
     """
 
     def __init__(self):
@@ -160,7 +173,8 @@ def sample_states(density: IsotropicDensity, n: int,
     return coords
 
 
-def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
+def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int,
+                     scratch: Scratch | None = None
                      ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Squared mass of normal errors about e0 on e0 plus kept coordinates.
 
@@ -178,7 +192,12 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
       kept = 1: P = -expm1(E / (1 - d)) and a = sqrt(P) cos(pi V / 2),
         drawn in the order E (standard exponential), V, U (uniforms),
         since w0^2 + w1^2 is Beta(1, d - 1) and independent of the
-        direction in the (e0, e1) plane.  No normal, no gamma.
+        direction in the (e0, e1) plane.  No normal, no gamma.  The
+        cosine is taken as (1 - t)(1 + t) / (1 + t^2), t = tan(pi V / 4):
+        numpy 2.4 on x86_64 runs float64 tan as a SIMD loop and cos as
+        a scalar one, and the form costs about half of cos alone.  The
+        factored numerator keeps its relative accuracy as V -> 1, and
+        the form stays within a few units of 2^-53 of cos.
       kept > 1: Z0 (normal), K = 2 Gamma(kept/2), R = 2 Gamma(rest/2),
         U, in that order; P = (Z0^2 + K) / N and a = |Z0| / sqrt(N) with
         N = (Z0^2 + K) + R.
@@ -203,11 +222,12 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
     It is a sum of terms of size at most 1, so its error is absolute, a
     few units of 2^-53; at sigma = 0 it is exactly P.
 
-    Each call writes into the calling thread's scratch arrays of this
-    sampler, its output included, so the returned array is overwritten by
-    that thread's next call: mc_mean reads it first.  A sampler made for
-    one call, fidelity_sampler(densities, kept)(rng, n), hands back an
-    array that no other sampler ever writes to.
+    Each call writes into the calling thread's arrays of scratch, its
+    output included, so the returned array is overwritten by that
+    thread's next call of any sampler that shares scratch: mc_means reads
+    it first.  Without a scratch the sampler makes its own, so one made
+    for one call, fidelity_sampler(densities, kept)(rng, n), hands back
+    an array that no other sampler ever writes to.
     """
     densities = tuple(densities)
     if not densities:
@@ -225,7 +245,8 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
                          f"got {kept}")
     rest = 2 * d - 1 - kept
     sigmas = tuple(density.sigma for density in densities)
-    scratch = _Scratch()
+    if scratch is None:
+        scratch = Scratch()
 
     def value_fn(rng: np.random.Generator, n: int) -> np.ndarray:
         out = scratch.get("out", len(sigmas) * n).reshape(len(sigmas), n)
@@ -236,14 +257,21 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
             scratch.get(name, n)
             for name in ("p", "a", "a2", "coef_a", "coef_b", "key", "t", "s"))
         if kept == 1:
-            # P = -expm1(E / (1 - d)), a = sqrt(P) cos(pi V / 2)
+            # P = -expm1(E / (1 - d)), a = sqrt(P) cos(pi V / 2), the
+            # cosine as (1 - t)(1 + t) / (1 + t^2) with t = tan(pi V / 4)
             rng.standard_exponential(out=p)
             np.divide(p, 1 - d, out=p)
             np.expm1(p, out=p)
             np.negative(p, out=p)
             rng.random(out=a)
-            np.multiply(a, np.pi / 2, out=a)
-            np.cos(a, out=a)
+            np.multiply(a, np.pi / 4, out=a)
+            np.tan(a, out=a)
+            np.multiply(a, a, out=s)
+            s += 1.0
+            np.subtract(1.0, a, out=t)
+            a += 1.0
+            a *= t
+            a /= s
             np.multiply(a, np.sqrt(p, out=t), out=a)
         else:
             # Z0 into a, K into p, R into t; then P = (Z0^2 + K) / N and
@@ -302,31 +330,59 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int
     return value_fn
 
 
-def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
-            n_samples: int, streams: RngStreams,
-            chunk_size: int = DEFAULT_CHUNK_SIZE,
-            workers: int = 1) -> tuple[McEstimate, ...]:
-    """Deterministic chunked means of the rows of value_fn(rng, count).
+def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
+             chunk_size: int = DEFAULT_CHUNK_SIZE, workers: int = 1,
+             scratch: Scratch | None = None
+             ) -> list[tuple[tuple[McEstimate, ...], float]]:
+    """Chunked means of every job's value_fn rows, on one set of threads.
 
-    value_fn returns a (rows, count) array, or (count,) for one row;
-    mc_mean reduces over the last axis and returns one estimate per row.
-    Chunk i draws from streams.chunk(i) and is reduced in two passes to
-    its (count, mean, M2); these are merged with Chan's formula in
-    ascending chunk order, so the estimates depend only on (seed,
-    n_samples, chunk_size), never on scheduling.  The value is the sum
-    of the chunk sums over n_samples.  mc_mean never writes to the array
-    value_fn returns, and is done with it before the same thread calls
-    value_fn again, so value_fn may hand back one reused array; the
-    centring uses one reused row of chunk_size floats per thread.
+    A job is (value_fn, streams); value_fn(rng, count) returns a
+    (rows, count) array, or (count,) for one row, and mc_means reduces
+    over the last axis.  It returns, per job, one estimate per row and
+    the job's busy seconds, its chunk times summed over threads.
+
+    Every job draws n_samples in chunks of chunk_size; chunk i of a job
+    draws from its streams.chunk(i) and is reduced in two passes to its
+    (count, mean, M2).  The workers threads, the calling thread among
+    them, take the next (job, chunk) from one shared index, job by job,
+    and fold each job's partials with Chan's formula in ascending chunk
+    order as they arrive, holding only those that finish ahead of an
+    earlier chunk of their job; a worker takes no new chunk while workers
+    of them are held.  So a job's estimates depend only on
+    (value_fn, seed, n_samples, chunk_size), never on scheduling or on
+    the other jobs: each is bit-identical to a one-job call.  The value
+    is the sum of the chunk sums over n_samples.
+
+    mc_means never writes to the array value_fn returns, and is done with
+    it before the same thread calls a value_fn again, so value_fn may
+    hand back one reused array, also one in scratch, which holds the
+    centring row of chunk_size floats per thread (a Scratch of its own
+    when None).  An exception in a chunk stops the workers taking new
+    chunks, and is raised from the call once every thread has ended.
     """
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
     if chunk_size < 1:
         raise ValueError(f"need chunk_size >= 1, got {chunk_size}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+    if scratch is None:
+        scratch = Scratch()
     n_chunks = -(-n_samples // chunk_size)
-    scratch = _Scratch()
+    n_tasks = len(jobs) * n_chunks
+    # guards everything below; a worker takes no new chunk while
+    # `workers` partials wait to be folded, so fewer than 2 * workers do
+    ready = threading.Condition()
+    next_task = held = 0
+    errors: list[BaseException] = []
+    # per job: the next chunk to fold, the partials that finished ahead of
+    # it, busy seconds, and the merged (count, mean, m2, total)
+    cursors = [0] * len(jobs)
+    pending: list[dict] = [{} for _ in jobs]
+    busy = [0.0] * len(jobs)
+    moments: list = [None] * len(jobs)
 
-    def run_chunk(i: int):
+    def run_chunk(value_fn, streams: RngStreams, i: int):
         size = min(chunk_size, n_samples - i * chunk_size)
         values = np.atleast_2d(
             np.asarray(value_fn(streams.chunk(i), size), dtype=float))
@@ -343,27 +399,84 @@ def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
             m2[j] = np.square(dev, out=dev).sum()
         return size, sums, m2
 
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        partials = [run_chunk(i) for i in range(n_chunks)]
+    def fold(job: int) -> None:
+        # merge the job's partials that are next in chunk order
+        nonlocal held
+        while cursors[job] in pending[job]:
+            size, sums, chunk_m2 = pending[job].pop(cursors[job])
+            cursors[job] += 1
+            held -= 1
+            if moments[job] is None:
+                zero = np.zeros(sums.shape)
+                moments[job] = (0, zero, zero, zero)
+            count, mean, m2, total = moments[job]
+            if sums.shape != mean.shape:
+                raise ValueError(f"value_fn returned {sums.shape[0]} rows "
+                                 f"after {mean.shape[0]} in an earlier "
+                                 f"chunk")
+            delta = sums / size - mean
+            merged = count + size
+            moments[job] = (
+                merged, mean + delta * (size / merged),
+                m2 + chunk_m2 + delta * delta * (count * size / merged),
+                total + sums)
 
-    shape = partials[0][1].shape
-    count = 0
-    total = mean = m2 = np.zeros(shape)
-    for size, sums, chunk_m2 in partials:  # ascending chunk order
-        if sums.shape != shape:
-            raise ValueError(f"value_fn returned {sums.shape[0]} rows after "
-                             f"{shape[0]} in an earlier chunk")
-        delta = sums / size - mean
-        merged = count + size
-        mean = mean + delta * (size / merged)
-        m2 = m2 + chunk_m2 + delta * delta * (count * size / merged)
-        total = total + sums
-        count = merged
-    values = total / n_samples
-    # m2 is 0 at one sample, where the standard error reads 0
-    errors = np.sqrt(m2 / max(n_samples - 1, 1) / n_samples)
-    return tuple(McEstimate(float(v), float(se))
-                 for v, se in zip(values, errors))
+    def work() -> None:
+        nonlocal next_task, held
+        try:
+            while True:
+                with ready:
+                    # a held partial waits on a chunk that a running
+                    # thread holds, so this wait always ends
+                    ready.wait_for(lambda: errors or held < workers)
+                    task = next_task
+                    next_task += 1
+                if errors or task >= n_tasks:
+                    return
+                job, i = divmod(task, n_chunks)
+                started = time.perf_counter()
+                partial = run_chunk(*jobs[job], i)
+                seconds = time.perf_counter() - started
+                with ready:
+                    busy[job] += seconds
+                    pending[job][i] = partial
+                    held += 1
+                    fold(job)
+                    ready.notify_all()
+        except BaseException as exc:  # re-raised by the calling thread
+            with ready:
+                errors.append(exc)
+                ready.notify_all()
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(workers, n_tasks) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    results = []
+    for (count, mean, m2, total), seconds in zip(moments, busy):
+        values = total / n_samples
+        # m2 is 0 at one sample, where the standard error reads 0
+        std_errors = np.sqrt(m2 / max(n_samples - 1, 1) / n_samples)
+        results.append((tuple(McEstimate(float(v), float(se))
+                              for v, se in zip(values, std_errors)),
+                        seconds))
+    return results
+
+
+def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
+            n_samples: int, streams: RngStreams,
+            chunk_size: int = DEFAULT_CHUNK_SIZE,
+            workers: int = 1) -> tuple[McEstimate, ...]:
+    """mc_means of the one job (value_fn, streams): one estimate per row.
+
+    The estimates depend only on (seed, n_samples, chunk_size), never on
+    the worker count.
+    """
+    ((estimates, _),) = mc_means([(value_fn, streams)], n_samples,
+                                 chunk_size, workers)
+    return estimates

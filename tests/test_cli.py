@@ -175,12 +175,12 @@ class TestSweepCommand:
         ({}, ["--csv", "out", "--json", "./out"], "same file")])
     def test_bad_output_paths_exit_2_before_sampling(
             self, tmp_path, capsys, monkeypatch, overrides, flags, says):
-        # the raw estimate is the sweep's first
+        # the sweep builds its samplers, then runs them in one call
         def refuse(*args, **kwargs):
             raise AssertionError("sampling started")
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(experiments, "raw_fidelity_mc", refuse)
-        monkeypatch.setattr(experiments, "corrected_fidelity_mc", refuse)
+        monkeypatch.setattr(experiments, "fidelity_sampler", refuse)
+        monkeypatch.setattr(experiments, "mc_means", refuse)
         os.symlink("loop", "loop")
         os.symlink(tmp_path / "no_dir" / "out", "dangling")
         rc = main(["sweep", "--config", write_config(tmp_path, **overrides),
@@ -322,7 +322,7 @@ class TestArgumentErrors:
         # chunk_size and n_steps_override are no longer config keys
         def refuse(*args, **kwargs):
             raise AssertionError("sampling started")
-        monkeypatch.setattr(experiments, "raw_fidelity_mc", refuse)
+        monkeypatch.setattr(experiments, "mc_means", refuse)
         config = write_config(tmp_path, **{key: value})
         assert main(["sweep", "--config", config]) == 2
         err = capsys.readouterr().err

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 import scipy.integrate
 
-from isoqec import codesim, experiments
+from isoqec import experiments
 from isoqec.closedform import FidelityReport
 from isoqec.distributions import PolarMarginal
 from isoqec.sampler import DEFAULT_CHUNK_SIZE
@@ -295,8 +295,8 @@ class TestRunSweep:
         # the JSON report would overwrite the CSV; refused before sampling
         def refuse(*args, **kwargs):
             raise AssertionError("sampling started")
-        monkeypatch.setattr(experiments, "raw_fidelity_mc", refuse)
-        monkeypatch.setattr(experiments, "corrected_fidelity_mc", refuse)
+        monkeypatch.setattr(experiments, "fidelity_sampler", refuse)
+        monkeypatch.setattr(experiments, "mc_means", refuse)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         (tmp_path / "link").symlink_to(tmp_path / "out")
@@ -314,8 +314,8 @@ class TestRunSweep:
         # writing; refused before sampling, with nothing written
         def refuse(*args, **kwargs):
             raise AssertionError("sampling started")
-        monkeypatch.setattr(experiments, "raw_fidelity_mc", refuse)
-        monkeypatch.setattr(experiments, "corrected_fidelity_mc", refuse)
+        monkeypatch.setattr(experiments, "fidelity_sampler", refuse)
+        monkeypatch.setattr(experiments, "mc_means", refuse)
         monkeypatch.chdir(tmp_path)
         os.symlink("loop", "loop")
         os.symlink(tmp_path / "no_dir" / "out", "dangling")
@@ -332,7 +332,7 @@ class TestRunSweep:
         run_sweep(small_config(json_path=str(path)))
         timing = json.loads(path.read_text())["timing"]
         assert set(timing) == {"total_seconds", "closed_form_seconds",
-                               "n_cells", "mc_seconds",
+                               "n_cells", "mc_seconds", "mc_wall_seconds",
                                "cpu_user_seconds", "cpu_sys_seconds",
                                "minor_page_faults", "mc_values_per_second"}
         assert 0.0 <= timing["closed_form_seconds"] <= timing["total_seconds"]
@@ -341,11 +341,17 @@ class TestRunSweep:
         assert isinstance(timing["minor_page_faults"], int)
         assert timing["minor_page_faults"] >= 0
         # each law evaluates both sigma_c (or both sigma_u) of the grid;
-        # the throughput is n_samples values per sigma over the summed time
+        # the throughput is n_samples values per sigma over the wall time
+        # of the one Monte Carlo call, and on one worker the laws' busy
+        # seconds run one after another inside it
         laws = timing["mc_seconds"]
         assert [law["n_sigmas"] for law in laws] == [2, 2, 2]
+        wall = timing["mc_wall_seconds"]
+        assert 0.0 < wall <= timing["total_seconds"]
+        assert all(law["seconds"] > 0.0 for law in laws)
+        assert sum(law["seconds"] for law in laws) <= wall
         assert timing["mc_values_per_second"] == pytest.approx(
-            2000 * 6 / sum(law["seconds"] for law in laws), rel=1e-12)
+            2000 * 6 / wall, rel=1e-12)
 
     def test_csv_round_trips_exactly(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -378,8 +384,9 @@ class TestRunSweep:
             if f.name.startswith("mc_")) for r in rows}
 
     # (4, 2) and (5, 4) share the law (4, 0): F(Psi) of (4, 2) at sigma_c
-    # and F(Psi0) of (5, 4) at sigma_c ** (1/5); the raw laws run in the
-    # order (4, 0), (2, 0), (5, 0), one call per law and sigma group
+    # and F(Psi0) of (5, 4) at sigma_c ** (1/5); the raw laws (kept = 1)
+    # get their samplers in the order (4, 0), (2, 0), (5, 0), one per law
+    # and sigma group
     @pytest.mark.parametrize("overrides, sigmas, calls_grid", [
         # three chunks per estimate
         ({"n_samples": 2 * DEFAULT_CHUNK_SIZE + 1000, "workers": 2},
@@ -392,13 +399,14 @@ class TestRunSweep:
     def test_cell_does_not_depend_on_the_rest_of_the_grid(
             self, overrides, sigmas, calls_grid, monkeypatch):
         calls = []
-        raw = experiments.raw_fidelity_mc
+        make = experiments.fidelity_sampler
 
-        def counted(densities, *args, **kwargs):
-            calls.append(len(densities))
-            return raw(densities, *args, **kwargs)
+        def counted(densities, kept, scratch=None):
+            if kept == 1:
+                calls.append(len(densities))
+            return make(densities, kept, scratch)
 
-        monkeypatch.setattr(experiments, "raw_fidelity_mc", counted)
+        monkeypatch.setattr(experiments, "fidelity_sampler", counted)
         codes = ((4, 2), (5, 4))
         alone = run_sweep(small_config(code_list=codes, sigma_grid=(0.6,),
                                        **overrides))
@@ -418,17 +426,17 @@ class TestRunSweep:
 
     def test_one_draw_per_chunk_serves_the_whole_grid(self, monkeypatch):
         calls = []
-        make = codesim.fidelity_sampler
+        make = experiments.fidelity_sampler
 
-        def counted(densities, kept):
-            value_fn = make(densities, kept)
+        def counted(densities, kept, scratch=None):
+            value_fn = make(densities, kept, scratch)
 
             def draw(rng, count):
                 calls.append(len(densities))
                 return value_fn(rng, count)
             return draw
 
-        monkeypatch.setattr(codesim, "fidelity_sampler", counted)
+        monkeypatch.setattr(experiments, "fidelity_sampler", counted)
         counts = []
         for grid in ((0.5,), DEFAULT_SIGMA_GRID):
             calls.clear()

@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -27,8 +28,10 @@ from isoqec.distributions import (
 from isoqec.closedform import fidelity_psi
 from isoqec.sampler import (
     RngStreams,
+    Scratch,
     fidelity_sampler,
     mc_mean,
+    mc_means,
     sample_states,
     sample_theta0,
     sample_uniform_direction,
@@ -50,7 +53,7 @@ def chord_statistics(d, kept, n, rng):
     """fidelity_sampler's (P, a, key) by its docstring, out of place."""
     if kept == 1:
         p = -np.expm1(rng.standard_exponential(n) / (1 - d))
-        a = np.cos(rng.random(n) * (np.pi / 2)) * np.sqrt(p)
+        a = direction_cosine(rng.random(n)) * np.sqrt(p)
     else:
         z0 = rng.standard_normal(n)
         k = 2.0 * rng.standard_gamma(kept / 2, n)
@@ -59,6 +62,13 @@ def chord_statistics(d, kept, n, rng):
         p = (z0 * z0 + k) / norm
         a = np.abs(z0) / np.sqrt(norm)
     return p, a, chord_key(a, rng.random(n))
+
+
+def direction_cosine(v):
+    """cos(pi V / 2) as the raw kernel takes it: (1 - t)(1 + t) / (1 + t^2)
+    with t = tan(pi V / 4)."""
+    t = np.tan(v * (np.pi / 4))
+    return (1.0 - t) * (1.0 + t) / (1.0 + t * t)
 
 
 def chord_key(a, u):
@@ -406,6 +416,17 @@ class TestFidelitySampler:
         assert stats.kstest(a * a / p, stats.beta(0.5, 0.5).cdf).pvalue \
             > 1e-3
 
+    def test_direction_cosine_is_within_a_few_eps_of_cos(self):
+        # the raw kernel's cos(pi V / 2), taken through tan(pi V / 4), on
+        # random V and where the cosine is 1, 1/sqrt(2) and near 0
+        one = math.nextafter(1.0, 0.0)
+        v = np.concatenate([streams(63).chunk(0).random(200000), [
+            0.0, 2.0 ** -53, 0.5, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -20, one]])
+        got = direction_cosine(v)
+        assert np.max(np.abs(got - np.cos(v * (np.pi / 2)))) \
+            <= 4 * np.finfo(float).eps
+        assert got.min() > 0.0 and got.max() <= 1.0
+
     @pytest.mark.parametrize("d", [2, 8, 2 ** 20])
     def test_boundary_variates_stay_in_the_unit_interval(self, d):
         # E = 0 gives P = 0 and a = 0, U = 0 gives V' = -1, and V near 1
@@ -457,7 +478,7 @@ class TestFidelitySampler:
 
     @pytest.mark.parametrize("kept", [1, 5])
     def test_scratch_stays_within_its_bound(self, kept):
-        # (11 + rows) chunk_size floats per thread, of which mc_mean's
+        # (11 + rows) chunk_size floats per thread, of which mc_means'
         # centring row is one
         n, sigmas = 20000, (0.2, 0.5, 0.9)
         value_fn = fidelity_sampler([IsotropicDensity.normal(s, 8)
@@ -733,3 +754,79 @@ class TestMcMean:
             mc_mean(self._value_fn(density), 0, streams(64))
         with pytest.raises(ValueError):
             mc_mean(self._value_fn(density), 10, streams(64), chunk_size=0)
+        with pytest.raises(ValueError, match="workers"):
+            mc_mean(self._value_fn(density), 10, streams(64), workers=0)
+
+
+class TestMcMeans:
+    """Many estimates on one set of threads, as a sweep runs them."""
+
+    @staticmethod
+    def _jobs(scratch):
+        # samplers of unequal row and kept counts, and a plain value_fn
+        jobs = [(fidelity_sampler([IsotropicDensity.normal(s, 8)
+                                   for s in sigmas], kept, scratch),
+                 streams(70, j))
+                for j, (sigmas, kept) in enumerate((
+                    ((0.0, 0.6, 0.95), 1), ((0.3,), 5),
+                    ((0.2, 0.5, 0.7, 0.9, 0.999), 3)))]
+        jobs.append((lambda rng, count: rng.exponential(size=(2, count)),
+                     streams(70, 3)))
+        return jobs
+
+    def test_jobs_sharing_one_scratch_equal_one_job_calls(self):
+        # a ragged last chunk; every job bit-identical to its own mc_mean
+        # call on a scratch of its own, on any worker count, with threads
+        # switching often so that shared buffers would show
+        n_samples, chunk_size = 5 * 1000 + 123, 1000
+        want = [mc_mean(value_fn, n_samples, job_streams, chunk_size)
+                for value_fn, job_streams in self._jobs(None)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                scratch = Scratch()
+                got = mc_means(self._jobs(scratch), n_samples, chunk_size,
+                               workers, scratch)
+                assert [estimates for estimates, _ in got] == want, workers
+                assert all(seconds > 0.0 for _, seconds in got), workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_an_error_in_a_worker_is_raised_after_every_thread_ends(self):
+        baseline = threading.active_count()
+        caller = threading.current_thread()
+        failed = threading.Event()
+        calls = []
+
+        def value_fn(rng, count):
+            calls.append(count)
+            if threading.current_thread() is caller:
+                # the calling thread's first chunk outlasts a worker's
+                failed.wait(timeout=10)
+                return rng.random(count)
+            failed.set()
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            mc_means([(value_fn, streams(71)), (value_fn, streams(72))],
+                     500 * 10, chunk_size=10, workers=3)
+        assert failed.is_set()
+        assert threading.active_count() == baseline
+        # no thread went on through the 1000 chunks
+        assert len(calls) < 100
+
+    def test_the_fold_holds_a_bounded_number_of_partials(self):
+        # partials are folded as they arrive, so memory does not grow
+        # with the number of chunks
+        def peak(n_chunks):
+            tracemalloc.start()
+            try:
+                mc_mean(lambda rng, count: rng.random((8, count)),
+                        n_chunks * 4, streams(73), chunk_size=4, workers=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(64)
+        assert peak(4096) <= 2 * small
