@@ -340,8 +340,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     samples and runs its sigmas in groups of SIGMA_GROUP on the same
     streams; a row does not depend on its group, so the rows depend on
     (seed, n_samples) alone.  Each group is one mc_means job, and one
-    mc_means call runs every job's chunks on config.workers threads,
-    with one Scratch for the whole sweep.
+    mc_means call runs every job's chunks on config.workers threads;
+    every sampler of the sweep shares one Scratch.
     """
     csv_real, json_real = (
         None if path is None else _check_output_path(path, what)
@@ -378,8 +378,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                                           scratch), streams))
             batches.append((key, batch))
     mc_started = time.perf_counter()
-    results = mc_means(jobs, config.n_samples, workers=config.workers,
-                       scratch=scratch)
+    results = mc_means(jobs, config.n_samples, workers=config.workers)
     mc_wall_seconds = time.perf_counter() - mc_started
     estimates = {}
     busy = dict.fromkeys(laws, 0.0)

@@ -46,9 +46,10 @@ jobs.  A sweep makes one such call for all of its estimates.
 Memory: the chunk kernel allocates nothing in steady state and takes no
 page faults per chunk.  Its buffers live in a Scratch, a threading.local
 with one set of named arrays per thread, never shared between threads;
-a sampler and mc_means take one, so a sweep hands the same Scratch to
-every sampler and to mc_means, and each worker reuses one set of buffers
-for every chunk of every job it runs.  fidelity_sampler uses eight
+a sampler takes one, so a sweep hands the same Scratch to every sampler,
+and each worker reuses one set of buffers for every chunk of every job
+it runs.  mc_means keeps its centring row in a Scratch of its own, made
+once per call.  fidelity_sampler uses eight
 arrays of chunk_size floats (P, a, a^2, the two coefficients, the key
 and two temporaries, which also take the draws) and its (rows,
 chunk_size) output; mc_means one row of chunk_size floats for centring.
@@ -195,9 +196,11 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int,
         direction in the (e0, e1) plane.  No normal, no gamma.  The
         cosine is taken as (1 - t)(1 + t) / (1 + t^2), t = tan(pi V / 4):
         numpy 2.4 on x86_64 runs float64 tan as a SIMD loop and cos as
-        a scalar one, and the form costs about half of cos alone.  The
-        factored numerator keeps its relative accuracy as V -> 1, and
-        the form stays within a few units of 2^-53 of cos.
+        a scalar one, and the form costs about half of cos alone.  Its
+        absolute error is a few units of 2^-53, as np.cos's is; like
+        np.cos(pi V / 2), it loses relative accuracy as V -> 1, about
+        2^-53 / (1 - V), since the rounded argument already errs by
+        about 2^-53 in absolute terms.
       kept > 1: Z0 (normal), K = 2 Gamma(kept/2), R = 2 Gamma(rest/2),
         U, in that order; P = (Z0^2 + K) / N and a = |Z0| / sqrt(N) with
         N = (Z0^2 + K) + R.
@@ -331,8 +334,7 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int,
 
 
 def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
-             chunk_size: int = DEFAULT_CHUNK_SIZE, workers: int = 1,
-             scratch: Scratch | None = None
+             chunk_size: int = DEFAULT_CHUNK_SIZE, workers: int = 1
              ) -> list[tuple[tuple[McEstimate, ...], float]]:
     """Chunked means of every job's value_fn rows, on one set of threads.
 
@@ -355,10 +357,9 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
 
     mc_means never writes to the array value_fn returns, and is done with
     it before the same thread calls a value_fn again, so value_fn may
-    hand back one reused array, also one in scratch, which holds the
-    centring row of chunk_size floats per thread (a Scratch of its own
-    when None).  An exception in a chunk stops the workers taking new
-    chunks, and is raised from the call once every thread has ended.
+    hand back one reused array.  Each thread centres in one row of
+    chunk_size floats.  An exception in a chunk stops the workers taking
+    new chunks, and is raised from the call once every thread has ended.
     """
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
@@ -366,8 +367,7 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
         raise ValueError(f"need chunk_size >= 1, got {chunk_size}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    if scratch is None:
-        scratch = Scratch()
+    scratch = Scratch()
     n_chunks = -(-n_samples // chunk_size)
     n_tasks = len(jobs) * n_chunks
     # guards everything below; a worker takes no new chunk while

@@ -785,9 +785,8 @@ class TestMcMeans:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3):
-                scratch = Scratch()
-                got = mc_means(self._jobs(scratch), n_samples, chunk_size,
-                               workers, scratch)
+                got = mc_means(self._jobs(Scratch()), n_samples,
+                               chunk_size, workers)
                 assert [estimates for estimates, _ in got] == want, workers
                 assert all(seconds > 0.0 for _, seconds in got), workers
         finally:
