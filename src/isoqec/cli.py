@@ -39,13 +39,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="evaluate a (code, sigma) grid and write CSV/JSON")
     p_sweep.add_argument("--config", default=None,
                          help="JSON config file (default: built-in grid)")
-    p_sweep.add_argument("--csv", default=None,
+    p_sweep.add_argument("--csv", dest="csv_path", default=None,
                          help="CSV output path (overrides config)")
     p_sweep.add_argument("--json", dest="json_path", default=None,
                          help="JSON report output path (overrides config)")
     p_sweep.add_argument("--seed", type=int, default=None,
                          help="override the RNG seed")
-    p_sweep.add_argument("--samples", type=int, default=None,
+    p_sweep.add_argument("--samples", dest="n_samples", type=int,
+                         default=None,
                          help="override the per-estimate sample count")
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="worker threads for Monte Carlo chunks")
@@ -73,19 +74,11 @@ def _cmd_sweep(args) -> int:
         config = SweepConfig.from_json(args.config)
     else:
         config = SweepConfig.default()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.samples is not None:
-        overrides["n_samples"] = args.samples
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.csv is not None:
-        overrides["csv_path"] = args.csv
-    if args.json_path is not None:
-        overrides["json_path"] = args.json_path
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    # each override flag's dest is the SweepConfig field it sets
+    overrides = {name: getattr(args, name) for name in (
+        "seed", "n_samples", "workers", "csv_path", "json_path")
+        if getattr(args, name) is not None}
+    config = dataclasses.replace(config, **overrides)
     rows = run_sweep(config)
     violations = check_ordering(rows)
     print(f"{len(rows)} cells evaluated "

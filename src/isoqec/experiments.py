@@ -218,13 +218,19 @@ class SweepConfig:
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
         try:
-            raw = Path(path).read_text()
+            raw = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8 text: {exc}") \
+                from exc
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") \
+                from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config {path} nests too deeply to parse") \
                 from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must be a JSON object")
@@ -342,6 +348,20 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     (seed, n_samples) alone.  Each group is one mc_means job, and one
     mc_means call runs every job's chunks on config.workers threads;
     every sampler of the sweep shares one Scratch.
+
+    The JSON report's timing record, in key order: total_seconds (the
+    sweep up to writing its outputs), closed_form_seconds (the
+    closed_form_rows call's share), n_cells, the getrusage deltas
+    cpu_user_seconds, cpu_sys_seconds and minor_page_faults over all
+    threads (absent where resource is missing), then mc_seconds,
+    mc_wall_seconds and mc_values_per_second.  mc_seconds has one
+    {"key", "cells", "n_sigmas", "seconds"} entry per error law: its
+    stream key, the [n, m, slot] cells it serves, its number of sigmas
+    and its busy seconds, its chunk times summed over worker threads.
+    The laws' chunks run on the same threads at once, so these overlap;
+    mc_wall_seconds spans the one mc_means call, and
+    mc_values_per_second is the sum of n_samples * n_sigmas over it.
+    The CSV holds no timing, so it stays byte-deterministic.
     """
     csv_real, json_real = (
         None if path is None else _check_output_path(path, what)
@@ -386,9 +406,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         busy[key] += seconds
         for density, est in zip(batch, ests):
             estimates[key, density.sigma] = est
-    mc_seconds = [{"key": list(key), "cells": [list(cell) for cell in served],
-                   "n_sigmas": len(sigmas), "seconds": busy[key]}
-                  for key, (sigmas, served) in laws.items()]
     for i, row in enumerate(rows):
         mc_columns = {}
         for key, slot, sigma in zip(_law_keys(row.n, row.m), _SLOTS, (
@@ -397,15 +414,23 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             mc_columns[f"mc_f2_{slot}"] = est.value
             mc_columns[f"mc_se_{slot}"] = est.std_error
         rows[i] = replace(row, **mc_columns)
-    elapsed = time.perf_counter() - started
-    usage = {name: value - usage_started[name]
-             for name, value in _usage().items()}
+    n_values = config.n_samples * sum(len(sigmas) for sigmas, _ in
+                                      laws.values())
+    timing = {"total_seconds": time.perf_counter() - started,
+              "closed_form_seconds": closed_form_seconds,
+              "n_cells": len(rows),
+              **{name: value - usage_started[name]
+                 for name, value in _usage().items()},
+              "mc_seconds": [{"key": list(key),
+                              "cells": [list(cell) for cell in served],
+                              "n_sigmas": len(sigmas), "seconds": busy[key]}
+                             for key, (sigmas, served) in laws.items()],
+              "mc_wall_seconds": mc_wall_seconds,
+              "mc_values_per_second": n_values / mc_wall_seconds}
     if config.csv_path is not None:
         write_csv(rows, config.csv_path)
     if config.json_path is not None:
-        write_json_report(config, rows, elapsed, config.json_path,
-                          mc_seconds, mc_wall_seconds, usage,
-                          closed_form_seconds)
+        write_json_report(config, rows, timing, config.json_path)
     return rows
 
 
@@ -490,31 +515,9 @@ def write_csv(rows: Sequence[SweepRow], path) -> None:
 
 
 def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
-                      elapsed_seconds: float, path,
-                      mc_seconds: Sequence[dict],
-                      mc_wall_seconds: float,
-                      usage: dict[str, float],
-                      closed_form_seconds: float) -> None:
-    """JSON report: config, provenance, rows, violations and timing.
-
-    timing's closed_form_seconds is the part of total_seconds that
-    closed_form_rows took.
-
-    mc_seconds holds one {"key", "cells", "n_sigmas", "seconds"} entry
-    per Monte Carlo estimate, that is per error law: its stream key, the
-    [n, m, slot] cells it serves, the number of sigmas it evaluates and
-    its busy seconds, its chunk times summed over worker threads.  The
-    laws' chunks run on the same threads at once, so these overlap;
-    mc_wall_seconds is the wall time of running them all, and timing's
-    mc_values_per_second is the throughput over it, the sum of
-    n_samples * n_sigmas over mc_wall_seconds.  usage
-    holds the sweep's CPU user and sys seconds and minor page faults,
-    summed over all threads, as run_sweep takes them from getrusage
-    (empty where that is missing).
-    Timing goes only here, never into the CSV, so the CSV stays
-    byte-deterministic.
-    """
-    mc_values = config.n_samples * sum(law["n_sigmas"] for law in mc_seconds)
+                      timing: dict, path) -> None:
+    """JSON report: config, provenance, rows, violations and the timing
+    record that run_sweep builds (its docstring names the keys)."""
     report = {
         "config": asdict(config),
         "provenance": {
@@ -530,12 +533,7 @@ def write_json_report(config: SweepConfig, rows: Sequence[SweepRow],
         },
         "rows": [vars(row) for row in rows],
         "violations": check_ordering(rows),
-        "timing": {"total_seconds": elapsed_seconds,
-                   "closed_form_seconds": closed_form_seconds,
-                   "n_cells": len(rows),
-                   **usage, "mc_seconds": list(mc_seconds),
-                   "mc_wall_seconds": mc_wall_seconds,
-                   "mc_values_per_second": mc_values / mc_wall_seconds},
+        "timing": timing,
     }
     _write_text(path, json.dumps(report, indent=2) + "\n", "JSON report")
 
@@ -550,6 +548,12 @@ class CheckResult:
     status: str
     detail: str
     passed: bool
+
+    @classmethod
+    def judged(cls, name: str, passed: bool, detail: str) -> "CheckResult":
+        """A check whose status is "ok" if it passed, else "failed"."""
+        return cls(name=name, status="ok" if passed else "failed",
+                   detail=detail, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -576,10 +580,9 @@ def _rel_err(got: float, want: float) -> float:
 def _summarize(name: str, errors: list[tuple[float, str]]) -> CheckResult:
     worst, where = max(errors)
     passed = worst <= APPENDIX_REL_TOL
-    return CheckResult(
-        name=name, status="ok" if passed else "failed",
-        detail=f"{len(errors)} cases, max rel err {worst:.3e} at {where}",
-        passed=passed)
+    return CheckResult.judged(
+        name, passed,
+        f"{len(errors)} cases, max rel err {worst:.3e} at {where}")
 
 
 def verify_appendix() -> VerificationReport:
@@ -678,14 +681,12 @@ def _check_ordering_chain() -> CheckResult:
             and bool(np.all(f_psi0[interior] > f_phi[interior])) \
             and bool(np.all(f_phi[interior] > f_psi[interior]))
     passed = worst_outer >= -1e-12 and worst_inner >= -1e-12 and strict_ok
-    return CheckResult(
-        name="fidelity-ordering-chain",
-        status="ok" if passed else "failed",
-        detail=(f"min margins over codes x sigma grid: "
-                f"psi0-phi_tilde {worst_outer:.3e}, "
-                f"phi_tilde-psi {worst_inner:.3e}, "
-                f"strict in (0,1): {strict_ok}"),
-        passed=passed)
+    return CheckResult.judged(
+        "fidelity-ordering-chain", passed,
+        f"min margins over codes x sigma grid: "
+        f"psi0-phi_tilde {worst_outer:.3e}, "
+        f"phi_tilde-psi {worst_inner:.3e}, "
+        f"strict in (0,1): {strict_ok}")
 
 
 def _check_normal_closed_forms() -> CheckResult:
@@ -703,11 +704,9 @@ def _check_normal_closed_forms() -> CheckResult:
                                                          params.d_prime)))
             cases += 2
     passed = worst <= 1e-12
-    return CheckResult(
-        name="normal-closed-forms",
-        status="ok" if passed else "failed",
-        detail=f"{cases} cases, max abs gap {worst:.3e}",
-        passed=passed)
+    return CheckResult.judged(
+        "normal-closed-forms", passed,
+        f"{cases} cases, max abs gap {worst:.3e}")
 
 
 def _check_uncoded_lower_bound() -> CheckResult:
@@ -720,11 +719,9 @@ def _check_uncoded_lower_bound() -> CheckResult:
             min_gap = min(min_gap, gap)
             cases += 1
     passed = min_gap >= -1e-12
-    return CheckResult(
-        name="uncoded-lower-bound",
-        status="ok" if passed else "failed",
-        detail=f"{cases} cases, min slack {min_gap:.3e}",
-        passed=passed)
+    return CheckResult.judged(
+        "uncoded-lower-bound", passed,
+        f"{cases} cases, min slack {min_gap:.3e}")
 
 
 def _check_correction_bounds() -> tuple[CheckResult, CheckResult]:
@@ -753,13 +750,11 @@ def _check_correction_bounds() -> tuple[CheckResult, CheckResult]:
                 printed_violations.append(
                     f"({n},{m}) {label}: "
                     f"fidelity {f2:.6g} > bound {printed:.6g}")
-    proof_passed = applicable > 0 and proof_min_gap >= -1e-12
-    proof = CheckResult(
-        name="corrected-upper-bound-proof",
-        status="ok" if proof_passed else "failed",
-        detail=(f"{applicable} applicable cases ({skipped} skipped for the "
-                f"moment condition), min slack {proof_min_gap:.3e}"),
-        passed=proof_passed)
+    proof = CheckResult.judged(
+        "corrected-upper-bound-proof",
+        applicable > 0 and proof_min_gap >= -1e-12,
+        f"{applicable} applicable cases ({skipped} skipped for the "
+        f"moment condition), min slack {proof_min_gap:.3e}")
     confirmed = bool(printed_violations)
     printed = CheckResult(
         name="corrected-upper-bound-printed",
@@ -779,12 +774,10 @@ def _check_composition_gap() -> CheckResult:
              and lemma_g(2, 4.0) == 0.0 and lemma_g(64, 4.0) == 0.0
              and lemma_g(3, 4.0) == 4.0)
     passed = min_value >= -1e-12 and exact
-    return CheckResult(
-        name="composition-gap-nonnegative",
-        status="ok" if passed else "failed",
-        detail=(f"min {min_value:.3e} over n in 2..64, x step 1e-3; "
-                f"boundary equalities exact: {exact}"),
-        passed=passed)
+    return CheckResult.judged(
+        "composition-gap-nonnegative", passed,
+        f"min {min_value:.3e} over n in 2..64, x step 1e-3; "
+        f"boundary equalities exact: {exact}")
 
 
 def verify_theorems() -> VerificationReport:

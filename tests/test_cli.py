@@ -46,6 +46,19 @@ class TestSweepCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, says", [
+        (b"\xff", "not UTF-8"),
+        (b"[" * 200_000 + b"]" * 200_000, "nests too deeply")],
+        ids=["not-utf8", "too-deep"])
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, content,
+                                        says):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err and str(path) in err
+
     def test_invalid_override_exits_2(self, tmp_path, capsys):
         rc = main(["sweep", "--config", write_config(tmp_path),
                    "--samples", "10"])
@@ -239,6 +252,18 @@ class TestQuadpackImport:
             assert cli.main(["sweep", "--samples", "1000",
                              "--csv", sys.argv[1]]) == 0
             loaded = {"scipy.integrate", "scipy.special"} & set(sys.modules)
+            assert not loaded, loaded
+        """)
+        self._run_fresh(script, tmp_path)
+
+    def test_import_loads_no_sampling_or_quadrature_module(self, tmp_path):
+        # every command pays for this import before it starts, so the
+        # modules only sampling or quadrature use load on first use
+        script = textwrap.dedent("""
+            import sys
+            import isoqec.cli
+            loaded = {"numpy.random", "scipy.integrate", "scipy.special",
+                      "concurrent.futures"} & set(sys.modules)
             assert not loaded, loaded
         """)
         self._run_fresh(script, tmp_path)

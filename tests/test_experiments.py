@@ -168,6 +168,20 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="JSON object"):
             SweepConfig.from_json(path2)
 
+    @pytest.mark.parametrize("content, says", [
+        (b"\xff", "not UTF-8"),
+        (b"[" * 200_000 + b"]" * 200_000, "nests too deeply")],
+        ids=["not-utf8", "too-deep"])
+    def test_from_json_rejects_undecodable_file(self, tmp_path, content,
+                                                says):
+        # read_text raises UnicodeDecodeError, a ValueError, and json.loads
+        # RecursionError: neither is an OSError or a JSONDecodeError
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=says) as exc:
+            SweepConfig.from_json(path)
+        assert str(path) in str(exc.value) and "\n" not in str(exc.value)
+
 
 class TestClosedFormRows:
     def test_narrow_code_frozen_cell(self):
@@ -264,16 +278,16 @@ class TestRunSweep:
         assert header.split(",") == [
             f.name for f in dataclasses.fields(SweepRow)]
         report = json.loads(json_path.read_text())
-        assert set(report) == {"config", "provenance", "rows", "violations",
-                               "timing"}
+        assert list(report) == ["config", "provenance", "rows", "violations",
+                                "timing"]
         assert report["config"]["seed"] == 11
         assert len(report["rows"]) == len(rows) == 2
         assert report["violations"] == []
         assert report["timing"]["n_cells"] == 2
         provenance = report["provenance"]
-        assert set(provenance) == {"isoqec", "numpy", "scipy", "python",
-                                   "seed", "chunk_size", "workers",
-                                   "bit_generator"}
+        assert list(provenance) == ["isoqec", "numpy", "scipy", "python",
+                                    "seed", "chunk_size", "workers",
+                                    "bit_generator"]
         assert (provenance["seed"], provenance["chunk_size"],
                 provenance["workers"]) == (11, DEFAULT_CHUNK_SIZE, 1)
         assert provenance["bit_generator"] == "SFC64"
@@ -331,10 +345,14 @@ class TestRunSweep:
         path = tmp_path / "report.json"
         run_sweep(small_config(json_path=str(path)))
         timing = json.loads(path.read_text())["timing"]
-        assert set(timing) == {"total_seconds", "closed_form_seconds",
-                               "n_cells", "mc_seconds", "mc_wall_seconds",
-                               "cpu_user_seconds", "cpu_sys_seconds",
-                               "minor_page_faults", "mc_values_per_second"}
+        # in order: test_writes_requested_outputs pins the levels above
+        assert list(timing) == ["total_seconds", "closed_form_seconds",
+                                "n_cells", "cpu_user_seconds",
+                                "cpu_sys_seconds", "minor_page_faults",
+                                "mc_seconds", "mc_wall_seconds",
+                                "mc_values_per_second"]
+        assert [list(law) for law in timing["mc_seconds"]] == [
+            ["key", "cells", "n_sigmas", "seconds"]] * 3
         assert 0.0 <= timing["closed_form_seconds"] <= timing["total_seconds"]
         assert timing["cpu_user_seconds"] >= 0.0
         assert timing["cpu_sys_seconds"] >= 0.0

@@ -478,8 +478,10 @@ class TestFidelitySampler:
 
     @pytest.mark.parametrize("kept", [1, 5])
     def test_scratch_stays_within_its_bound(self, kept):
-        # (11 + rows) chunk_size floats per thread, of which mc_means'
-        # centring row is one
+        # the sampler's eight work arrays and its output rows, (8 + rows)
+        # n floats; the sampler docstring's (9 + rows) per thread adds
+        # mc_means' centring row, which a direct call does not make.  The
+        # bound leaves two rows spare
         n, sigmas = 20000, (0.2, 0.5, 0.9)
         value_fn = fidelity_sampler([IsotropicDensity.normal(s, 8)
                                      for s in sigmas], kept)
