@@ -13,7 +13,7 @@ same streams.
 An error sample about e0 is cos(theta) e0 + sin(theta) u, with theta drawn
 from the density's polar marginal and u uniform on the unit sphere
 orthogonal to e0, independent of theta: sample_states builds these full
-2d-vectors and stays as the independent geometric route.
+2d-vectors for the independent geometric route in tests/oracle.py.
 
 The fidelity estimators only read the squared mass of a sample on e0 plus
 a fixed set of ``kept`` of the other 2d-1 coordinates, and only for normal

@@ -25,7 +25,7 @@ from isoqec.closedform import (
     fidelity_psi_normal,
     lemma_g,
 )
-from isoqec.codesim import BlockCode, corrected_fidelity_mc, raw_fidelity_mc
+from isoqec.codesim import corrected_fidelity_mc, raw_fidelity_mc
 from isoqec.distributions import (
     CodeParams,
     IsotropicDensity,
@@ -83,7 +83,7 @@ def mc_cells():
             cell = RngStreams(SEED).split(code_idx * 10 + sigma_idx)
             (psi,) = raw_fidelity_mc((density,), N_SAMPLES, cell.split(0))
             (phi_tilde,) = corrected_fidelity_mc(
-                (density,), BlockCode(params), N_SAMPLES, cell.split(1))
+                (density,), params, N_SAMPLES, cell.split(1))
             (psi0,) = raw_fidelity_mc((uncoded,), N_SAMPLES, cell.split(2))
             cells.append(McCell(params, sigma_c, {
                 "psi": (psi, fidelity_psi_normal(sigma_c, params.d)),

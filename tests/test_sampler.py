@@ -16,7 +16,6 @@ import pytest
 from scipy import stats
 
 from isoqec import sampler as sampler_module
-from isoqec.codesim import BlockCode
 from isoqec.distributions import (
     CodeParams,
     IsotropicDensity,
@@ -37,6 +36,7 @@ from isoqec.sampler import (
     sample_uniform_direction,
 )
 
+from oracle import block_matrix
 from suite import compose_errors, mean_se, reference_states
 
 SEED = 20260819
@@ -274,8 +274,8 @@ class TestSampleStates:
 # (density, code) pairs: kept = 1 and kept = 2 d'' - 1 are the two masses
 # the raw and block-sum estimators read
 FIDELITY_CASES = {
-    "d8": (IsotropicDensity.normal(0.6, 8), BlockCode(CodeParams(3, 1))),
-    "d64": (IsotropicDensity.normal(0.9, 64), BlockCode(CodeParams(6, 2))),
+    "d8": (IsotropicDensity.normal(0.6, 8), CodeParams(3, 1)),
+    "d64": (IsotropicDensity.normal(0.9, 64), CodeParams(6, 2)),
 }
 
 
@@ -283,13 +283,13 @@ class TestFidelitySampler:
     @pytest.mark.parametrize("case", FIDELITY_CASES)
     def test_matches_full_state_sampler(self, case):
         # two-sample KS against the squared masses read off full states
-        density, code = FIDELITY_CASES[case]
+        density, params = FIDELITY_CASES[case]
         n = 40000
         tag = list(FIDELITY_CASES).index(case)
         x = sample_states(density, n, streams(35, tag).chunk(0))
-        r = code.block_matrix(x)
+        r = block_matrix(x, params)
         full = {1: x[:, 0] ** 2 + x[:, 1] ** 2,
-                2 * code.n_blocks - 1:
+                2 * params.d_dprime - 1:
                     (r[:, :, 0] ** 2 + r[:, :, 1] ** 2).sum(axis=1)}
         for kept, want in full.items():
             (got,) = fidelity_sampler((density,), kept)(
