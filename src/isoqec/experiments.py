@@ -326,9 +326,10 @@ def _usage() -> dict[str, float]:
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every cell; write CSV/JSON if the config names paths.
 
-    An output path that cannot be a file (a NUL byte, a directory, a
-    missing parent directory, a symlink loop), or a CSV and a JSON report
-    aimed at one file, raises ConfigError before any sampling.
+    An output path that cannot be a file (a NUL byte or a lone
+    surrogate, a directory, a missing parent directory, a symlink loop,
+    a file name too long), or a CSV and a JSON report aimed at one file
+    (by name or by hard link), raises ConfigError before any sampling.
 
     The rows are closed_form_rows', with three Monte Carlo estimates
     filled in (raw coded state, corrected state, accumulated unencoded
@@ -367,7 +368,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         None if path is None else _check_output_path(path, what)
         for path, what in ((config.csv_path, "CSV"),
                            (config.json_path, "JSON report")))
-    if csv_real is not None and csv_real == json_real:
+    if csv_real is not None and json_real is not None \
+            and _same_file(csv_real, json_real):
         raise ConfigError(f"the CSV {config.csv_path} and the JSON report "
                           f"{config.json_path} name the same file")
     usage_started = _usage()
@@ -474,26 +476,45 @@ def _format_cell(value) -> str:
 def _check_output_path(path: str, what: str) -> str:
     """Refuse an output path that cannot be a file, before any work.
 
-    A name with a NUL byte, a symlink loop, a directory, or a name whose
-    parent is not a directory, each judged on the path with every link
-    resolved; _write_text still reports what only writing can show.
-    Returns that resolved path.
+    A name with a NUL byte or one the file system encoding cannot
+    encode, a symlink loop, a directory, a name whose parent is not a
+    directory, or a file name longer than its directory allows, each
+    judged on the path with every link resolved; the parent is also
+    judged as written, since resolving collapses "missing/..".
+    _write_text still reports what only writing can show.  Returns the
+    resolved path.
     """
     if "\0" in path:
         raise ConfigError(f"cannot write {what} {path!r}: "
                           f"the path holds a NUL byte")
     # realpath, unlike Path.resolve on Python < 3.13, takes symlink loops:
     # it stops at the link that closes one
-    real = os.path.realpath(path)
+    try:
+        real = os.path.realpath(path)
+    except UnicodeEncodeError as exc:  # a lone surrogate, from JSON
+        raise ConfigError(f"cannot write {what} {path!r}: {exc}") from exc
     if os.path.islink(real):
         raise ConfigError(f"cannot write {what} {path}: it is a symlink loop")
     if os.path.isdir(real):
         raise ConfigError(f"cannot write {what} {path}: it is a directory")
     parent = os.path.dirname(real)
-    if not os.path.isdir(parent):
-        raise ConfigError(f"cannot write {what} {path}: "
-                          f"{parent} is not a directory")
+    for folder in (os.path.dirname(path) or ".", parent):
+        if not os.path.isdir(folder):
+            raise ConfigError(f"cannot write {what} {path}: "
+                              f"{folder} is not a directory")
+    name_max = os.pathconf(parent, "PC_NAME_MAX")
+    if 0 <= name_max < len(os.fsencode(os.path.basename(real))):
+        raise ConfigError(f"cannot write {what} {path}: its file name is "
+                          f"longer than {name_max} bytes")
     return real
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether two resolved paths name one file, hard links included."""
+    try:
+        return os.path.samestat(os.stat(a), os.stat(b))
+    except OSError:  # one of them is not there yet
+        return a == b
 
 
 def _write_text(path, text: str, what: str) -> None:

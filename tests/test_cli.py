@@ -185,7 +185,15 @@ class TestSweepCommand:
         ({}, ["--csv", "good", "--json", "dangling"], "is not a directory"),
         # the JSON report would overwrite the CSV
         ({}, ["--csv", "good", "--json", "good"], "same file"),
-        ({}, ["--csv", "out", "--json", "./out"], "same file")])
+        ({}, ["--csv", "out", "--json", "./out"], "same file"),
+        # paths that resolving alone passes: a lone surrogate from JSON,
+        # a missing directory collapsed by "..", and an over-long name
+        ({"csv_path": "\ud800"}, [], "surrogates not allowed"),
+        ({}, ["--csv", "surrogate"], "surrogates not allowed"),
+        ({}, ["--csv", "dotdot"], "no_dir/.. is not a directory"),
+        ({}, ["--json", "dotdot"], "no_dir/.. is not a directory"),
+        ({}, ["--csv", "long"], "longer than"),
+        ({}, ["--csv", "good", "--json", "long"], "longer than")])
     def test_bad_output_paths_exit_2_before_sampling(
             self, tmp_path, capsys, monkeypatch, overrides, flags, says):
         # the sweep builds its samplers, then runs them in one call
@@ -407,8 +415,10 @@ _BAD = {
     "n_steps_override": st.sampled_from([None, 1, 5]),
     "chunk_size": st.sampled_from([1000, 16384]),
     "workers": st.sampled_from([0, 2.0, True]),
-    "csv_path": st.sampled_from(["missing", "dir", "nul", "", 5]),
-    "json_path": st.sampled_from(["missing", "nul", "", ["a"]]),
+    "csv_path": st.sampled_from(["missing", "dir", "nul", "", 5,
+                                 "surrogate", "dotdot", "long"]),
+    "json_path": st.sampled_from(["missing", "nul", "", ["a"],
+                                  "surrogate", "dotdot", "long"]),
 }
 
 
@@ -424,13 +434,17 @@ _CONFIG = st.tuples(
 
 
 def _path(kind, tmp, name):
-    """A good, missing-directory, directory or NUL-byte path, or kind."""
+    """A good, missing-directory, directory, NUL-byte, lone-surrogate,
+    "missing/.." or over-long path, or kind."""
     if not isinstance(kind, str):
         return kind
     return {"good": os.path.join(tmp, name),
             "missing": os.path.join(tmp, "no_dir", name),
             "dir": tmp,
-            "nul": os.path.join(tmp, "a\x00" + name)}.get(kind, kind)
+            "nul": os.path.join(tmp, "a\x00" + name),
+            "surrogate": os.path.join(tmp, "\ud800" + name),
+            "dotdot": os.path.join(tmp, "no_dir", "..", name),
+            "long": os.path.join(tmp, name + "x" * 300)}.get(kind, kind)
 
 
 def _run_cleanly(argv):
@@ -455,6 +469,8 @@ class TestGeneratedInputs:
               "n_samples": 1000, "csv_path": "nul"})
     @example({"code_list": [[3, 1]], "sigma_grid": [0.5],
               "n_samples": 1000, "json_path": "nul"})
+    @example({"code_list": [[3, 1]], "sigma_grid": [0.5],
+              "n_samples": 1000, "csv_path": "surrogate"})
     def test_sweep_configs(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             data = dict(data)

@@ -303,7 +303,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("csv_name, json_name", [
         ("out", "out"), ("out", "./out"), ("out", "sub/../out"),
-        ("out", "link")], ids=["same", "dot", "dotdot", "symlink"])
+        ("out", "link"), ("kept", "hard")],
+        ids=["same", "dot", "dotdot", "symlink", "hardlink"])
     def test_rejects_one_file_for_both_reports(
             self, tmp_path, monkeypatch, csv_name, json_name):
         # the JSON report would overwrite the CSV; refused before sampling
@@ -314,6 +315,9 @@ class TestRunSweep:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         (tmp_path / "link").symlink_to(tmp_path / "out")
+        # two names of one existing file
+        (tmp_path / "kept").write_text("")
+        os.link(tmp_path / "kept", tmp_path / "hard")
         with pytest.raises(ConfigError, match="same file") as exc:
             run_sweep(small_config(csv_path=csv_name, json_path=json_name))
         assert "\n" not in str(exc.value)
