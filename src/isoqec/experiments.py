@@ -502,7 +502,9 @@ def _check_output_path(path: str, what: str) -> str:
         if not os.path.isdir(folder):
             raise ConfigError(f"cannot write {what} {path}: "
                               f"{folder} is not a directory")
-    name_max = os.pathconf(parent, "PC_NAME_MAX")
+    # -1: no limit, or no os.pathconf (POSIX only) to tell one
+    name_max = (os.pathconf(parent, "PC_NAME_MAX")
+                if hasattr(os, "pathconf") else -1)
     if 0 <= name_max < len(os.fsencode(os.path.basename(real))):
         raise ConfigError(f"cannot write {what} {path}: its file name is "
                           f"longer than {name_max} bytes")
