@@ -11,17 +11,17 @@ the state: four variates per sample here, and three for the raw
 estimate's mass on e0 plus one coordinate.  tests/oracle.py keeps the
 geometric route, which builds full states and draws one syndrome each.
 
-Both estimators take a sequence of densities that share d and return
-one estimate per density, all evaluated on one shared draw per chunk,
-so a whole sigma grid costs one draw; estimate j is bit-identical to a
-one-density call at densities[j].
+Both estimators take a sequence of sigmas of the normal density and
+return one estimate per sigma, all evaluated on one shared draw per
+chunk, so a whole sigma grid costs one draw; estimate j is
+bit-identical to a one-sigma call at sigmas[j].
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .distributions import CodeParams, IsotropicDensity
+from .distributions import CodeParams
 # bench/probes.py wraps mc_mean and sample_states under these names here
 from .sampler import (  # noqa: F401
     McEstimate,
@@ -34,25 +34,21 @@ from .sampler import (  # noqa: F401
 __all__ = ["raw_fidelity_mc", "corrected_fidelity_mc"]
 
 
-def raw_fidelity_mc(densities: Sequence[IsotropicDensity], n_samples: int,
+def raw_fidelity_mc(d: int, sigmas: Sequence[float], n_samples: int,
                     streams: RngStreams, *,
                     workers: int = 1) -> tuple[McEstimate, ...]:
-    """Monte Carlo squared fidelity of the raw perturbed state, per density."""
+    """Monte Carlo squared fidelity of the raw perturbed state, per sigma."""
     # the second coordinate is the only one kept beside e0
-    return mc_mean(fidelity_sampler(densities, 1), n_samples, streams,
+    return mc_mean(fidelity_sampler(d, 1, sigmas), n_samples, streams,
                    workers=workers)
 
 
-def corrected_fidelity_mc(densities: Sequence[IsotropicDensity],
-                          params: CodeParams, n_samples: int,
-                          streams: RngStreams, *,
+def corrected_fidelity_mc(params: CodeParams, sigmas: Sequence[float],
+                          n_samples: int, streams: RngStreams, *,
                           workers: int = 1) -> tuple[McEstimate, ...]:
     """Monte Carlo squared fidelity after syndrome measurement and
-    recovery, per density, averaged over syndromes in closed form."""
-    for density in densities:
-        if density.d != params.d:
-            raise ValueError(f"density has d={density.d}, "
-                             f"expected {params.d}")
+    recovery, per sigma, averaged over syndromes in closed form."""
     # each block's first amplitude: e0 plus 2 d'' - 1 coordinates
-    return mc_mean(fidelity_sampler(densities, 2 * params.d_dprime - 1),
+    return mc_mean(fidelity_sampler(params.d, 2 * params.d_dprime - 1,
+                                    sigmas),
                    n_samples, streams, workers=workers)

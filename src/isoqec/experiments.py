@@ -122,6 +122,11 @@ class ConfigError(ValueError):
     """Invalid configuration or unusable input/output path."""
 
 
+def _sigma_u(sigma_c, n: int):
+    """sigma_c ** (1/n): n unencoded steps at sigma_u compose to sigma_c."""
+    return sigma_c ** (1.0 / n)
+
+
 def _is_int(value) -> bool:
     # bool is an int subclass, but true/false in a config is a mistake
     return isinstance(value, int) and not isinstance(value, bool)
@@ -193,10 +198,10 @@ class SweepConfig:
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, "
                               f"got {self.seed}")
-        # closed_form_rows' sigma_u = sigma ** (1/n) must round below 1
+        # closed_form_rows' sigma_u must round below 1
         for steps in sorted({code[0] for code in self.code_list}):
             for sigma in self.sigma_grid:
-                if sigma ** (1.0 / steps) >= 1.0:
+                if _sigma_u(sigma, steps) >= 1.0:
                     raise ConfigError(
                         f"sigma {sigma!r} over {steps} steps gives "
                         f"sigma_u = sigma ** (1/{steps}) = 1.0 in floating "
@@ -285,7 +290,7 @@ def closed_form_rows(code_list: Sequence[tuple[int, int]],
     for code in code_list:
         params = CodeParams(*code)
         for sigma_c in sigma_grid:
-            sigma_u = sigma_c ** (1.0 / params.n)
+            sigma_u = _sigma_u(sigma_c, params.n)
             report = full_report(
                 IsotropicDensity.normal(sigma_c, params.d), params,
                 IsotropicDensity.normal(sigma_u, params.d_prime))
@@ -310,6 +315,13 @@ def _law_keys(n: int, m: int) -> tuple[tuple[int, int], ...]:
     n > m >= 1 makes a cell's three keys distinct.
     """
     return ((n, 0), (n, n - m), (m, 0))
+
+
+def _cell_laws(row: SweepRow) -> tuple[tuple[str, tuple, float], ...]:
+    """(slot, law key, sigma) of a cell's three estimates, in _SLOTS
+    order: sigma_c for the coded slots, sigma_u for the unencoded one."""
+    return tuple(zip(_SLOTS, _law_keys(row.n, row.m),
+                     (row.sigma_c, row.sigma_c, row.sigma_u)))
 
 
 def _usage() -> dict[str, float]:
@@ -382,8 +394,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         for key, slot in zip(_law_keys(n, m), _SLOTS):
             laws.setdefault(key, (set(), []))[1].append((n, m, slot))
     for row in rows:
-        for key, sigma in zip(_law_keys(row.n, row.m),
-                              (row.sigma_c, row.sigma_c, row.sigma_u)):
+        for _, key, sigma in _cell_laws(row):
             laws[key][0].add(sigma)
     # one job per (law, sigma group); the law (n, kept_log2) keeps
     # 2 ** kept_log2 complex amplitudes, 2 ** (kept_log2 + 1) - 1 real
@@ -392,12 +403,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     jobs, batches = [], []
     for key, (sigmas, _) in laws.items():
         streams = RngStreams(config.seed).split(key[0]).split(key[1])
-        ordered = [IsotropicDensity.normal(sigma, 2 ** key[0])
-                   for sigma in sorted(sigmas)]
+        ordered = sorted(sigmas)
         for start in range(0, len(ordered), SIGMA_GROUP):
             batch = ordered[start:start + SIGMA_GROUP]
-            jobs.append((fidelity_sampler(batch, 2 ** (key[1] + 1) - 1,
-                                          scratch), streams))
+            jobs.append((fidelity_sampler(2 ** key[0], 2 ** (key[1] + 1) - 1,
+                                          batch, scratch), streams))
             batches.append((key, batch))
     mc_started = time.perf_counter()
     results = mc_means(jobs, config.n_samples, workers=config.workers)
@@ -406,12 +416,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     busy = dict.fromkeys(laws, 0.0)
     for (key, batch), (ests, seconds) in zip(batches, results):
         busy[key] += seconds
-        for density, est in zip(batch, ests):
-            estimates[key, density.sigma] = est
+        estimates.update(((key, s), est) for s, est in zip(batch, ests))
     for i, row in enumerate(rows):
         mc_columns = {}
-        for key, slot, sigma in zip(_law_keys(row.n, row.m), _SLOTS, (
-                row.sigma_c, row.sigma_c, row.sigma_u)):
+        for slot, key, sigma in _cell_laws(row):
             est = estimates[key, sigma]
             mc_columns[f"mc_f2_{slot}"] = est.value
             mc_columns[f"mc_se_{slot}"] = est.std_error
@@ -696,7 +704,7 @@ def _check_ordering_chain() -> CheckResult:
         params = CodeParams(n, m)
         f_psi = fidelity_psi_normal(sigma, params.d)
         f_phi = fidelity_psi_normal(sigma, params.d_prime)
-        f_psi0 = fidelity_psi_normal(sigma ** (1.0 / n), params.d_prime)
+        f_psi0 = fidelity_psi_normal(_sigma_u(sigma, n), params.d_prime)
         worst_outer = min(worst_outer, float(np.min(f_psi0 - f_phi)))
         worst_inner = min(worst_inner, float(np.min(f_phi - f_psi)))
         interior = sigma > 0.0

@@ -31,10 +31,10 @@ mass (kept = 1) P is Beta(1, d - 1), drawn by inversion from one
 exponential (Devroye, Non-Uniform Random Variate Generation, 1986), and
 the direction in the (e0, e1) plane from one uniform, so a sample costs
 three variates whatever d is; other kept counts draw four.  No polar
-table is built.  sigma enters only the arithmetic after the draw, so one
-draw serves a whole sigma grid: each row of the output is an exact,
-unbiased sample of its own density, and the rows are correlated with
-each other.
+table is built.  sigma enters only the arithmetic after the draw, so
+fidelity_sampler takes (d, kept, sigmas), and one draw serves a whole
+sigma grid: each row of the output is an exact, unbiased sample of the
+normal density at its sigma, and the rows are correlated.
 
 Threads: mc_means runs the chunks of several estimates (jobs) on one set
 of worker threads, the calling thread among them.  Workers take chunks
@@ -74,7 +74,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import DensityKind, IsotropicDensity, PolarMarginal
+from .distributions import IsotropicDensity, PolarMarginal
 
 DEFAULT_CHUNK_SIZE = 16384
 
@@ -174,19 +174,20 @@ def sample_states(density: IsotropicDensity, n: int,
     return coords
 
 
-def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int,
+def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
                      scratch: Scratch | None = None
                      ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Squared mass of normal errors about e0 on e0 plus kept coordinates.
 
     Returns value_fn(rng, n), a Monte Carlo value function for mc_mean.
-    Its (len(densities), n) array has in row j the law of
+    Its (len(sigmas), n) array has in row j the law of
     (x[:, :kept + 1] ** 2).sum(axis=1) over rows x of
-    sample_states(densities[j], ...); every row is computed from the same
-    variates, and row j is bit-identical to a one-density sampler's at
-    densities[j] on the same generator.  The densities must be normal and
-    share d; kept counts coordinates orthogonal to e0, 1 <= kept <= 2d-1.
-    The arguments are checked once, here.
+    sample_states(IsotropicDensity.normal(sigmas[j], d), ...); every row
+    is computed from the same variates, and row j is bit-identical to a
+    one-sigma sampler's at sigmas[j] on the same generator.  The errors
+    live on S^(2d-1), each sigma lies in [0, 1), and kept counts
+    coordinates orthogonal to e0, 1 <= kept <= 2d-1.  The arguments are
+    checked once, here.
 
     Each chunk reduces its draw to P, the mass of the direction w on e0
     plus the kept coordinates, a = |w0| and V' = 2U - 1:
@@ -229,25 +230,19 @@ def fidelity_sampler(densities: Sequence[IsotropicDensity], kept: int,
     output included, so the returned array is overwritten by that
     thread's next call of any sampler that shares scratch: mc_means reads
     it first.  Without a scratch the sampler makes its own, so one made
-    for one call, fidelity_sampler(densities, kept)(rng, n), hands back
+    for one call, fidelity_sampler(d, kept, sigmas)(rng, n), hands back
     an array that no other sampler ever writes to.
     """
-    densities = tuple(densities)
-    if not densities:
-        raise ValueError("fidelity_sampler needs at least one density")
-    d = densities[0].d
-    for density in densities:
-        if density.kind is not DensityKind.NORMAL:
-            raise ValueError(f"fidelity_sampler draws normal densities "
-                             f"only, got {density.descriptor()}")
-        if density.d != d:
-            raise ValueError(f"fidelity_sampler needs densities that "
-                             f"share d, got d={d} and d={density.d}")
+    sigmas = tuple(sigmas)
+    if not sigmas:
+        raise ValueError("fidelity_sampler needs at least one sigma")
+    for sigma in sigmas:
+        if not 0.0 <= sigma < 1.0:
+            raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
     if not 1 <= kept <= 2 * d - 1:
         raise ValueError(f"kept must lie in [1, {2 * d - 1}] at d={d}, "
                          f"got {kept}")
     rest = 2 * d - 1 - kept
-    sigmas = tuple(density.sigma for density in densities)
     if scratch is None:
         scratch = Scratch()
 

@@ -16,6 +16,7 @@ which is biased beyond n ~ 12 qubits, so this route serves small d only.
 
 import numpy as np
 
+from isoqec.distributions import IsotropicDensity
 from isoqec.sampler import mc_mean, sample_states
 
 
@@ -47,25 +48,24 @@ def sampled_values(x, params, rng):
     return np.divide(num, p_sel, out=np.zeros_like(num), where=p_sel > 0)
 
 
-def syndrome_sampled_fidelity_mc(densities, params, n_samples, streams):
+def syndrome_sampled_fidelity_mc(params, sigmas, n_samples, streams):
     """corrected_fidelity_mc with one drawn syndrome per full state.
 
-    One estimate per density, each on the same streams.
+    One estimate per sigma of the normal density, each on the same
+    streams.
     """
-    densities = tuple(densities)
-    if not densities:
-        raise ValueError("need at least one density")
-    for density in densities:
-        if density.d != params.d:
-            raise ValueError(f"density has d={density.d}, "
-                             f"expected {params.d}")
+    sigmas = tuple(sigmas)
+    if not sigmas:
+        raise ValueError("need at least one sigma")
 
-    def sampled_fn(density):
+    def sampled_fn(sigma):
+        density = IsotropicDensity.normal(sigma, params.d)
+
         def value_fn(rng, count):
             # states consume the stream first, then the syndrome draws
             x = sample_states(density, count, rng)
             return sampled_values(x, params, rng)
         return value_fn
 
-    return tuple(est for density in densities
-                 for est in mc_mean(sampled_fn(density), n_samples, streams))
+    return tuple(est for sigma in sigmas
+                 for est in mc_mean(sampled_fn(sigma), n_samples, streams))

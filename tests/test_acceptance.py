@@ -78,13 +78,13 @@ def mc_cells():
         params = CodeParams(*code)
         for sigma_idx, sigma_c in enumerate(MC_SIGMAS):
             sigma_u = sigma_c ** (1.0 / 5.0)
-            density = IsotropicDensity.normal(sigma_c, params.d)
-            uncoded = IsotropicDensity.normal(sigma_u, params.d_prime)
             cell = RngStreams(SEED).split(code_idx * 10 + sigma_idx)
-            (psi,) = raw_fidelity_mc((density,), N_SAMPLES, cell.split(0))
+            (psi,) = raw_fidelity_mc(params.d, (sigma_c,), N_SAMPLES,
+                                     cell.split(0))
             (phi_tilde,) = corrected_fidelity_mc(
-                (density,), params, N_SAMPLES, cell.split(1))
-            (psi0,) = raw_fidelity_mc((uncoded,), N_SAMPLES, cell.split(2))
+                params, (sigma_c,), N_SAMPLES, cell.split(1))
+            (psi0,) = raw_fidelity_mc(params.d_prime, (sigma_u,), N_SAMPLES,
+                                      cell.split(2))
             cells.append(McCell(params, sigma_c, {
                 "psi": (psi, fidelity_psi_normal(sigma_c, params.d)),
                 "phi_tilde": (phi_tilde,

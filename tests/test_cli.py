@@ -212,6 +212,36 @@ class TestSweepCommand:
         assert says in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("pathconf", ["missing", "no-limit"])
+    def test_without_a_name_limit_long_names_fail_on_writing(
+            self, tmp_path, capsys, monkeypatch, pathconf):
+        # no os.pathconf (not POSIX), or a PC_NAME_MAX of -1 (no limit):
+        # the check before sampling passes every name length, so a sweep
+        # writes its CSV, and an over-long name fails only when written
+        if pathconf == "missing":
+            monkeypatch.delattr(os, "pathconf", raising=False)
+        else:
+            monkeypatch.setattr(os, "pathconf", lambda path, name: -1)
+        sampled = []
+        run = experiments.mc_means
+
+        def counted(*args, **kwargs):
+            sampled.append(True)
+            return run(*args, **kwargs)
+        monkeypatch.setattr(experiments, "mc_means", counted)
+        config = write_config(tmp_path)
+        csv_path = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", config, "--csv", str(csv_path)]) \
+            == 0
+        assert csv_path.read_text().startswith("n,m,")
+        capsys.readouterr()
+        long_path = _path("long", str(tmp_path), "out")
+        assert main(["sweep", "--config", config, "--csv", long_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "File name too long" in err and "Traceback" not in err
+        assert sampled == [True, True]
+
     def test_too_many_workers_exit_2(self, tmp_path, capsys):
         # rejected by the config, before any thread starts
         assert main(["sweep", "--config", write_config(tmp_path),

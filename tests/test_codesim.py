@@ -128,49 +128,44 @@ class TestMeasureAndCorrect:
 
 class TestRawFidelityMc:
     def test_matches_closed_form(self):
-        density = IsotropicDensity.normal(0.9, 32)
-        (est,) = raw_fidelity_mc((density,), 200000, streams(10))
+        (est,) = raw_fidelity_mc(32, (0.9,), 200000, streams(10))
         assert abs(est.value - 0.8159375) < 3 * est.std_error
 
     def test_uniform_value(self):
-        density = IsotropicDensity.uniform(8)
-        (est,) = raw_fidelity_mc((density,), 100000, streams(11))
+        # the uniform density is the sigma = 0 normal one
+        (est,) = raw_fidelity_mc(8, (0.0,), 100000, streams(11))
         assert abs(est.value - 0.125) < 3 * est.std_error
 
     def test_single_amplitude_space_keeps_all_mass(self):
         # at d = 1 both real coordinates are kept: fidelity is exactly 1
         for sigma in (0.0, 0.5, 0.9):
-            (est,) = raw_fidelity_mc((IsotropicDensity.normal(sigma, 1),),
-                                     50000, streams(24))
+            (est,) = raw_fidelity_mc(1, (sigma,), 50000, streams(24))
             assert abs(est.value - 1.0) <= 1e-15
             assert est.std_error == 0.0
 
 
 class TestCorrectedFidelityMc:
     def test_block_sum_matches_closed_form(self):
-        density = IsotropicDensity.normal(0.9, 32)
         params = CodeParams(5, 1)
-        (est,) = corrected_fidelity_mc((density,), params, 200000, streams(13))
+        (est,) = corrected_fidelity_mc(params, (0.9,), 200000, streams(13))
         assert abs(est.value - 0.905) < 3 * est.std_error
 
     def test_uniform_narrow_code(self):
         # d' = 2: corrected mass is d'' first-pairs out of 2 d coordinates
-        density = IsotropicDensity.uniform(32)
         params = CodeParams(5, 1)
-        (est,) = corrected_fidelity_mc((density,), params, 100000, streams(14))
+        (est,) = corrected_fidelity_mc(params, (0.0,), 100000, streams(14))
         assert abs(est.value - 0.5) < 3 * est.std_error
 
     def test_uniform_wide_code(self):
-        density = IsotropicDensity.uniform(32)
         params = CodeParams(5, 4)
-        (est,) = corrected_fidelity_mc((density,), params, 100000, streams(15))
+        (est,) = corrected_fidelity_mc(params, (0.0,), 100000, streams(15))
         assert abs(est.value - 1 / 16) < 3 * est.std_error
 
     def test_estimators_agree(self):
         density = IsotropicDensity.normal(0.6, 16)
         params = CodeParams(4, 2)
-        (a,) = corrected_fidelity_mc((density,), params, 100000, streams(16))
-        (b,) = syndrome_sampled_fidelity_mc((density,), params, 100000,
+        (a,) = corrected_fidelity_mc(params, (0.6,), 100000, streams(16))
+        (b,) = syndrome_sampled_fidelity_mc(params, (0.6,), 100000,
                                             streams(17))
         combined = np.hypot(a.std_error, b.std_error)
         assert abs(a.value - b.value) < 3 * combined
@@ -180,59 +175,43 @@ class TestCorrectedFidelityMc:
 
     def test_sampled_estimator_has_larger_spread(self):
         # averaging over syndromes analytically must not raise variance
-        density = IsotropicDensity.normal(0.5, 16)
         params = CodeParams(4, 1)
-        (a,) = corrected_fidelity_mc((density,), params, 50000, streams(18))
-        (b,) = syndrome_sampled_fidelity_mc((density,), params, 50000,
+        (a,) = corrected_fidelity_mc(params, (0.5,), 50000, streams(18))
+        (b,) = syndrome_sampled_fidelity_mc(params, (0.5,), 50000,
                                             streams(18))
         assert a.std_error < b.std_error
 
     def test_worker_invariance(self):
-        density = IsotropicDensity.normal(0.4, 8)
         params = CodeParams(3, 1)
-        (a,) = corrected_fidelity_mc((density,), params, 40000, streams(19),
+        (a,) = corrected_fidelity_mc(params, (0.4,), 40000, streams(19),
                                      workers=1)
-        (b,) = corrected_fidelity_mc((density,), params, 40000, streams(19),
+        (b,) = corrected_fidelity_mc(params, (0.4,), 40000, streams(19),
                                      workers=3)
         assert a == b
-
-    def test_rejects_dimension_mismatch(self):
-        for estimate in (corrected_fidelity_mc, syndrome_sampled_fidelity_mc):
-            with pytest.raises(ValueError, match="d=8, expected 32"):
-                estimate((IsotropicDensity.uniform(8),),
-                         CodeParams(5, 1), 1000, streams(20))
 
 
 class TestDensitySequences:
     SIGMAS = (0.0, 0.4, 0.9)
 
     @pytest.mark.parametrize("estimate", [
-        lambda ds, st: raw_fidelity_mc(ds, 30000, st),
-        lambda ds, st: corrected_fidelity_mc(
-            ds, CodeParams(3, 1), 30000, st, workers=2),
-        lambda ds, st: syndrome_sampled_fidelity_mc(
-            ds, CodeParams(3, 1), 30000, st),
+        lambda sigmas, st: raw_fidelity_mc(8, sigmas, 30000, st),
+        lambda sigmas, st: corrected_fidelity_mc(
+            CodeParams(3, 1), sigmas, 30000, st, workers=2),
+        lambda sigmas, st: syndrome_sampled_fidelity_mc(
+            CodeParams(3, 1), sigmas, 30000, st),
     ], ids=["raw", "block_sum", "syndrome_sampled"])
     def test_each_estimate_equals_a_one_density_call(self, estimate):
-        densities = [IsotropicDensity.normal(s, 8) for s in self.SIGMAS]
-        shared = estimate(densities, streams(25))
-        assert len(shared) == len(densities)
-        for est, density in zip(shared, densities):
-            assert estimate((density,), streams(25)) == (est,)
+        shared = estimate(self.SIGMAS, streams(25))
+        assert len(shared) == len(self.SIGMAS)
+        for est, sigma in zip(shared, self.SIGMAS):
+            assert estimate((sigma,), streams(25)) == (est,)
 
     def test_rejects_an_empty_sequence(self):
-        with pytest.raises(ValueError, match="at least one density"):
-            raw_fidelity_mc((), 1000, streams(26))
+        with pytest.raises(ValueError, match="at least one sigma"):
+            raw_fidelity_mc(8, (), 1000, streams(26))
         for estimate in (corrected_fidelity_mc, syndrome_sampled_fidelity_mc):
-            with pytest.raises(ValueError, match="at least one density"):
-                estimate((), CodeParams(3, 1), 1000, streams(26))
-
-    def test_rejects_one_mismatched_density(self):
-        densities = (IsotropicDensity.normal(0.5, 8),
-                     IsotropicDensity.normal(0.5, 16))
-        with pytest.raises(ValueError, match="fidelity_sampler needs "
-                           "densities that share d, got d=8 and d=16"):
-            raw_fidelity_mc(densities, 1000, streams(27))
+            with pytest.raises(ValueError, match="at least one sigma"):
+                estimate(CodeParams(3, 1), (), 1000, streams(26))
 
 
 class TestOrderingBySampling:
@@ -244,10 +223,11 @@ class TestOrderingBySampling:
         sigma_u = sigma_c ** (1 / 5)
         big = IsotropicDensity.normal(sigma_c, params.d)
         small = IsotropicDensity.normal(sigma_u, params.d_prime)
-        (raw,) = raw_fidelity_mc((big,), 100000, streams(21))
-        (corrected,) = corrected_fidelity_mc((big,), params,
+        (raw,) = raw_fidelity_mc(params.d, (sigma_c,), 100000, streams(21))
+        (corrected,) = corrected_fidelity_mc(params, (sigma_c,),
                                              100000, streams(22))
-        (uncoded,) = raw_fidelity_mc((small,), 100000, streams(23))
+        (uncoded,) = raw_fidelity_mc(params.d_prime, (sigma_u,), 100000,
+                                     streams(23))
         assert corrected.value - raw.value > -3 * np.hypot(
             corrected.std_error, raw.std_error)
         assert uncoded.value - corrected.value > -3 * np.hypot(

@@ -423,10 +423,10 @@ class TestRunSweep:
         calls = []
         make = experiments.fidelity_sampler
 
-        def counted(densities, kept, scratch=None):
+        def counted(d, kept, sigmas, scratch=None):
             if kept == 1:
-                calls.append(len(densities))
-            return make(densities, kept, scratch)
+                calls.append(len(sigmas))
+            return make(d, kept, sigmas, scratch)
 
         monkeypatch.setattr(experiments, "fidelity_sampler", counted)
         codes = ((4, 2), (5, 4))
@@ -450,11 +450,11 @@ class TestRunSweep:
         calls = []
         make = experiments.fidelity_sampler
 
-        def counted(densities, kept, scratch=None):
-            value_fn = make(densities, kept, scratch)
+        def counted(d, kept, sigmas, scratch=None):
+            value_fn = make(d, kept, sigmas, scratch)
 
             def draw(rng, count):
-                calls.append(len(densities))
+                calls.append(len(sigmas))
                 return value_fn(rng, count)
             return draw
 

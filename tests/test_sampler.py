@@ -24,8 +24,10 @@ from isoqec.distributions import (
     variance_compose_n,
     variance_of,
 )
-from isoqec.closedform import fidelity_psi
+from isoqec.closedform import fidelity_psi, fidelity_psi_normal
+from isoqec.experiments import DEFAULT_CODES, _law_keys
 from isoqec.sampler import (
+    DEFAULT_CHUNK_SIZE,
     RngStreams,
     Scratch,
     fidelity_sampler,
@@ -292,7 +294,7 @@ class TestFidelitySampler:
                 2 * params.d_dprime - 1:
                     (r[:, :, 0] ** 2 + r[:, :, 1] ** 2).sum(axis=1)}
         for kept, want in full.items():
-            (got,) = fidelity_sampler((density,), kept)(
+            (got,) = fidelity_sampler(density.d, kept, (density.sigma,))(
                 streams(36, tag, kept).chunk(0), n)
             p = stats.ks_2samp(got, want).pvalue
             assert p > 1e-3, (case, kept, p)
@@ -304,7 +306,7 @@ class TestFidelitySampler:
         for case, sigma in enumerate((0.0, 0.6, 0.95)):
             density = IsotropicDensity.normal(sigma, d)
             for kept in (1, 7, d, 2 * d - 2):
-                (values,) = fidelity_sampler((density,), kept)(
+                (values,) = fidelity_sampler(d, kept, (sigma,))(
                     streams(37, case, kept).chunk(0), 100000)
                 want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
                 se = values.std(ddof=1) / math.sqrt(values.size)
@@ -319,9 +321,8 @@ class TestFidelitySampler:
         d = 2 ** n
         n_samples = 1_000_000 if n == 18 else 100_000
         for i, sigma in enumerate((0.0, 0.5, 0.9)):
-            density = IsotropicDensity.normal(sigma, d)
             for kept in (1, 2 ** (n - 1) - 1):
-                (est,) = mc_mean(fidelity_sampler((density,), kept),
+                (est,) = mc_mean(fidelity_sampler(d, kept, (sigma,)),
                                  n_samples, streams(39, n, i, kept % 1000))
                 want = (kept + 1 + (2 * d - 1 - kept) * sigma ** 2) / (2 * d)
                 assert est.std_error > 0.0
@@ -329,37 +330,24 @@ class TestFidelitySampler:
 
     def test_all_coordinates_kept_is_exactly_one(self):
         # nothing is drawn when every coordinate is kept
-        density = IsotropicDensity.normal(0.7, 4)
         rng = streams(38).chunk(0)
-        values = fidelity_sampler((density,), 7)(rng, 1000)
+        values = fidelity_sampler(4, 7, (0.7,))(rng, 1000)
         assert np.array_equal(values, np.ones((1, 1000)))
         assert rng.random() == streams(38).chunk(0).random()
 
-    def test_rejects_kept_out_of_range(self):
-        density = IsotropicDensity.uniform(4)
-        for kept in (0, 8):
-            with pytest.raises(ValueError):
-                fidelity_sampler((density,), kept)(streams(39).chunk(0), 10)
-
-    def test_rejects_caps(self):
-        density = IsotropicDensity.uniform_cap(math.pi / 3, 8)
-        with pytest.raises(ValueError, match="normal densities only"):
-            fidelity_sampler((density,), 1)(streams(39).chunk(0), 10)
-
     @pytest.mark.parametrize("d", [1, 8, 2 ** 20])
     def test_shared_rows_equal_one_density_calls(self, d):
-        # one draw serves every sigma: row j is the one-density call at
+        # one draw serves every sigma: row j is the one-sigma call at
         # sigma_j on the same generator, bit for bit
         sigmas = (0.0, 0.05, 0.3, 0.6, 0.9, 0.999)
-        densities = [IsotropicDensity.normal(s, d) for s in sigmas]
         for kept in sorted({1, 2 * d - 2, 2 * d - 1} - {0}):
-            shared = fidelity_sampler(densities, kept)(
+            shared = fidelity_sampler(d, kept, sigmas)(
                 streams(51, kept).chunk(0), 3000)
             assert shared.shape == (len(sigmas), 3000)
-            for row, density in zip(shared, densities):
-                (alone,) = fidelity_sampler((density,), kept)(
+            for row, sigma in zip(shared, sigmas):
+                (alone,) = fidelity_sampler(d, kept, (sigma,))(
                     streams(51, kept).chunk(0), 3000)
-                assert np.array_equal(row, alone), (density.sigma, kept)
+                assert np.array_equal(row, alone), (sigma, kept)
 
     @pytest.mark.parametrize("kept", [1, 5])
     def test_matches_the_out_of_place_expressions(self, kept):
@@ -367,9 +355,7 @@ class TestFidelitySampler:
         # docstring's expressions on the same variates
         d, n = 8, 2000
         sigmas = (0.0, 0.6, 0.95)
-        got = fidelity_sampler([IsotropicDensity.normal(s, d)
-                                for s in sigmas], kept)(
-            streams(54, kept).chunk(0), n)
+        got = fidelity_sampler(d, kept, sigmas)(streams(54, kept).chunk(0), n)
         want = out_of_place_fidelities(sigmas, d, kept, n,
                                        streams(54, kept).chunk(0))
         assert np.array_equal(got, want)
@@ -409,8 +395,7 @@ class TestFidelitySampler:
         n = 20000
         tag = (2, 8, 2 ** 20).index(d)
         p, a, _ = chord_statistics(d, 1, n, streams(59, tag).chunk(0))
-        (row,) = fidelity_sampler((IsotropicDensity.normal(0.0, d),), 1)(
-            streams(59, tag).chunk(0), n)
+        (row,) = fidelity_sampler(d, 1, (0.0,))(streams(59, tag).chunk(0), n)
         assert np.array_equal(row, p)
         assert stats.kstest(p, stats.beta(1, d - 1).cdf).pvalue > 1e-3
         assert stats.kstest(a * a / p, stats.beta(0.5, 0.5).cdf).pvalue \
@@ -442,9 +427,7 @@ class TestFidelitySampler:
         with warnings.catch_warnings(), np.errstate(
                 divide="raise", over="raise", invalid="raise"):
             warnings.simplefilter("error")
-            values = fidelity_sampler(
-                [IsotropicDensity.normal(s, d) for s in sigmas], 1)(
-                rng, grid.shape[1])
+            values = fidelity_sampler(d, 1, sigmas)(rng, grid.shape[1])
         assert rng.calls == ["standard_exponential", "random", "random"]
         assert np.all(np.isfinite(values))
         assert values.min() >= -1e-15 and values.max() <= 1.0 + 1e-15
@@ -470,9 +453,7 @@ class TestFidelitySampler:
             counts = []
             for sigmas in ((0.5,), (0.2, 0.5, 0.9)):
                 calls.clear()
-                fidelity_sampler([IsotropicDensity.normal(s, 8)
-                                  for s in sigmas], kept)(
-                    streams(61).chunk(0), 100)
+                fidelity_sampler(8, kept, sigmas)(streams(61).chunk(0), 100)
                 counts.append(len(calls))
             assert (counts[1] - counts[0]) / 2 <= 9, (kept, counts)
 
@@ -483,8 +464,7 @@ class TestFidelitySampler:
         # mc_means' centring row, which a direct call does not make.  The
         # bound leaves two rows spare
         n, sigmas = 20000, (0.2, 0.5, 0.9)
-        value_fn = fidelity_sampler([IsotropicDensity.normal(s, 8)
-                                     for s in sigmas], kept)
+        value_fn = fidelity_sampler(8, kept, sigmas)
         rng = streams(62).chunk(0)
         tracemalloc.start()
         try:
@@ -501,9 +481,7 @@ class TestFidelitySampler:
         # expressions on its own stream, whatever the scratch held before
         d = 8
         groups = ((0.0, 0.6, 0.95), (0.3,), (0.5, 0.999))
-        samplers = [fidelity_sampler([IsotropicDensity.normal(s, d)
-                                      for s in sigmas], kept)
-                    for sigmas in groups]
+        samplers = [fidelity_sampler(d, kept, sigmas) for sigmas in groups]
         for i, count in enumerate((700, 3, 1, 700, 699, 1000, 2)):
             for j, (sigmas, value_fn) in enumerate(zip(groups, samplers)):
                 got = value_fn(streams(56, kept, j).chunk(i), count)
@@ -515,32 +493,33 @@ class TestFidelitySampler:
     def test_successive_calls_share_no_memory(self, kept):
         # a sampler made for one call owns its array: a later sampler's
         # call neither aliases nor overwrites it
-        densities = [IsotropicDensity.normal(s, 4) for s in (0.2, 0.7)]
+        sigmas = (0.2, 0.7)
         rng = streams(57, kept).chunk(0)
-        first = fidelity_sampler(densities, kept)(rng, 500)
+        first = fidelity_sampler(4, kept, sigmas)(rng, 500)
         before = first.copy()
-        second = fidelity_sampler(densities, kept)(rng, 500)
+        second = fidelity_sampler(4, kept, sigmas)(rng, 500)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, before)
 
     def test_shared_draw_consumes_the_stream_once(self):
-        densities = [IsotropicDensity.normal(s, 8) for s in (0.2, 0.7)]
+        sigmas = (0.2, 0.7)
         one, many = streams(52).chunk(0), streams(52).chunk(0)
-        fidelity_sampler(densities[:1], 3)(one, 500)
-        fidelity_sampler(densities, 3)(many, 500)
+        fidelity_sampler(8, 3, sigmas[:1])(one, 500)
+        fidelity_sampler(8, 3, sigmas)(many, 500)
         assert one.random() == many.random()
 
-    @pytest.mark.parametrize("densities, match", [
-        ((), "at least one density"),
-        ((IsotropicDensity.normal(0.5, 8), IsotropicDensity.normal(0.5, 4)),
-         "share d"),
-        ((IsotropicDensity.normal(0.5, 8),
-          IsotropicDensity.uniform_cap(math.pi / 3, 8)),
-         "normal densities only"),
-    ])
-    def test_rejects_bad_density_sequences(self, densities, match):
+    @pytest.mark.parametrize("kept, sigmas, match", [
+        (1, (), "at least one sigma"),
+        (1, (0.5, math.nan), r"sigma must lie in \[0, 1\), got nan"),
+        (1, (0.5, 1.0), r"sigma must lie in \[0, 1\), got 1.0"),
+        (1, (-0.1,), r"sigma must lie in \[0, 1\), got -0.1"),
+        (0, (0.5,), r"kept must lie in \[1, 7\] at d=4, got 0"),
+        (8, (0.5,), r"kept must lie in \[1, 7\] at d=4, got 8"),
+    ], ids=["empty", "nan", "one", "negative", "kept-0", "kept-2d"])
+    def test_rejects_bad_arguments(self, kept, sigmas, match):
+        # refused when the sampler is made, in one line
         with pytest.raises(ValueError, match=match) as err:
-            fidelity_sampler(densities, 1)(streams(53).chunk(0), 10)
+            fidelity_sampler(4, kept, sigmas)
         assert "\n" not in str(err.value)
 
 
@@ -717,7 +696,6 @@ class TestMcMean:
         # out-of-place values centred whole, on any worker count, and
         # leave value_fn's arrays untouched
         d, kept, sigmas = 8, 5, (0.0, 0.6, 0.95)
-        densities = [IsotropicDensity.normal(s, d) for s in sigmas]
         want = whole_chunk_mc_mean(
             lambda rng, count: out_of_place_fidelities(sigmas, d, kept,
                                                        count, rng),
@@ -727,7 +705,7 @@ class TestMcMean:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3):
-                got = mc_mean(fidelity_sampler(densities, kept), n_samples,
+                got = mc_mean(fidelity_sampler(d, kept, sigmas), n_samples,
                               streams(68), chunk_size=chunk_size,
                               workers=workers)
                 assert ([(e.value, e.std_error) for e in got]
@@ -766,9 +744,7 @@ class TestMcMeans:
     @staticmethod
     def _jobs(scratch):
         # samplers of unequal row and kept counts, and a plain value_fn
-        jobs = [(fidelity_sampler([IsotropicDensity.normal(s, 8)
-                                   for s in sigmas], kept, scratch),
-                 streams(70, j))
+        jobs = [(fidelity_sampler(8, kept, sigmas, scratch), streams(70, j))
                 for j, (sigmas, kept) in enumerate((
                     ((0.0, 0.6, 0.95), 1), ((0.3,), 5),
                     ((0.2, 0.5, 0.7, 0.9, 0.999), 3)))]
@@ -831,3 +807,32 @@ class TestMcMeans:
 
         small = peak(64)
         assert peak(4096) <= 2 * small
+
+    def test_standard_errors_are_calibrated(self):
+        # one z = (estimate - closed form) / SE per (law, seed), as a sweep
+        # keys its streams: the default codes' 9 laws at sigma = 0.5, one
+        # chunk each, 300 seeds.  The estimates are independent, so the z
+        # follow N(0, 1) when the standard errors mean what they say, and
+        # |z| > 3 is as rare as for a normal.  The law (n, k) keeps
+        # 2 ** k of 2 ** n complex amplitudes, so its closed form is the
+        # raw one at d = 2 ** (n - k)
+        laws = sorted({key for code in DEFAULT_CODES
+                       for key in _law_keys(*code)})
+        cases = [(seed, n, k) for seed in range(300) for n, k in laws]
+        scratch = Scratch()
+        jobs = [(fidelity_sampler(2 ** n, 2 ** (k + 1) - 1, (0.5,), scratch),
+                 RngStreams(seed).split(n).split(k))
+                for seed, n, k in cases]
+        results = mc_means(jobs, DEFAULT_CHUNK_SIZE, workers=2)
+        z = np.array([
+            (est.value - fidelity_psi_normal(0.5, 2 ** (n - k)))
+            / est.std_error for ((est,), _), (_, n, k) in zip(results, cases)])
+        assert len(laws) == 9 and z.size == 2700
+        assert stats.kstest(z, "norm").pvalue > 1e-3
+        # KS is blind to a 10 % scale error at this size; the sample sd
+        # has a standard error of about 1 / sqrt(2 * size)
+        assert abs(z.std() - 1.0) < 5 / math.sqrt(2 * z.size)
+        # a two-sided binomial interval at 1e-3 around 0.27 %
+        low, high = stats.binom.interval(1 - 1e-3, z.size,
+                                         2 * stats.norm.sf(3.0))
+        assert low <= np.count_nonzero(np.abs(z) > 3.0) <= high
