@@ -24,7 +24,7 @@ from isoqec.distributions import (
     variance_compose_n,
     variance_of,
 )
-from isoqec.closedform import fidelity_psi, fidelity_psi_normal
+from isoqec.closedform import fidelity_psi_normal
 from isoqec.experiments import DEFAULT_CODES, _law_keys
 from isoqec.sampler import (
     DEFAULT_CHUNK_SIZE,
