@@ -110,8 +110,10 @@ CAP_ANGLE_GRID = (0.3, math.pi / 4, math.pi / 2, 2.0, 3 * math.pi / 4, math.pi)
 # a sweep chunks every estimate at DEFAULT_CHUNK_SIZE samples, at most
 # 2**16 chunks each
 MAX_SAMPLES = 2 ** 16 * DEFAULT_CHUNK_SIZE
-# a chunk holds one row of samples per sigma; sigma groups of this size,
-# each on the same streams, keep it at 2**20 floats (8 MiB)
+# a chunk holds one row of samples per sigma, which the kernel and the
+# centring take sampler.SIGMA_BLOCK rows at a time; sigma groups of this
+# size, each on the same streams, keep it at 2**20 floats (8 MiB) beside
+# a block temporary of 2**16 (512 KiB)
 SIGMA_GROUP = 2 ** 20 // DEFAULT_CHUNK_SIZE
 MAX_WORKERS = 64
 # verify_appendix's bound on each closed form's relative error
@@ -360,7 +362,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     streams; a row does not depend on its group, so the rows depend on
     (seed, n_samples) alone.  Each group is one mc_means job, and one
     mc_means call runs every job's chunks on config.workers threads;
-    every sampler of the sweep shares one Scratch.
+    every sampler of the sweep and that call share one Scratch.
 
     The JSON report's timing record, in key order: total_seconds (the
     sweep up to writing its outputs), closed_form_seconds (the
@@ -410,7 +412,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                                           batch, scratch), streams))
             batches.append((key, batch))
     mc_started = time.perf_counter()
-    results = mc_means(jobs, config.n_samples, workers=config.workers)
+    results = mc_means(jobs, config.n_samples, workers=config.workers,
+                       scratch=scratch)
     mc_wall_seconds = time.perf_counter() - mc_started
     estimates = {}
     busy = dict.fromkeys(laws, 0.0)

@@ -41,26 +41,35 @@ of worker threads, the calling thread among them.  Workers take chunks
 greedily from one shared index in (job, chunk) order, and each job's
 partials are folded as they arrive, in ascending chunk order, so an
 estimate never depends on which thread ran which chunk or on the other
-jobs.  A sweep makes one such call for all of its estimates.
+jobs.  A sweep makes one such call for all of its estimates.  Every
+numpy call releases the interpreter lock and takes it back, and with two
+threads running that handoff costs about as much as a short pass: on a
+shared 2-core x86_64 machine a multiply of 16384 floats took 12 to 18 us
+per call on each of two threads against 7 to 10 on one, while a sqrt,
+three times as long, stayed near 22 us, and two processes slowed each
+other little.  So the kernel and the centring make one pass per block
+of up to SIGMA_BLOCK sigma rows, not one per row.
 
 Memory: the chunk kernel allocates nothing in steady state and takes no
 page faults per chunk.  Its buffers live in a Scratch, a threading.local
 with one set of named arrays per thread, never shared between threads;
-a sampler takes one, so a sweep hands the same Scratch to every sampler,
-and each worker reuses one set of buffers for every chunk of every job
-it runs.  mc_means keeps its centring row in a Scratch of its own, made
-once per call.  fidelity_sampler uses eight
-arrays of chunk_size floats (P, a, a^2, the two coefficients, the key
-and two temporaries, which also take the draws) and its (rows,
-chunk_size) output; mc_means one row of chunk_size floats for centring.
-A ragged last chunk uses leading slices.  Per worker that is
-(9 + rows) * chunk_size * 8 bytes for the largest rows of any job: 1.1
-MiB plus 128 KiB per row at the default chunk size.  A sweep chunks at
-the default size and evaluates at most 64 sigmas per draw, so its worst
-case is (9 + 64) * 16384 * 8 bytes, about 9.1 MiB per worker.  Beside
-it the fold keeps a few running floats per row of each job and, over
-all jobs, fewer than 2 * workers partials of chunks that finished ahead
-of an earlier chunk of their job, however many chunks there are.  The
+a sampler takes one, so a sweep hands the same Scratch to every sampler
+and to mc_means, and each worker reuses one set of buffers for every
+chunk of every job it runs.  fidelity_sampler uses eight arrays of
+chunk_size floats (P, a, a^2, the two coefficients, the key and two
+temporaries, which also take the draws), its (rows, chunk_size) output
+and a (min(rows, SIGMA_BLOCK), chunk_size) block temporary, which
+mc_means centres in when it shares the sampler's Scratch; without one,
+mc_means makes a Scratch of its own once per call, with a block of its
+own.  A ragged last chunk uses leading slices.  Per worker that is
+(8 + rows + min(rows, 4)) * chunk_size * 8 bytes for the largest rows
+of any job: 1 MiB plus 256 KiB per row up to 4 rows and 128 KiB per
+row beyond, at the default chunk size.  A sweep chunks at the default
+size and evaluates at most 64 sigmas per draw, so its worst case is
+(8 + 64 + 4) * 16384 * 8 bytes, 9.5 MiB per worker.  Beside it the fold
+keeps a few running floats per row of each job and, over all jobs,
+fewer than 2 * workers partials of chunks that finished ahead of an
+earlier chunk of their job, however many chunks there are.  The
 buffers live as long as their Scratch, so no sample-sized memory
 outlives a sweep.
 """
@@ -77,6 +86,12 @@ import numpy as np
 from .distributions import IsotropicDensity, PolarMarginal
 
 DEFAULT_CHUNK_SIZE = 16384
+# the chunk kernel and mc_means' centring take sigma rows in blocks of
+# this many, 2**16 floats (512 KiB) at the default chunk size: one numpy
+# pass per block instead of per row, while a block and its temporary
+# stay in a 2 MiB L2 beside the work arrays; 8-row blocks fell out of it
+# and made a 20-sigma sweep on one worker slower
+SIGMA_BLOCK = 2 ** 16 // DEFAULT_CHUNK_SIZE
 
 # the least normal float64: floors the chord-end key's denominator
 _TINY = np.finfo(np.float64).tiny
@@ -220,18 +235,23 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     V' <= 0 always keeps the forward end) and its denominator is floored
     at the least normal float 2^-1022, which changes no choice: V' > 0 is
     at least 2^-52, so a floored key is above 2^900, and lam is below
-    2^53 for every sigma below 1.  Per sigma, in nine passes,
+    2^53 for every sigma below 1.  The value is
       value = (P + sigma^2 (1 - P)(1 - 2 a^2))
-              + copysign(2 (1 - P) a k, lam - key).
-    It is a sum of terms of size at most 1, so its error is absolute, a
-    few units of 2^-53; at sigma = 0 it is exactly P.
+              + copysign(2 (1 - P) a k, lam - key),
+    in nine passes over each block of up to SIGMA_BLOCK rows, with
+    sigma^2, sigma^4, sigma^2 (1 - sigma^2) and lam as (rows, 1) columns
+    rounded once, when the sampler is made: each element takes the same
+    roundings in the same order as a one-sigma pass would.  It is a sum
+    of terms of size at most 1, so its error is absolute, a few units of
+    2^-53; at sigma = 0 it is exactly P.
 
     Each call writes into the calling thread's arrays of scratch, its
-    output included, so the returned array is overwritten by that
-    thread's next call of any sampler that shares scratch: mc_means reads
-    it first.  Without a scratch the sampler makes its own, so one made
-    for one call, fidelity_sampler(d, kept, sigmas)(rng, n), hands back
-    an array that no other sampler ever writes to.
+    output and block temporary included, so the returned array is
+    overwritten by that thread's next call of any sampler that shares
+    scratch: mc_means reads it first.  Without a scratch the sampler
+    makes its own, so one made for one call,
+    fidelity_sampler(d, kept, sigmas)(rng, n), hands back an array that
+    no other sampler ever writes to.
     """
     sigmas = tuple(sigmas)
     if not sigmas:
@@ -245,6 +265,15 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     rest = 2 * d - 1 - kept
     if scratch is None:
         scratch = Scratch()
+    # per block of rows: its slice and (rows, 1) columns of sigma^2,
+    # sigma^4, sigma^2 (1 - sigma^2) and lam, each rounded as a float
+    columns = []
+    for start in range(0, len(sigmas), SIGMA_BLOCK):
+        s2 = [sigma * sigma for sigma in sigmas[start:start + SIGMA_BLOCK]]
+        columns.append((slice(start, start + len(s2)), *(
+            np.array(values)[:, None] for values in (
+                s2, [v * v for v in s2], [v * (1.0 - v) for v in s2],
+                [v / (1.0 - v) for v in s2]))))
 
     def value_fn(rng: np.random.Generator, n: int) -> np.ndarray:
         out = scratch.get("out", len(sigmas) * n).reshape(len(sigmas), n)
@@ -306,30 +335,33 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
         np.abs(key, out=t)
         key *= t
         key /= s
-        # per sigma, nine passes:
+        # per block of at most SIGMA_BLOCK sigma rows, nine passes:
         #   k = sqrt(sigma^4 a^2 + sigma^2 (1 - sigma^2))
         #   value = (P + sigma^2 coef_a) + copysign(coef_b k, lam - key)
         # with lam = sigma^2 / (1 - sigma^2): key <= lam keeps the
-        # forward end, whose sign is +
-        for row, sigma in zip(out, sigmas):
-            s2 = sigma * sigma
-            lam = s2 / (1.0 - s2)
-            np.multiply(a2, s2 * s2, out=t)
-            np.add(t, s2 * (1.0 - s2), out=t)
-            np.sqrt(t, out=t)
-            np.multiply(t, coef_b, out=t)
-            np.subtract(lam, key, out=s)
-            np.copysign(t, s, out=t)
-            np.multiply(coef_a, s2, out=row)
-            np.add(row, p, out=row)
-            np.add(row, t, out=row)
+        # forward end, whose sign is +.  tmp takes the sign, then
+        # P + sigma^2 coef_a
+        block = scratch.get("block", min(len(sigmas), SIGMA_BLOCK) * n)
+        for rows, s2, s4, s2_rest, lam in columns:
+            value = out[rows]
+            tmp = block[:value.size].reshape(value.shape)
+            np.multiply(a2, s4, out=value)
+            np.add(value, s2_rest, out=value)
+            np.sqrt(value, out=value)
+            np.multiply(value, coef_b, out=value)
+            np.subtract(lam, key, out=tmp)
+            np.copysign(value, tmp, out=value)
+            np.multiply(coef_a, s2, out=tmp)
+            np.add(tmp, p, out=tmp)
+            np.add(tmp, value, out=value)
         return out
 
     return value_fn
 
 
 def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
-             chunk_size: int = DEFAULT_CHUNK_SIZE, workers: int = 1
+             chunk_size: int = DEFAULT_CHUNK_SIZE, workers: int = 1,
+             scratch: Scratch | None = None
              ) -> list[tuple[tuple[McEstimate, ...], float]]:
     """Chunked means of every job's value_fn rows, on one set of threads.
 
@@ -352,9 +384,13 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
 
     mc_means never writes to the array value_fn returns, and is done with
     it before the same thread calls a value_fn again, so value_fn may
-    hand back one reused array.  Each thread centres in one row of
-    chunk_size floats.  An exception in a chunk stops the workers taking
-    new chunks, and is raised from the call once every thread has ended.
+    hand back one reused array.  Each thread centres up to SIGMA_BLOCK
+    rows at a time, with one numpy call per step, in the block temporary
+    of its arrays of scratch, or of a Scratch made for the call when none
+    is given; a sweep hands over the Scratch its samplers share, whose
+    block they use only within a call.  An exception in a chunk stops
+    the workers taking new chunks, and is raised from the call once
+    every thread has ended.
     """
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
@@ -362,7 +398,8 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
         raise ValueError(f"need chunk_size >= 1, got {chunk_size}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    scratch = Scratch()
+    if scratch is None:
+        scratch = Scratch()
     n_chunks = -(-n_samples // chunk_size)
     n_tasks = len(jobs) * n_chunks
     # guards everything below; a worker takes no new chunk while
@@ -385,13 +422,16 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
             raise ValueError(f"value_fn returned shape {values.shape}, "
                              f"expected (rows, {size})")
         sums = values.sum(axis=1)
-        means = sums / size
-        # centre one row at a time, leaving value_fn's array untouched
-        dev = scratch.get("dev", size)
+        means = (sums / size)[:, None]
+        # centre a block of rows at a time, leaving value_fn's array
+        # untouched
+        block = scratch.get("block", min(len(values), SIGMA_BLOCK) * size)
         m2 = np.empty_like(sums)
-        for j, row in enumerate(values):
-            np.subtract(row, means[j], out=dev)
-            m2[j] = np.square(dev, out=dev).sum()
+        for start in range(0, len(values), SIGMA_BLOCK):
+            rows = slice(start, start + SIGMA_BLOCK)
+            dev = block[:values[rows].size].reshape(-1, size)
+            np.subtract(values[rows], means[rows], out=dev)
+            np.square(dev, out=dev).sum(axis=1, out=m2[rows])
         return size, sums, m2
 
     def fold(job: int) -> None:

@@ -42,6 +42,8 @@ from oracle import block_matrix
 from suite import compose_errors, mean_se, reference_states
 
 SEED = 20260819
+# more sigmas than sampler.SIGMA_BLOCK: two full blocks and a ragged one
+ELEVEN_SIGMAS = (0.0, 0.05, 0.2, 0.3, 0.45, 0.6, 0.7, 0.8, 0.9, 0.95, 0.999)
 
 
 def streams(*key):
@@ -432,9 +434,11 @@ class TestFidelitySampler:
         assert np.all(np.isfinite(values))
         assert values.min() >= -1e-15 and values.max() <= 1.0 + 1e-15
 
-    def test_each_sigma_row_costs_nine_passes(self, monkeypatch):
-        # the per-sigma loop calls numpy ufuncs by name: count the calls
-        # of a 3-row and a 1-row sampler on the same chunk
+    def test_sigma_rows_share_each_pass(self, monkeypatch):
+        # the kernel and mc_means' centring call numpy ufuncs by name:
+        # count the calls per chunk.  Up to SIGMA_BLOCK rows cost what
+        # one row costs, and one row more adds one block: the kernel's
+        # nine passes and the centring's two
         calls = []
 
         class CountingNumpy:
@@ -448,23 +452,34 @@ class TestFidelitySampler:
                     return value(*args, **kwargs)
                 return counted
 
+        assert sampler_module.SIGMA_BLOCK == 4
         monkeypatch.setattr(sampler_module, "np", CountingNumpy())
         for kept in (1, 5):
-            counts = []
-            for sigmas in ((0.5,), (0.2, 0.5, 0.9)):
+            kernel, chunk = {}, {}
+            for rows in (1, 3, 4, 5):
+                value_fn = fidelity_sampler(
+                    8, kept, tuple(0.1 * (j + 1) for j in range(rows)))
                 calls.clear()
-                fidelity_sampler(8, kept, sigmas)(streams(61).chunk(0), 100)
-                counts.append(len(calls))
-            assert (counts[1] - counts[0]) / 2 <= 9, (kept, counts)
+                value_fn(streams(61).chunk(0), 100)
+                kernel[rows] = len(calls)
+                calls.clear()
+                mc_mean(value_fn, 100, streams(61), chunk_size=100)
+                chunk[rows] = len(calls)
+            assert kernel[1] == kernel[3] == kernel[4], (kept, kernel)
+            assert kernel[5] - kernel[4] == 9, (kept, kernel)
+            assert chunk[1] == chunk[3] == chunk[4], (kept, chunk)
+            assert chunk[5] - chunk[4] == 9 + 2, (kept, chunk)
 
+    @pytest.mark.parametrize("rows", [3, 11])
     @pytest.mark.parametrize("kept", [1, 5])
-    def test_scratch_stays_within_its_bound(self, kept):
-        # the sampler's eight work arrays and its output rows, (8 + rows)
-        # n floats; the sampler docstring's (9 + rows) per thread adds
-        # mc_means' centring row, which a direct call does not make.  The
+    def test_scratch_stays_within_its_bound(self, kept, rows):
+        # the sampler's eight work arrays, its output rows and its block
+        # temporary: the sampler docstring's (8 + rows + min(rows, 4)) n
+        # floats per thread, which a direct call makes in full.  The
         # bound leaves two rows spare
-        n, sigmas = 20000, (0.2, 0.5, 0.9)
-        value_fn = fidelity_sampler(8, kept, sigmas)
+        n = 20000
+        value_fn = fidelity_sampler(
+            8, kept, tuple(0.05 + 0.08 * j for j in range(rows)))
         rng = streams(62).chunk(0)
         tracemalloc.start()
         try:
@@ -472,15 +487,16 @@ class TestFidelitySampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (10 + len(sigmas)) * n * 8
+        assert peak <= (10 + rows + min(rows, 4)) * n * 8
 
     @pytest.mark.parametrize("kept", [1, 5, 15])
     def test_reused_scratch_matches_the_out_of_place_expressions(self, kept):
         # one thread, samplers of unequal row counts taking turns over
         # chunks of changing count: each chunk equals the out-of-place
         # expressions on its own stream, whatever the scratch held before
+        # the 11-sigma group is two full blocks and a ragged one of 3 rows
         d = 8
-        groups = ((0.0, 0.6, 0.95), (0.3,), (0.5, 0.999))
+        groups = ((0.0, 0.6, 0.95), (0.3,), (0.5, 0.999), ELEVEN_SIGMAS)
         samplers = [fidelity_sampler(d, kept, sigmas) for sigmas in groups]
         for i, count in enumerate((700, 3, 1, 700, 699, 1000, 2)):
             for j, (sigmas, value_fn) in enumerate(zip(groups, samplers)):
@@ -692,24 +708,33 @@ class TestMcMean:
         (10007, 1000), (7, 1), (2500, 4096), (200_000, 16384)])
     def test_matches_whole_chunk_reduction_of_out_of_place_values(
             self, n_samples, chunk_size):
-        # reused sampler scratch and per-row centring give the bits of the
-        # out-of-place values centred whole, on any worker count, and
-        # leave value_fn's arrays untouched
-        d, kept, sigmas = 8, 5, (0.0, 0.6, 0.95)
-        want = whole_chunk_mc_mean(
-            lambda rng, count: out_of_place_fidelities(sigmas, d, kept,
-                                                       count, rng),
-            n_samples, streams(68), chunk_size)
+        # reused sampler scratch and block-wise centring give the bits of
+        # the out-of-place values centred whole, on any worker count,
+        # with or without a Scratch shared by the sampler and the
+        # centring, and leave value_fn's arrays untouched.  Eleven rows
+        # make two full blocks and a ragged one
+        d, kept = 8, 5
         # threads switch often, so scratch shared between them would show
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for workers in (1, 2, 3):
-                got = mc_mean(fidelity_sampler(d, kept, sigmas), n_samples,
-                              streams(68), chunk_size=chunk_size,
-                              workers=workers)
-                assert ([(e.value, e.std_error) for e in got]
-                        == list(zip(*want))), workers
+            for sigmas in ((0.0, 0.6, 0.95), ELEVEN_SIGMAS):
+                want = list(zip(*whole_chunk_mc_mean(
+                    lambda rng, count: out_of_place_fidelities(
+                        sigmas, d, kept, count, rng),
+                    n_samples, streams(68), chunk_size)))
+                for workers in (1, 2, 3):
+                    alone = mc_mean(fidelity_sampler(d, kept, sigmas),
+                                    n_samples, streams(68),
+                                    chunk_size=chunk_size, workers=workers)
+                    scratch = Scratch()
+                    ((shared, _),) = mc_means(
+                        [(fidelity_sampler(d, kept, sigmas, scratch),
+                          streams(68))],
+                        n_samples, chunk_size, workers, scratch)
+                    for got in (alone, shared):
+                        assert [(e.value, e.std_error) for e in got] \
+                            == want, (len(sigmas), workers)
         finally:
             sys.setswitchinterval(interval)
         returned = []
@@ -743,19 +768,21 @@ class TestMcMeans:
 
     @staticmethod
     def _jobs(scratch):
-        # samplers of unequal row and kept counts, and a plain value_fn
+        # samplers of unequal row and kept counts, one of them past a
+        # block, and a plain value_fn
         jobs = [(fidelity_sampler(8, kept, sigmas, scratch), streams(70, j))
                 for j, (sigmas, kept) in enumerate((
                     ((0.0, 0.6, 0.95), 1), ((0.3,), 5),
-                    ((0.2, 0.5, 0.7, 0.9, 0.999), 3)))]
+                    ((0.2, 0.5, 0.7, 0.9, 0.999), 3), (ELEVEN_SIGMAS, 1)))]
         jobs.append((lambda rng, count: rng.exponential(size=(2, count)),
-                     streams(70, 3)))
+                     streams(70, 4)))
         return jobs
 
     def test_jobs_sharing_one_scratch_equal_one_job_calls(self):
         # a ragged last chunk; every job bit-identical to its own mc_mean
-        # call on a scratch of its own, on any worker count, with threads
-        # switching often so that shared buffers would show
+        # call on a scratch of its own, on any worker count, with the
+        # samplers and the centring on one Scratch and threads switching
+        # often so that shared buffers would show
         n_samples, chunk_size = 5 * 1000 + 123, 1000
         want = [mc_mean(value_fn, n_samples, job_streams, chunk_size)
                 for value_fn, job_streams in self._jobs(None)]
@@ -763,8 +790,9 @@ class TestMcMeans:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3):
-                got = mc_means(self._jobs(Scratch()), n_samples,
-                               chunk_size, workers)
+                scratch = Scratch()
+                got = mc_means(self._jobs(scratch), n_samples, chunk_size,
+                               workers, scratch)
                 assert [estimates for estimates, _ in got] == want, workers
                 assert all(seconds > 0.0 for _, seconds in got), workers
         finally:
@@ -808,6 +836,24 @@ class TestMcMeans:
         small = peak(64)
         assert peak(4096) <= 2 * small
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_shared_scratch_stays_within_its_bound(self, workers):
+        # the samplers' bound per thread, (8 + rows + min(rows, 4)) n
+        # floats with two rows spare, holds for a whole mc_means call
+        # whose centring shares the samplers' Scratch: a block of its
+        # own would take 4 rows more per thread
+        n, rows = 20000, len(ELEVEN_SIGMAS)
+        scratch = Scratch()
+        jobs = [(fidelity_sampler(8, kept, ELEVEN_SIGMAS, scratch),
+                 streams(74, kept)) for kept in (1, 5)]
+        tracemalloc.start()
+        try:
+            mc_means(jobs, 4 * n, n, workers, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * (10 + rows + min(rows, 4)) * n * 8
+
     def test_standard_errors_are_calibrated(self):
         # one z = (estimate - closed form) / SE per (law, seed), as a sweep
         # keys its streams: the default codes' 9 laws at sigma = 0.5, one
@@ -823,7 +869,8 @@ class TestMcMeans:
         jobs = [(fidelity_sampler(2 ** n, 2 ** (k + 1) - 1, (0.5,), scratch),
                  RngStreams(seed).split(n).split(k))
                 for seed, n, k in cases]
-        results = mc_means(jobs, DEFAULT_CHUNK_SIZE, workers=2)
+        results = mc_means(jobs, DEFAULT_CHUNK_SIZE, workers=2,
+                           scratch=scratch)
         z = np.array([
             (est.value - fidelity_psi_normal(0.5, 2 ** (n - k)))
             / est.std_error for ((est,), _), (_, n, k) in zip(results, cases)])
