@@ -362,7 +362,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     streams; a row does not depend on its group, so the rows depend on
     (seed, n_samples) alone.  Each group is one mc_means job, and one
     mc_means call runs every job's chunks on config.workers threads;
-    every sampler of the sweep and that call share one Scratch.
+    every sampler of the sweep shares one Scratch.
 
     The JSON report's timing record, in key order: total_seconds (the
     sweep up to writing its outputs), closed_form_seconds (the
@@ -412,8 +412,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                                           batch, scratch), streams))
             batches.append((key, batch))
     mc_started = time.perf_counter()
-    results = mc_means(jobs, config.n_samples, workers=config.workers,
-                       scratch=scratch)
+    results = mc_means(jobs, config.n_samples, workers=config.workers)
     mc_wall_seconds = time.perf_counter() - mc_started
     estimates = {}
     busy = dict.fromkeys(laws, 0.0)

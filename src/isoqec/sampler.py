@@ -53,18 +53,18 @@ of up to SIGMA_BLOCK sigma rows, not one per row.
 Memory: the chunk kernel allocates nothing in steady state and takes no
 page faults per chunk.  Its buffers live in a Scratch, a threading.local
 with one set of named arrays per thread, never shared between threads;
-a sampler takes one, so a sweep hands the same Scratch to every sampler
-and to mc_means, and each worker reuses one set of buffers for every
-chunk of every job it runs.  fidelity_sampler uses eight arrays of
-chunk_size floats (P, a, a^2, the two coefficients, the key and two
-temporaries, which also take the draws), its (rows, chunk_size) output
-and a (min(rows, SIGMA_BLOCK), chunk_size) block temporary, which
-mc_means centres in when it shares the sampler's Scratch; without one,
-mc_means makes a Scratch of its own once per call, with a block of its
-own.  A ragged last chunk uses leading slices.  Per worker that is
-(8 + rows + min(rows, 4)) * chunk_size * 8 bytes for the largest rows
-of any job: 1 MiB plus 256 KiB per row up to 4 rows and 128 KiB per
-row beyond, at the default chunk size.  A sweep chunks at the default
+a sampler takes one, so a sweep hands the same Scratch to every
+sampler, and each worker reuses one set of buffers for every chunk of
+every job it runs.  The samplers' Scratch is the only owner of chunk
+memory: mc_means centres the array a sampler returns in place.
+fidelity_sampler uses eight arrays of chunk_size floats (P, a, a^2,
+the two coefficients, the key and two temporaries, which also take the
+draws), its (rows, chunk_size) output and a (min(rows, SIGMA_BLOCK),
+chunk_size) block temporary.  A ragged last chunk uses leading slices.
+On every path, per worker that is (8 + rows + min(rows, 4)) *
+chunk_size * 8 bytes for the largest rows of any job: 1 MiB plus
+256 KiB per row up to 4 rows and 128 KiB per row beyond, at the
+default chunk size.  A sweep chunks at the default
 size and evaluates at most 64 sigmas per draw, so its worst case is
 (8 + 64 + 4) * 16384 * 8 bytes, 9.5 MiB per worker.  Beside it the fold
 keeps a few running floats per row of each job and, over all jobs,
@@ -135,9 +135,9 @@ class Scratch(threading.local):
     A threading.local, so every thread that uses an instance gets buffers
     of its own and no buffer is ever shared between threads.  get returns
     the leading size floats of a named buffer, growing it first when it is
-    shorter, so a ragged last chunk uses leading slices.  Samplers and
-    mc_means that share an instance share each thread's buffers: a
-    thread must be done with one call's arrays before its next call.
+    shorter, so a ragged last chunk uses leading slices.  Samplers that
+    share an instance share each thread's buffers: a thread must be done
+    with one call's arrays before its next call of any of them.
     """
 
     def __init__(self):
@@ -200,8 +200,9 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     sample_states(IsotropicDensity.normal(sigmas[j], d), ...); every row
     is computed from the same variates, and row j is bit-identical to a
     one-sigma sampler's at sigmas[j] on the same generator.  The errors
-    live on S^(2d-1), each sigma lies in [0, 1), and kept counts
-    coordinates orthogonal to e0, 1 <= kept <= 2d-1.  The arguments are
+    live on S^(2d-1) with d >= 2, each sigma lies in [0, 1), and kept
+    counts coordinates orthogonal to e0, 1 <= kept <= 2d-2, so at least
+    one is left out, as in every law a sweep samples.  The arguments are
     checked once, here.
 
     Each chunk reduces its draw to P, the mass of the direction w on e0
@@ -220,8 +221,7 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
       kept > 1: Z0 (normal), K = 2 Gamma(kept/2), R = 2 Gamma(rest/2),
         U, in that order; P = (Z0^2 + K) / N and a = |Z0| / sqrt(N) with
         N = (Z0^2 + K) + R.
-    At kept = 2d-1 every coordinate is kept, the value is 1 and nothing
-    is drawn.  The chord end t from sigma e0 along w has
+    The chord end t from sigma e0 along w has
     t^2 = 1 - sigma^2 - 2 sigma w0 t, so its value
     (sigma + t w0)^2 + t^2 (P - w0^2) is
       P + sigma^2 (1 - P)(1 - 2 a^2) + 2 (1 - P) a (+-k),
@@ -248,10 +248,10 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     Each call writes into the calling thread's arrays of scratch, its
     output and block temporary included, so the returned array is
     overwritten by that thread's next call of any sampler that shares
-    scratch: mc_means reads it first.  Without a scratch the sampler
-    makes its own, so one made for one call,
-    fidelity_sampler(d, kept, sigmas)(rng, n), hands back an array that
-    no other sampler ever writes to.
+    scratch: mc_means, which centres it in place, is done with it
+    before then.  Without a scratch the sampler makes its own, so one
+    made for one call, fidelity_sampler(d, kept, sigmas)(rng, n), hands
+    back an array that no other sampler ever writes to.
     """
     sigmas = tuple(sigmas)
     if not sigmas:
@@ -259,8 +259,10 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     for sigma in sigmas:
         if not 0.0 <= sigma < 1.0:
             raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if not 1 <= kept <= 2 * d - 1:
-        raise ValueError(f"kept must lie in [1, {2 * d - 1}] at d={d}, "
+    if d < 2:
+        raise ValueError(f"fidelity_sampler needs d >= 2, got {d}")
+    if not 1 <= kept <= 2 * d - 2:
+        raise ValueError(f"kept must lie in [1, {2 * d - 2}] at d={d}, "
                          f"got {kept}")
     rest = 2 * d - 1 - kept
     if scratch is None:
@@ -277,9 +279,6 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
 
     def value_fn(rng: np.random.Generator, n: int) -> np.ndarray:
         out = scratch.get("out", len(sigmas) * n).reshape(len(sigmas), n)
-        if rest == 0:
-            out.fill(1.0)
-            return out
         p, a, a2, coef_a, coef_b, key, t, s = (
             scratch.get(name, n)
             for name in ("p", "a", "a2", "coef_a", "coef_b", "key", "t", "s"))
@@ -360,8 +359,7 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
 
 
 def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
-             chunk_size: int = DEFAULT_CHUNK_SIZE, workers: int = 1,
-             scratch: Scratch | None = None
+             chunk_size: int = DEFAULT_CHUNK_SIZE, workers: int = 1
              ) -> list[tuple[tuple[McEstimate, ...], float]]:
     """Chunked means of every job's value_fn rows, on one set of threads.
 
@@ -382,15 +380,13 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
     the other jobs: each is bit-identical to a one-job call.  The value
     is the sum of the chunk sums over n_samples.
 
-    mc_means never writes to the array value_fn returns, and is done with
-    it before the same thread calls a value_fn again, so value_fn may
-    hand back one reused array.  Each thread centres up to SIGMA_BLOCK
-    rows at a time, with one numpy call per step, in the block temporary
-    of its arrays of scratch, or of a Scratch made for the call when none
-    is given; a sweep hands over the Scratch its samplers share, whose
-    block they use only within a call.  An exception in a chunk stops
-    the workers taking new chunks, and is raised from the call once
-    every thread has ended.
+    value_fn hands over a writable array, which mc_means overwrites: it
+    centres and squares the rows in place, up to SIGMA_BLOCK at a time
+    with one numpy call per step, and is done with the array before the
+    same thread calls a value_fn again, so value_fn may hand back one
+    reused array.  mc_means holds no chunk buffer of its own.  An
+    exception in a chunk stops the workers taking new chunks, and is
+    raised from the call once every thread has ended.
     """
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
@@ -398,8 +394,6 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
         raise ValueError(f"need chunk_size >= 1, got {chunk_size}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    if scratch is None:
-        scratch = Scratch()
     n_chunks = -(-n_samples // chunk_size)
     n_tasks = len(jobs) * n_chunks
     # guards everything below; a worker takes no new chunk while
@@ -423,14 +417,12 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
                              f"expected (rows, {size})")
         sums = values.sum(axis=1)
         means = (sums / size)[:, None]
-        # centre a block of rows at a time, leaving value_fn's array
-        # untouched
-        block = scratch.get("block", min(len(values), SIGMA_BLOCK) * size)
+        # centre a block of rows at a time, in value_fn's array
         m2 = np.empty_like(sums)
         for start in range(0, len(values), SIGMA_BLOCK):
             rows = slice(start, start + SIGMA_BLOCK)
-            dev = block[:values[rows].size].reshape(-1, size)
-            np.subtract(values[rows], means[rows], out=dev)
+            dev = values[rows]
+            np.subtract(dev, means[rows], out=dev)
             np.square(dev, out=dev).sum(axis=1, out=m2[rows])
         return size, sums, m2
 

@@ -136,13 +136,6 @@ class TestRawFidelityMc:
         (est,) = raw_fidelity_mc(8, (0.0,), 100000, streams(11))
         assert abs(est.value - 0.125) < 3 * est.std_error
 
-    def test_single_amplitude_space_keeps_all_mass(self):
-        # at d = 1 both real coordinates are kept: fidelity is exactly 1
-        for sigma in (0.0, 0.5, 0.9):
-            (est,) = raw_fidelity_mc(1, (sigma,), 50000, streams(24))
-            assert abs(est.value - 1.0) <= 1e-15
-            assert est.std_error == 0.0
-
 
 class TestCorrectedFidelityMc:
     def test_block_sum_matches_closed_form(self):

@@ -1,13 +1,21 @@
-"""Every name a package module exports resolves.
+"""Every name a package module exports resolves, and the Monte Carlo
+entry points keep their parameters.
 
 A stale ``__all__`` entry breaks ``from isoqec.<module> import *`` only
 when someone runs it, so each module is star-imported here.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import isoqec
+from isoqec.sampler import (
+    DEFAULT_CHUNK_SIZE,
+    fidelity_sampler,
+    mc_mean,
+    mc_means,
+)
 
 
 def test_every_exported_name_resolves():
@@ -25,3 +33,20 @@ def test_every_exported_name_resolves():
         exec(f"from isoqec.{name} import *", namespace)
         assert set(module.__all__) <= set(namespace), name
     assert exporting, "no isoqec module declares __all__"
+
+
+def test_monte_carlo_signatures_are_pinned():
+    # a new knob on the Monte Carlo path shows up here as a test change
+    def params(fn):
+        return [(p.name, p.default)
+                for p in inspect.signature(fn).parameters.values()]
+
+    empty = inspect.Parameter.empty
+    assert params(fidelity_sampler) == [
+        ("d", empty), ("kept", empty), ("sigmas", empty), ("scratch", None)]
+    assert params(mc_means) == [
+        ("jobs", empty), ("n_samples", empty),
+        ("chunk_size", DEFAULT_CHUNK_SIZE), ("workers", 1)]
+    assert params(mc_mean) == [
+        ("value_fn", empty), ("n_samples", empty), ("streams", empty),
+        ("chunk_size", DEFAULT_CHUNK_SIZE), ("workers", 1)]
