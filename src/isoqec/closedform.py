@@ -12,10 +12,10 @@ a perturbed state keeps on e0 plus kept = 2d - 1 - 2w other coordinates,
 cos^2 + sin^2 B with B ~ Beta(kept/2, (2d-1-kept)/2) independent of theta0;
 sampler.fidelity_sampler draws that mass for normal densities.
 
-The PRINTED variant of the corrected-fidelity upper bound reproduces a
-published denominator 2d' - 1 that its own derivation does not support;
-the derivation yields 2d - 1 (PROOF).  Both are kept so the discrepancy
-stays visible in verification output.
+bound_corrected_upper gives the corrected-fidelity upper bound twice:
+with the denominator 2d - 1 that its derivation yields (proof), and with
+the published 2d' - 1 that the derivation does not support (printed).
+Both are kept so the discrepancy stays visible in verification output.
 
 full_report gives every closed-form column of a sweep's CSV row for one
 (code, density) cell, named and ordered as in the CSV.
@@ -24,7 +24,6 @@ full_report gives every closed-form column of a sweep's CSV row for one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -36,11 +35,6 @@ from .distributions import (
     variance_compose_n,
     variance_of,
 )
-
-
-class BoundVariant(Enum):
-    PROOF = "proof"
-    PRINTED = "printed"
 
 
 @dataclass(frozen=True)
@@ -114,23 +108,20 @@ def bound_psi0_lower(v_u: float, d_prime: int) -> float:
     return 1.0 - (2 * d_prime - 2) / (2 * d_prime - 1) * spread
 
 
-def bound_corrected_upper(v_c: float, params: CodeParams,
-                          variant: BoundVariant = BoundVariant.PROOF) -> float:
-    """Upper bound on fidelity_corrected from the composed variance alone.
+def bound_corrected_upper(v_c: float, params: CodeParams
+                          ) -> tuple[float, float]:
+    """Upper bounds on fidelity_corrected from the composed variance alone.
 
-    PROOF: 1 - (d - d'') v_c / (2d - 1), which the supporting moment
-    argument actually establishes.  PRINTED: same with denominator 2d' - 1,
-    kept only to document the published discrepancy; it is violated by
-    explicit code/density pairs.
+    Returns (proof, printed).  proof: 1 - (d - d'') v_c / (2d - 1), which
+    the supporting moment argument actually establishes.  printed: the
+    same with denominator 2d' - 1, kept only to document the published
+    discrepancy; it is violated by explicit code/density pairs.
     """
     if not 0.0 <= v_c <= 4.0:
         raise ValueError(f"variance must lie in [0, 4], got {v_c}")
     weight = params.d - params.d_dprime
-    if variant is BoundVariant.PROOF:
-        return 1.0 - weight * v_c / (2 * params.d - 1)
-    if variant is BoundVariant.PRINTED:
-        return 1.0 - weight * v_c / (2 * params.d_prime - 1)
-    raise ValueError(f"unknown bound variant {variant!r}")
+    return (1.0 - weight * v_c / (2 * params.d - 1),
+            1.0 - weight * v_c / (2 * params.d_prime - 1))
 
 
 def lemma_g(n: int, x):
@@ -162,6 +153,7 @@ def full_report(density: IsotropicDensity, params: CodeParams,
             f"expected logical dimension {params.d_prime}")
     v_c = variance_of(density)
     v_u = variance_of(uncoded)
+    ub_proof, ub_printed = bound_corrected_upper(v_c, params)
     return FidelityReport(
         v_c=v_c,
         v_u=v_u,
@@ -169,9 +161,7 @@ def full_report(density: IsotropicDensity, params: CodeParams,
         f2_phi_tilde=fidelity_corrected(density, params),
         f2_psi0=fidelity_psi(uncoded),
         lb_psi0=bound_psi0_lower(v_u, params.d_prime),
-        ub_phi_tilde_proof=bound_corrected_upper(v_c, params,
-                                                 BoundVariant.PROOF),
-        ub_phi_tilde_printed=bound_corrected_upper(v_c, params,
-                                                   BoundVariant.PRINTED),
+        ub_phi_tilde_proof=ub_proof,
+        ub_phi_tilde_printed=ub_printed,
         cond18=condition_18(density).holds,
     )

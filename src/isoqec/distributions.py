@@ -139,10 +139,11 @@ class IsotropicDensity:
 
     @classmethod
     def uniform_cap(cls, theta_max: float, d: int) -> "IsotropicDensity":
-        """Constant density on the polar cap theta0 <= theta_max, zero beyond."""
-        if not 0.0 < theta_max <= math.pi:
-            raise ValueError(
-                f"cap angle must be in (0, pi], got {theta_max}")
+        """Constant density on the polar cap theta0 <= theta_max, zero beyond.
+
+        sin_power_partial refuses an angle outside (0, pi] when the first
+        moment is read.
+        """
         return cls(kind=DensityKind.UNIFORM_CAP, d=d, theta_max=float(theta_max))
 
     # -- evaluation --------------------------------------------------------
@@ -326,13 +327,10 @@ def variance_compose_n(v_u, n: int):
     v = np.asarray(v_u, dtype=float)
     if not np.all((0.0 <= v) & (v <= 4.0)):
         raise ValueError(f"variance must lie in [0, 4], got {v_u}")
-    if n == 1:
-        out = v
-    else:
-        # for v > 2 the base is negative, and numpy's power falls back to
-        # scalar libm pow on negative bases; |base|^n with the sign put
-        # back for odd n stays vectorised
-        base = 1.0 - v / 2.0
-        power = np.power(np.abs(base), n)
-        out = 2.0 - 2.0 * (np.copysign(power, base) if n % 2 else power)
+    # for v > 2 the base is negative, and numpy's power falls back to
+    # scalar libm pow on negative bases; |base|^n with the sign put back
+    # for odd n stays vectorised
+    base = 1.0 - v / 2.0
+    power = np.power(np.abs(base), n)
+    out = 2.0 - 2.0 * (np.copysign(power, base) if n % 2 else power)
     return out if out.ndim else float(out)

@@ -9,8 +9,8 @@ and JSON byte-identically for a fixed seed, regardless of worker count.
 verify_appendix recomputes each classical integral closed form through
 adaptive quadrature; verify_theorems rechecks the ordering chain, the
 variance bounds, and the nonnegativity of the composition-gap function.
-The printed variant of the corrected-state upper bound is expected to
-fail its own claim (see closedform); the report records that outcome as
+The printed corrected-state upper bound is expected to fail its own
+claim (see closedform); the report records that outcome as
 "erratum-confirmed" and treats anything else as a failure.
 """
 
@@ -32,7 +32,6 @@ import scipy
 
 from . import __version__
 from .closedform import (
-    BoundVariant,
     bound_corrected_upper,
     bound_psi0_lower,
     fidelity_corrected,
@@ -771,18 +770,16 @@ def _check_correction_bounds() -> tuple[CheckResult, CheckResult]:
             applicable += 1
             v_c = variance_of(density)
             f2 = fidelity_corrected(density, params)
-            proof_min_gap = min(
-                proof_min_gap,
-                bound_corrected_upper(v_c, params, BoundVariant.PROOF) - f2)
-            printed = bound_corrected_upper(v_c, params, BoundVariant.PRINTED)
-            if f2 > printed + 1e-12:
+            ub_proof, ub_printed = bound_corrected_upper(v_c, params)
+            proof_min_gap = min(proof_min_gap, ub_proof - f2)
+            if f2 > ub_printed + 1e-12:
                 label = ", ".join(f"{k}={v:.6g}" if isinstance(v, float)
                                   else f"{k}={v}"
                                   for k, v in density.descriptor().items()
                                   if k != "d")
                 printed_violations.append(
                     f"({n},{m}) {label}: "
-                    f"fidelity {f2:.6g} > bound {printed:.6g}")
+                    f"fidelity {f2:.6g} > bound {ub_printed:.6g}")
     proof = CheckResult.judged(
         "corrected-upper-bound-proof",
         applicable > 0 and proof_min_gap >= -1e-12,
@@ -885,17 +882,13 @@ def _panel_svg(rows: list[SweepRow], x0: int) -> list[str]:
 def emit_figure2(rows: Sequence[SweepRow], path) -> None:
     """Two-panel SVG: squared fidelity vs sigma, three curves per panel.
 
-    The numeric curve data is embedded in a metadata element so the file
+    One panel per FIGURE_CODES code, drawn from its rows in rows.  The
+    numeric curve data is embedded in a metadata element so the file
     remains checkable against the closed forms after emission.
     """
-    panels = []
-    for n, m in FIGURE_CODES:
-        selected = sorted((r for r in rows if (r.n, r.m) == (n, m)),
-                          key=lambda r: r.sigma_c)
-        if len(selected) < 2:
-            raise ConfigError(
-                f"figure needs at least two rows for code ({n}, {m})")
-        panels.append(selected)
+    panels = [sorted((r for r in rows if (r.n, r.m) == code),
+                     key=lambda r: r.sigma_c)
+              for code in FIGURE_CODES]
 
     payload = {"panels": [
         {"n": panel[0].n, "m": panel[0].m,

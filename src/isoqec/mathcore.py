@@ -58,10 +58,9 @@ def double_factorial_log(k: int) -> float:
 def sin_power_integral(k: int) -> float:
     """Integral of sin^k over [0, pi].
 
-    Equals 2 (k-1)!!/k!! for odd k and pi (k-1)!!/k!! for even k.
+    Equals 2 (k-1)!!/k!! for odd k and pi (k-1)!!/k!! for even k;
+    double_factorial_log refuses k < 0.
     """
-    if k < 0:
-        raise ValueError(f"sin power must be nonnegative, got {k}")
     ratio = math.exp(double_factorial_log(k - 1) - double_factorial_log(k))
     return (2.0 if k % 2 else math.pi) * ratio
 
@@ -80,9 +79,8 @@ def sin_power_partial(k: int, alpha: float) -> SinPowerPartial:
     beta.  Below pi/2, where that tail underflows at large k, the mean
     cosine is c / 2F1(1/2, 1; a+1; -tan^2 alpha), summed while its terms
     at least halve (scipy's hyp2f1 returns NaN near pi/2 from k ~ 500 on).
+    k < 0 fails on the log of 2a <= 0.
     """
-    if k < 0:
-        raise ValueError(f"sin power must be nonnegative, got {k}")
     if not 0.0 < alpha <= math.pi:
         raise ValueError(f"need 0 < alpha <= pi, got {alpha}")
     a = 0.5 * (k + 1)
@@ -112,10 +110,9 @@ def sin_power_partial(k: int, alpha: float) -> SinPowerPartial:
 def log_sphere_surface(dim: int) -> float:
     """log of the surface measure of the unit sphere S^dim in R^(dim+1).
 
-    |S^(2c)| = 2 (2 pi)^c / (2c-1)!!  and  |S^(2c-1)| = (2 pi)^c / (2c-2)!!.
+    |S^(2c)| = 2 (2 pi)^c / (2c-1)!!  and  |S^(2c-1)| = (2 pi)^c / (2c-2)!!;
+    double_factorial_log refuses dim < 0.
     """
-    if dim < 0:
-        raise ValueError(f"sphere dimension must be nonnegative, got {dim}")
     c = (dim + 1) // 2
     log_surface = c * LOG_2PI - double_factorial_log(dim - 1)
     return log_surface + LOG_2 if dim % 2 == 0 else log_surface
@@ -138,22 +135,19 @@ def poisson_kernel_integral(d: int, sigma: float,
                             variant: KernelVariant) -> float:
     """Closed form of  int_0^pi  numerator / (1 + s^2 - 2 s cos t)^d  dt.
 
-    With s = sigma the three variants evaluate to
-        sin^(2d-2):      (2d-3)!!/(2d-2)!! * pi / (1 - s^2)
-        cos sin^(2d-2):  (2d-3)!!/(2d-2)!! * s pi / (1 - s^2)
-        sin^(2d):        (2d-1)!!/(2d)!!   * pi            (independent of s)
+    With s = sigma and I_k = sin_power_integral(k) the three variants
+    evaluate to
+        sin^(2d-2):      I_(2d-2) / (1 - s^2)
+        cos sin^(2d-2):  s I_(2d-2) / (1 - s^2)
+        sin^(2d):        I_(2d)                (independent of s)
     """
     if d < 1:
         raise ValueError(f"half-dimension d must be >= 1, got {d}")
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"kernel requires 0 <= sigma < 1, got {sigma}")
     if variant is KernelVariant.SIN_2D:
-        ratio = math.exp(double_factorial_log(2 * d - 1)
-                         - double_factorial_log(2 * d))
-        return math.pi * ratio
-    ratio = math.exp(double_factorial_log(2 * d - 3)
-                     - double_factorial_log(2 * d - 2))
-    base = ratio * math.pi / (1.0 - sigma * sigma)
+        return sin_power_integral(2 * d)
+    base = sin_power_integral(2 * d - 2) / (1.0 - sigma * sigma)
     if variant is KernelVariant.COS_SIN_2D_MINUS_2:
         return sigma * base
     if variant is KernelVariant.SIN_2D_MINUS_2:
@@ -167,13 +161,13 @@ def poisson_kernel_integrand(d: int, sigma: float,
 
     Safe pointwise for d <= 64, sigma <= 0.99: the factored form
     (sin^2 t / kernel)^d peaks at exactly 1 (at cos t = sigma), so nothing
-    overflows even where the unfactored kernel power would.
+    overflows even where the unfactored kernel power would.  The
+    sin^(2d-2) numerators take the power d - 1 of that ratio and divide
+    by the kernel once more, so nothing is divided by sin^2 t, and at
+    d = 1 the sin^(2d-2) integrand is 1/kernel, (1 - s)^-2 at t = 0.
+    d and sigma are not checked here: the closed form it is compared
+    with refuses d < 1 and sigma outside [0, 1).
     """
-    if d < 1:
-        raise ValueError(f"half-dimension d must be >= 1, got {d}")
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError(f"kernel requires 0 <= sigma < 1, got {sigma}")
-
     # one closure per variant, with the kernel's constant terms hoisted:
     # Python evaluates 1 + sigma^2 - 2 sigma cos t left to right, so
     # (1 + sigma^2) - (2 sigma) cos t rounds exactly as the inline form
@@ -187,20 +181,14 @@ def poisson_kernel_integrand(d: int, sigma: float,
     elif variant is KernelVariant.COS_SIN_2D_MINUS_2:
         def integrand(t: float) -> float:
             s = sin(t)
-            if s == 0.0:
-                return 0.0
             c = cos(t)
-            sq = s * s
-            return (sq / (one_plus_sq - two_sigma * c)) ** d * c / sq
+            k = one_plus_sq - two_sigma * c
+            return (s * s / k) ** (d - 1) * c / k
     elif variant is KernelVariant.SIN_2D_MINUS_2:
         def integrand(t: float) -> float:
             s = sin(t)
-            if s == 0.0:
-                return 0.0
-            sq = s * s
-            return (sq / (one_plus_sq - two_sigma * cos(t))) ** d / sq
-    else:
-        raise ValueError(f"unknown kernel variant {variant!r}")
+            k = one_plus_sq - two_sigma * cos(t)
+            return (s * s / k) ** (d - 1) / k
     return integrand
 
 
@@ -218,8 +206,6 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     QuadratureError if the node budget is exhausted or QUADPACK reports any
     other convergence problem.
     """
-    if not rel_tol > 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if points is not None:
         points = [p for p in points if a < p < b]
         if not points:

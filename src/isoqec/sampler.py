@@ -200,10 +200,10 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     sample_states(IsotropicDensity.normal(sigmas[j], d), ...); every row
     is computed from the same variates, and row j is bit-identical to a
     one-sigma sampler's at sigmas[j] on the same generator.  The errors
-    live on S^(2d-1) with d >= 2, each sigma lies in [0, 1), and kept
-    counts coordinates orthogonal to e0, 1 <= kept <= 2d-2, so at least
-    one is left out, as in every law a sweep samples.  The arguments are
-    checked once, here.
+    live on S^(2d-1), each sigma lies in [0, 1), and kept counts
+    coordinates orthogonal to e0, 1 <= kept <= 2d-2, so d >= 2 and at
+    least one is left out, as in every law a sweep samples.  The
+    arguments are checked once, here.
 
     Each chunk reduces its draw to P, the mass of the direction w on e0
     plus the kept coordinates, a = |w0| and V' = 2U - 1:
@@ -254,13 +254,9 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     back an array that no other sampler ever writes to.
     """
     sigmas = tuple(sigmas)
-    if not sigmas:
-        raise ValueError("fidelity_sampler needs at least one sigma")
     for sigma in sigmas:
         if not 0.0 <= sigma < 1.0:
             raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if d < 2:
-        raise ValueError(f"fidelity_sampler needs d >= 2, got {d}")
     if not 1 <= kept <= 2 * d - 2:
         raise ValueError(f"kept must lie in [1, {2 * d - 2}] at d={d}, "
                          f"got {kept}")
@@ -364,9 +360,11 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
     """Chunked means of every job's value_fn rows, on one set of threads.
 
     A job is (value_fn, streams); value_fn(rng, count) returns a
-    (rows, count) array, or (count,) for one row, and mc_means reduces
-    over the last axis.  It returns, per job, one estimate per row and
-    the job's busy seconds, its chunk times summed over threads.
+    (rows, count) float array, and mc_means reduces over the last axis.
+    It returns, per job, one estimate per row and the job's busy
+    seconds, its chunk times summed over threads.  n_samples and
+    chunk_size are positive; workers below 1 is refused, since no
+    thread would take a chunk.
 
     Every job draws n_samples in chunks of chunk_size; chunk i of a job
     draws from its streams.chunk(i) and is reduced in two passes to its
@@ -388,10 +386,6 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
     exception in a chunk stops the workers taking new chunks, and is
     raised from the call once every thread has ended.
     """
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
-    if chunk_size < 1:
-        raise ValueError(f"need chunk_size >= 1, got {chunk_size}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     n_chunks = -(-n_samples // chunk_size)
@@ -410,8 +404,7 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
 
     def run_chunk(value_fn, streams: RngStreams, i: int):
         size = min(chunk_size, n_samples - i * chunk_size)
-        values = np.atleast_2d(
-            np.asarray(value_fn(streams.chunk(i), size), dtype=float))
+        values = value_fn(streams.chunk(i), size)
         if values.ndim != 2 or values.shape[1] != size:
             raise ValueError(f"value_fn returned shape {values.shape}, "
                              f"expected (rows, {size})")

@@ -54,17 +54,13 @@ def syndrome_sampled_fidelity_mc(params, sigmas, n_samples, streams):
     One estimate per sigma of the normal density, each on the same
     streams.
     """
-    sigmas = tuple(sigmas)
-    if not sigmas:
-        raise ValueError("need at least one sigma")
-
     def sampled_fn(sigma):
         density = IsotropicDensity.normal(sigma, params.d)
 
         def value_fn(rng, count):
             # states consume the stream first, then the syndrome draws
             x = sample_states(density, count, rng)
-            return sampled_values(x, params, rng)
+            return sampled_values(x, params, rng)[None]
         return value_fn
 
     return tuple(est for sigma in sigmas

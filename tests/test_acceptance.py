@@ -17,7 +17,6 @@ import pytest
 from suite import compose_errors, make_suite, mean_se, reference_states
 
 from isoqec.closedform import (
-    BoundVariant,
     bound_corrected_upper,
     bound_psi0_lower,
     fidelity_corrected,
@@ -237,7 +236,7 @@ def test_corrected_fidelity_upper_bound_and_printed_erratum():
                 continue
             applicable += 1
             v_c = variance_of(density)
-            slack = bound_corrected_upper(v_c, params, BoundVariant.PROOF) \
+            slack = bound_corrected_upper(v_c, params)[0] \
                 - fidelity_corrected(density, params)
             min_slack = min(min_slack, slack)
     proof_ok = applicable > 0 and min_slack >= -1e-12
@@ -247,8 +246,7 @@ def test_corrected_fidelity_upper_bound_and_printed_erratum():
     density = IsotropicDensity.normal(0.9, params.d)
     assert condition_18(density).holds
     v_c = variance_of(density)
-    printed = bound_corrected_upper(v_c, params, BoundVariant.PRINTED)
-    proof = bound_corrected_upper(v_c, params, BoundVariant.PROOF)
+    proof, printed = bound_corrected_upper(v_c, params)
     corrected = fidelity_corrected(density, params)
     counterexample_ok = (printed == pytest.approx(-1 / 15, abs=1e-12)
                          and corrected == pytest.approx(0.905, abs=1e-12)

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoqec.closedform import (
-    BoundVariant,
     bound_corrected_upper,
     bound_psi0_lower,
     fidelity_corrected,
@@ -201,12 +200,13 @@ class TestBoundPsi0Lower:
 class TestBoundCorrectedUpper:
     def test_frozen_proof_value(self):
         # (5,1) at v_c = 0.2: 1 - 16 * 0.2 / 63
-        assert bound_corrected_upper(0.2, P51) == pytest.approx(
-            0.9492063492063492, abs=1e-15)
+        proof, _ = bound_corrected_upper(0.2, P51)
+        assert proof == pytest.approx(0.9492063492063492, abs=1e-15)
 
     def test_printed_variant_differs(self):
-        got = bound_corrected_upper(0.2, P51, BoundVariant.PRINTED)
-        assert got == pytest.approx(-0.06666666666666665, abs=1e-15)
+        # the published denominator: 1 - 16 * 0.2 / 3
+        _, printed = bound_corrected_upper(0.2, P51)
+        assert printed == pytest.approx(-0.06666666666666665, abs=1e-15)
 
     def test_proof_bound_holds_when_condition_does(self):
         for params in ALL_CODES:
@@ -214,7 +214,7 @@ class TestBoundCorrectedUpper:
                 if not condition_18(density).holds:
                     continue
                 v_c = variance_of(density)
-                ub = bound_corrected_upper(v_c, params)
+                ub, _ = bound_corrected_upper(v_c, params)
                 assert fidelity_corrected(density, params) <= ub + 1e-9, (
                     label, params)
 
@@ -222,15 +222,13 @@ class TestBoundCorrectedUpper:
         # the published denominator fails already for (5,1), sigma = 0.9
         density = IsotropicDensity.normal(0.9, 32)
         v_c = variance_of(density)
-        printed = bound_corrected_upper(v_c, P51, BoundVariant.PRINTED)
-        proof = bound_corrected_upper(v_c, P51, BoundVariant.PROOF)
+        proof, printed = bound_corrected_upper(v_c, P51)
         got = fidelity_corrected(density, P51)
         assert got > printed  # 0.905 > -0.0667
         assert got <= proof + 1e-12  # 0.905 <= 0.9492
 
     def test_zero_variance_gives_one(self):
-        for variant in BoundVariant:
-            assert bound_corrected_upper(0.0, P51, variant) == 1.0
+        assert bound_corrected_upper(0.0, P51) == (1.0, 1.0)
 
 
 class TestLemmaG:

@@ -702,11 +702,6 @@ class TestEmitFigure:
                                       panel["f2_psi0"]):
                 assert psi <= phi + 1e-12 <= psi0 + 2e-12
 
-    def test_rejects_missing_code(self, figure_rows, tmp_path):
-        only_narrow = [r for r in figure_rows if r.m == 1]
-        with pytest.raises(ConfigError, match=r"\(5, 4\)"):
-            emit_figure2(only_narrow, tmp_path / "fig.svg")
-
     def test_write_failure_carries_path(self, figure_rows, tmp_path):
         target = tmp_path / "no_dir" / "fig.svg"
         with pytest.raises(ConfigError, match="no_dir"):

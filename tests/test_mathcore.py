@@ -211,15 +211,13 @@ class TestPoissonKernelIntegral:
 
 def inline_kernel_integrand(d, sigma, variant, t):
     # the integrand written out in one expression per variant
-    s = math.sin(t)
-    core = (s * s / (1.0 + sigma * sigma - 2.0 * sigma * math.cos(t))) ** d
+    s, c = math.sin(t), math.cos(t)
+    kernel = 1.0 + sigma * sigma - 2.0 * sigma * c
     if variant is KernelVariant.SIN_2D:
-        return core
-    if s == 0.0:
-        return 0.0
+        return (s * s / kernel) ** d
     if variant is KernelVariant.COS_SIN_2D_MINUS_2:
-        return core * math.cos(t) / (s * s)
-    return core / (s * s)
+        return (s * s / kernel) ** (d - 1) * c / kernel
+    return (s * s / kernel) ** (d - 1) / kernel
 
 
 class TestKernelIntegrand:
@@ -228,15 +226,21 @@ class TestKernelIntegrand:
         for d in KERNEL_D_GRID:
             for sigma in KERNEL_SIGMA_GRID:
                 f = poisson_kernel_integrand(d, sigma, variant)
-                ts = [0.0, math.acos(sigma), math.pi] \
+                ts = [0.0, 5e-324, math.acos(sigma), math.pi] \
                     + [math.pi * i / 97 for i in range(1, 97)]
                 for t in ts:
                     assert f(t) == inline_kernel_integrand(
                         d, sigma, variant, t), (d, sigma, t)
 
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            poisson_kernel_integrand(2, 0.5, "sin_2d")
+    @pytest.mark.parametrize("variant", [
+        KernelVariant.SIN_2D_MINUS_2, KernelVariant.COS_SIN_2D_MINUS_2])
+    def test_where_sin_vanishes(self, variant):
+        # at d = 1 the numerator is 1 or cos t, so at t = 0 the integrand
+        # is its limit 1/(1 - sigma)^2, 4 at sigma = 0.5; at t = 5e-324
+        # sin^2 t underflows to 0, and nothing is divided by it
+        for t in (0.0, 5e-324):
+            assert poisson_kernel_integrand(1, 0.5, variant)(t) == 4.0
+            assert poisson_kernel_integrand(2, 0.5, variant)(t) == 0.0
 
 
 class TestAdaptiveQuadrature:

@@ -516,7 +516,6 @@ class TestFidelitySampler:
         assert one.random() == many.random()
 
     @pytest.mark.parametrize("d, kept, sigmas, match", [
-        (4, 1, (), "at least one sigma"),
         (4, 1, (0.5, math.nan), r"sigma must lie in \[0, 1\), got nan"),
         (4, 1, (0.5, 1.0), r"sigma must lie in \[0, 1\), got 1.0"),
         (4, 1, (-0.1,), r"sigma must lie in \[0, 1\), got -0.1"),
@@ -525,9 +524,10 @@ class TestFidelitySampler:
         # every coordinate kept: the value would be 1, no law a sweep
         # samples, so it is refused, not special-cased
         (4, 7, (0.7,), r"kept must lie in \[1, 6\] at d=4, got 7"),
-        # a single complex amplitude: only e0 and one coordinate exist
-        (1, 1, (0.5,), r"fidelity_sampler needs d >= 2, got 1"),
-    ], ids=["empty", "nan", "one", "negative", "kept-0", "kept-2d",
+        # a single complex amplitude: only e0 and one coordinate exist,
+        # so no kept count leaves one out
+        (1, 1, (0.5,), r"kept must lie in \[1, 0\] at d=1, got 1"),
+    ], ids=["nan", "one", "negative", "kept-0", "kept-2d",
             "kept-all", "d-1"])
     def test_rejects_bad_arguments(self, d, kept, sigmas, match):
         # refused when the sampler is made, in one line
@@ -621,7 +621,7 @@ class TestMcMean:
     def _value_fn(density):
         def fn(rng, count):
             x = sample_states(density, count, rng)
-            return x[:, 0] ** 2 + x[:, 1] ** 2
+            return (x[:, 0] ** 2 + x[:, 1] ** 2)[None]
         return fn
 
     def test_matches_closed_form(self):
@@ -672,15 +672,17 @@ class TestMcMean:
                              workers=workers)
             assert len(shared) == 3
             for j, est in enumerate(shared):
-                alone = mc_mean(lambda rng, count, j=j: rows(rng, count)[j],
+                alone = mc_mean(lambda rng, count, j=j:
+                                rows(rng, count)[j:j + 1],
                                 40000, streams(65), chunk_size=7000)
                 assert (est,) == alone
 
     def test_variance_of_nearly_constant_values(self):
         # a one-pass total_sq - n mean^2 cancels to SE 0.0 here; the
         # per-chunk two-pass M2 keeps it at 1e-9 / sqrt(n)
-        (est,) = mc_mean(lambda rng, n: 1 + 1e-9 * rng.standard_normal(n),
-                         200_000, RngStreams(3))
+        (est,) = mc_mean(
+            lambda rng, n: 1 + 1e-9 * rng.standard_normal((1, n)),
+            200_000, RngStreams(3))
         assert est.std_error == pytest.approx(1e-9 / math.sqrt(200_000),
                                               rel=0.02)
         assert abs(est.value - 1.0) < 5 * est.std_error
@@ -741,12 +743,9 @@ class TestMcMean:
         with pytest.raises(ValueError, match="rows"):
             mc_mean(fn, 25, streams(66), chunk_size=10)
 
-    def test_rejects_bad_sizes(self):
+    def test_rejects_zero_workers(self):
+        # no thread would ever take a chunk: refused, not left to hang
         density = IsotropicDensity.uniform(2)
-        with pytest.raises(ValueError):
-            mc_mean(self._value_fn(density), 0, streams(64))
-        with pytest.raises(ValueError):
-            mc_mean(self._value_fn(density), 10, streams(64), chunk_size=0)
         with pytest.raises(ValueError, match="workers"):
             mc_mean(self._value_fn(density), 10, streams(64), workers=0)
 
@@ -796,7 +795,7 @@ class TestMcMeans:
             if threading.current_thread() is caller:
                 # the calling thread's first chunk outlasts a worker's
                 failed.wait(timeout=10)
-                return rng.random(count)
+                return rng.random((1, count))
             failed.set()
             raise RuntimeError("chunk failed")
 
