@@ -109,10 +109,11 @@ class IsotropicDensity:
     """An isotropic error density on S^(2d-1), reduced to its polar profile.
 
     Immutable after construction.  Both kinds are normalized in closed
-    form: a normal density's mass is |S^(2d-2)| times the kernel-inverse-
-    square integral, a cap's is |S^(2d-2)| times the partial sin-power
-    integral over [0, theta_max]; verify_appendix checks both integrals
-    against quadrature.
+    form: a normal density's mass is |S^(2d-2)| times the sin^(2d-2)
+    kernel integral, the first of mathcore.poisson_kernel_integrals; a
+    cap's is |S^(2d-2)| times the partial sin-power integral over
+    [0, theta_max]; verify_appendix checks both integrals against
+    quadrature.
     """
 
     kind: DensityKind

@@ -49,10 +49,9 @@ from .distributions import (
     variance_of,
 )
 from .mathcore import (
-    KernelVariant,
     adaptive_quadrature,
-    poisson_kernel_integral,
-    poisson_kernel_integrand,
+    poisson_kernel_integrals,
+    poisson_kernel_integrands,
     sin_power_integral,
     sin_power_partial,
     sphere_surface,
@@ -217,9 +216,8 @@ class SweepConfig:
                                   f"got {path!r}")
 
     @classmethod
-    def default(cls, **overrides) -> "SweepConfig":
-        return cls(code_list=DEFAULT_CODES, sigma_grid=DEFAULT_SIGMA_GRID,
-                   **overrides)
+    def default(cls) -> "SweepConfig":
+        return cls(code_list=DEFAULT_CODES, sigma_grid=DEFAULT_SIGMA_GRID)
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
@@ -655,23 +653,19 @@ def verify_appendix() -> VerificationReport:
                            f"k={k}, alpha={alpha:.6g}"))
     checks.append(_summarize("sin-power-partial", errors))
 
-    variant_names = (
-        (KernelVariant.SIN_2D_MINUS_2, "kernel-inverse-square"),
-        (KernelVariant.COS_SIN_2D_MINUS_2, "kernel-cosine-weighted"),
-        (KernelVariant.SIN_2D, "kernel-plain-power"),
-    )
-    for variant, name in variant_names:
-        errors = []
-        for d in KERNEL_D_GRID:
-            for sigma in KERNEL_SIGMA_GRID:
-                ref = adaptive_quadrature(
-                    poisson_kernel_integrand(d, sigma, variant),
-                    0.0, math.pi, 1e-12, abs_tol=1e-13,
-                    points=[math.acos(sigma)])
-                want = poisson_kernel_integral(d, sigma, variant)
-                errors.append((_rel_err(ref, want),
-                               f"d={d}, sigma={sigma}"))
-        checks.append(_summarize(name, errors))
+    kernel_errors = ([], [], [])
+    for d in KERNEL_D_GRID:
+        for sigma in KERNEL_SIGMA_GRID:
+            for errors, integrand, want in zip(
+                    kernel_errors, poisson_kernel_integrands(d, sigma),
+                    poisson_kernel_integrals(d, sigma)):
+                ref = adaptive_quadrature(integrand, 0.0, math.pi, 1e-12,
+                                          abs_tol=1e-13,
+                                          points=[math.acos(sigma)])
+                errors.append((_rel_err(ref, want), f"d={d}, sigma={sigma}"))
+    checks.extend(map(_summarize, ("kernel-inverse-square",
+                                   "kernel-cosine-weighted",
+                                   "kernel-plain-power"), kernel_errors))
 
     surface = 2.0  # the 0-sphere is two points
     even_errors = [(_rel_err(surface, sphere_surface(0)), "D=0")]

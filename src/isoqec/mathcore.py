@@ -13,7 +13,6 @@ Conventions: (-1)!! = 0!! = 1.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -123,41 +122,26 @@ def sphere_surface(dim: int) -> float:
     return math.exp(log_sphere_surface(dim))
 
 
-class KernelVariant(Enum):
-    """Numerator choices for the Poisson-kernel integrals on [0, pi]."""
+def poisson_kernel_integrals(d: int,
+                             sigma: float) -> tuple[float, float, float]:
+    """Closed forms of  int_0^pi  numerator / (1 + s^2 - 2 s cos t)^d  dt.
 
-    SIN_2D_MINUS_2 = "sin_2d_minus_2"
-    COS_SIN_2D_MINUS_2 = "cos_sin_2d_minus_2"
-    SIN_2D = "sin_2d"
-
-
-def poisson_kernel_integral(d: int, sigma: float,
-                            variant: KernelVariant) -> float:
-    """Closed form of  int_0^pi  numerator / (1 + s^2 - 2 s cos t)^d  dt.
-
-    With s = sigma and I_k = sin_power_integral(k) the three variants
-    evaluate to
-        sin^(2d-2):      I_(2d-2) / (1 - s^2)
-        cos sin^(2d-2):  s I_(2d-2) / (1 - s^2)
-        sin^(2d):        I_(2d)                (independent of s)
+    With s = sigma and I_k = sin_power_integral(k), the numerators
+    sin^(2d-2), cos sin^(2d-2) and sin^(2d) give, in that order,
+        I_(2d-2) / (1 - s^2),   s I_(2d-2) / (1 - s^2),   I_(2d)
+    the last independent of s.
     """
     if d < 1:
         raise ValueError(f"half-dimension d must be >= 1, got {d}")
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"kernel requires 0 <= sigma < 1, got {sigma}")
-    if variant is KernelVariant.SIN_2D:
-        return sin_power_integral(2 * d)
     base = sin_power_integral(2 * d - 2) / (1.0 - sigma * sigma)
-    if variant is KernelVariant.COS_SIN_2D_MINUS_2:
-        return sigma * base
-    if variant is KernelVariant.SIN_2D_MINUS_2:
-        return base
-    raise ValueError(f"unknown kernel variant {variant!r}")
+    return base, sigma * base, sin_power_integral(2 * d)
 
 
-def poisson_kernel_integrand(d: int, sigma: float,
-                             variant: KernelVariant) -> Callable[[float], float]:
-    """Raw integrand matching poisson_kernel_integral, for quadrature checks.
+def poisson_kernel_integrands(
+        d: int, sigma: float) -> tuple[Callable[[float], float], ...]:
+    """Raw integrands of poisson_kernel_integrals, in its order.
 
     Safe pointwise for d <= 64, sigma <= 0.99: the factored form
     (sin^2 t / kernel)^d peaks at exactly 1 (at cos t = sigma), so nothing
@@ -165,31 +149,32 @@ def poisson_kernel_integrand(d: int, sigma: float,
     sin^(2d-2) numerators take the power d - 1 of that ratio and divide
     by the kernel once more, so nothing is divided by sin^2 t, and at
     d = 1 the sin^(2d-2) integrand is 1/kernel, (1 - s)^-2 at t = 0.
-    d and sigma are not checked here: the closed form it is compared
-    with refuses d < 1 and sigma outside [0, 1).
+    d and sigma are not checked here: the closed forms they are compared
+    with refuse d < 1 and sigma outside [0, 1).
     """
-    # one closure per variant, with the kernel's constant terms hoisted:
-    # Python evaluates 1 + sigma^2 - 2 sigma cos t left to right, so
+    # the kernel's constant terms are hoisted: Python evaluates
+    # 1 + sigma^2 - 2 sigma cos t left to right, so
     # (1 + sigma^2) - (2 sigma) cos t rounds exactly as the inline form
     sin, cos = math.sin, math.cos
     one_plus_sq = 1.0 + sigma * sigma
     two_sigma = 2.0 * sigma
-    if variant is KernelVariant.SIN_2D:
-        def integrand(t: float) -> float:
-            s = sin(t)
-            return (s * s / (one_plus_sq - two_sigma * cos(t))) ** d
-    elif variant is KernelVariant.COS_SIN_2D_MINUS_2:
-        def integrand(t: float) -> float:
-            s = sin(t)
-            c = cos(t)
-            k = one_plus_sq - two_sigma * c
-            return (s * s / k) ** (d - 1) * c / k
-    elif variant is KernelVariant.SIN_2D_MINUS_2:
-        def integrand(t: float) -> float:
-            s = sin(t)
-            k = one_plus_sq - two_sigma * cos(t)
-            return (s * s / k) ** (d - 1) / k
-    return integrand
+
+    def sin_2d_minus_2(t: float) -> float:
+        s = sin(t)
+        k = one_plus_sq - two_sigma * cos(t)
+        return (s * s / k) ** (d - 1) / k
+
+    def cos_sin_2d_minus_2(t: float) -> float:
+        s = sin(t)
+        c = cos(t)
+        k = one_plus_sq - two_sigma * c
+        return (s * s / k) ** (d - 1) * c / k
+
+    def sin_2d(t: float) -> float:
+        s = sin(t)
+        return (s * s / (one_plus_sq - two_sigma * cos(t))) ** d
+
+    return sin_2d_minus_2, cos_sin_2d_minus_2, sin_2d
 
 
 def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,

@@ -194,7 +194,7 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
                      ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Squared mass of normal errors about e0 on e0 plus kept coordinates.
 
-    Returns value_fn(rng, n), a Monte Carlo value function for mc_mean.
+    Returns value_fn(rng, n), a Monte Carlo value function for mc_means.
     Its (len(sigmas), n) array has in row j the law of
     (x[:, :kept + 1] ** 2).sum(axis=1) over rows x of
     sample_states(IsotropicDensity.normal(sigmas[j], d), ...); every row

@@ -12,13 +12,12 @@ import pytest
 
 from isoqec.experiments import KERNEL_D_GRID, KERNEL_SIGMA_GRID
 from isoqec.mathcore import (
-    KernelVariant,
     QuadratureError,
     adaptive_quadrature,
     double_factorial_log,
     log_sphere_surface,
-    poisson_kernel_integral,
-    poisson_kernel_integrand,
+    poisson_kernel_integrals,
+    poisson_kernel_integrands,
     sin_power_integral,
     sin_power_partial,
     sphere_surface,
@@ -157,41 +156,42 @@ class TestSphereSurface:
                 rel=1e-12)
 
 
+# positions in the triples: numerators sin^(2d-2), cos sin^(2d-2), sin^(2d)
+SIN_2D_MINUS_2, COS_SIN_2D_MINUS_2, SIN_2D = range(3)
+POSITION_IDS = ("SIN_2D_MINUS_2", "COS_SIN_2D_MINUS_2", "SIN_2D")
+
+
 class TestPoissonKernelIntegral:
     def test_sigma_zero_reduces_to_sin_powers(self):
         for d in (1, 2, 5, 32):
-            assert poisson_kernel_integral(
-                d, 0.0, KernelVariant.SIN_2D_MINUS_2) == pytest.approx(
-                    sin_power_integral(2 * d - 2), rel=1e-13)
-            assert poisson_kernel_integral(
-                d, 0.0, KernelVariant.COS_SIN_2D_MINUS_2) == 0.0
+            integrals = poisson_kernel_integrals(d, 0.0)
+            assert integrals[SIN_2D_MINUS_2] == pytest.approx(
+                sin_power_integral(2 * d - 2), rel=1e-13)
+            assert integrals[COS_SIN_2D_MINUS_2] == 0.0
 
     def test_known_values(self):
         # d=1, numerator sin^0: plain Poisson kernel integral pi/(1-s^2)
-        assert poisson_kernel_integral(
-            1, 0.5, KernelVariant.SIN_2D_MINUS_2) == pytest.approx(
-                math.pi / 0.75, rel=1e-14)
-        # sin^(2d) variant is independent of sigma: d=2 gives 3 pi / 8
+        assert poisson_kernel_integrals(1, 0.5)[SIN_2D_MINUS_2] \
+            == pytest.approx(math.pi / 0.75, rel=1e-14)
+        # sin^(2d) numerator is independent of sigma: d=2 gives 3 pi / 8
         for sigma in (0.0, 0.3, 0.5, 0.99):
-            assert poisson_kernel_integral(
-                2, sigma, KernelVariant.SIN_2D) == pytest.approx(
-                    3 * math.pi / 8, rel=1e-14)
-        # frozen quadrature value for the cosine variant at d=2, sigma=0.3
-        assert poisson_kernel_integral(
-            2, 0.3, KernelVariant.COS_SIN_2D_MINUS_2) == pytest.approx(
-                0.5178449428994164678, rel=1e-13)
+            assert poisson_kernel_integrals(2, sigma)[SIN_2D] \
+                == pytest.approx(3 * math.pi / 8, rel=1e-14)
+        # frozen quadrature value for the cosine numerator at d=2, sigma=0.3
+        assert poisson_kernel_integrals(2, 0.3)[COS_SIN_2D_MINUS_2] \
+            == pytest.approx(0.5178449428994164678, rel=1e-13)
 
     def test_rejects_bad_sigma(self):
         for sigma in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                poisson_kernel_integral(2, sigma, KernelVariant.SIN_2D)
+                poisson_kernel_integrals(2, sigma)
 
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):
-            poisson_kernel_integral(0, 0.5, KernelVariant.SIN_2D)
+            poisson_kernel_integrals(0, 0.5)
 
     def test_sin_2d_variant_decreases_with_d(self):
-        values = [poisson_kernel_integral(d, 0.7, KernelVariant.SIN_2D)
+        values = [poisson_kernel_integrals(d, 0.7)[SIN_2D]
                   for d in range(1, 65)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -199,48 +199,43 @@ class TestPoissonKernelIntegral:
         # spot grid; the full d <= 64, sigma <= 0.99 grid runs in acceptance
         for d in (1, 2, 8, 32):
             for sigma in (0.0, 0.3, 0.9):
-                for variant in KernelVariant:
+                for integrand, want in zip(poisson_kernel_integrands(d, sigma),
+                                           poisson_kernel_integrals(d, sigma)):
                     ref = adaptive_quadrature(
-                        poisson_kernel_integrand(d, sigma, variant),
-                        0.0, math.pi, 1e-12, abs_tol=1e-13,
+                        integrand, 0.0, math.pi, 1e-12, abs_tol=1e-13,
                         points=[math.acos(sigma)])
-                    assert poisson_kernel_integral(
-                        d, sigma, variant) == pytest.approx(
-                            ref, rel=1e-10, abs=1e-13)
+                    assert want == pytest.approx(ref, rel=1e-10, abs=1e-13)
 
 
-def inline_kernel_integrand(d, sigma, variant, t):
-    # the integrand written out in one expression per variant
+def inline_kernel_integrands(d, sigma, t):
+    # the integrands written out in one expression each, in triple order
     s, c = math.sin(t), math.cos(t)
     kernel = 1.0 + sigma * sigma - 2.0 * sigma * c
-    if variant is KernelVariant.SIN_2D:
-        return (s * s / kernel) ** d
-    if variant is KernelVariant.COS_SIN_2D_MINUS_2:
-        return (s * s / kernel) ** (d - 1) * c / kernel
-    return (s * s / kernel) ** (d - 1) / kernel
+    return ((s * s / kernel) ** (d - 1) / kernel,
+            (s * s / kernel) ** (d - 1) * c / kernel,
+            (s * s / kernel) ** d)
 
 
 class TestKernelIntegrand:
-    @pytest.mark.parametrize("variant", list(KernelVariant))
-    def test_matches_inline_formula_exactly(self, variant):
+    @pytest.mark.parametrize("position", range(3), ids=POSITION_IDS)
+    def test_matches_inline_formula_exactly(self, position):
         for d in KERNEL_D_GRID:
             for sigma in KERNEL_SIGMA_GRID:
-                f = poisson_kernel_integrand(d, sigma, variant)
+                f = poisson_kernel_integrands(d, sigma)[position]
                 ts = [0.0, 5e-324, math.acos(sigma), math.pi] \
                     + [math.pi * i / 97 for i in range(1, 97)]
                 for t in ts:
-                    assert f(t) == inline_kernel_integrand(
-                        d, sigma, variant, t), (d, sigma, t)
+                    assert f(t) == inline_kernel_integrands(
+                        d, sigma, t)[position], (d, sigma, t)
 
-    @pytest.mark.parametrize("variant", [
-        KernelVariant.SIN_2D_MINUS_2, KernelVariant.COS_SIN_2D_MINUS_2])
-    def test_where_sin_vanishes(self, variant):
+    @pytest.mark.parametrize("position", range(2), ids=POSITION_IDS[:2])
+    def test_where_sin_vanishes(self, position):
         # at d = 1 the numerator is 1 or cos t, so at t = 0 the integrand
         # is its limit 1/(1 - sigma)^2, 4 at sigma = 0.5; at t = 5e-324
         # sin^2 t underflows to 0, and nothing is divided by it
         for t in (0.0, 5e-324):
-            assert poisson_kernel_integrand(1, 0.5, variant)(t) == 4.0
-            assert poisson_kernel_integrand(2, 0.5, variant)(t) == 0.0
+            assert poisson_kernel_integrands(1, 0.5)[position](t) == 4.0
+            assert poisson_kernel_integrands(2, 0.5)[position](t) == 0.0
 
 
 class TestAdaptiveQuadrature:
@@ -256,10 +251,10 @@ class TestAdaptiveQuadrature:
     def test_near_singular_kernel(self):
         d, sigma = 32, 0.9
         got = adaptive_quadrature(
-            poisson_kernel_integrand(d, sigma, KernelVariant.SIN_2D),
+            poisson_kernel_integrands(d, sigma)[SIN_2D],
             0.0, math.pi, 1e-11, points=[math.acos(sigma)])
         assert got == pytest.approx(
-            poisson_kernel_integral(d, sigma, KernelVariant.SIN_2D), rel=1e-9)
+            poisson_kernel_integrals(d, sigma)[SIN_2D], rel=1e-9)
 
     def test_divergent_integrand_raises(self):
         with pytest.raises(QuadratureError) as exc:
