@@ -163,5 +163,5 @@ def full_report(density: IsotropicDensity, params: CodeParams,
         lb_psi0=bound_psi0_lower(v_u, params.d_prime),
         ub_phi_tilde_proof=ub_proof,
         ub_phi_tilde_printed=ub_printed,
-        cond18=condition_18(density).holds,
+        cond18=condition_18(density) >= 0.0,
     )

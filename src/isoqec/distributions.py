@@ -20,7 +20,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -266,11 +266,6 @@ def marginal_polar(density: IsotropicDensity) -> PolarMarginal:
     return PolarMarginal(density)
 
 
-class Condition18Result(NamedTuple):
-    holds: bool
-    value: float
-
-
 def variance_of(density: IsotropicDensity) -> float:
     """Variance v = E[2 - 2 cos theta0] in [0, 4].
 
@@ -295,26 +290,24 @@ def moment_sin2(density: IsotropicDensity) -> float:
     return (2 * d - 1) / (2 * d) * (1.0 - cos_max * density._cap.mean_cos)
 
 
-def condition_18(density: IsotropicDensity) -> Condition18Result:
-    """Whether E[(1 - cos theta0) cos theta0] >= 0 under the full marginal.
+def condition_18(density: IsotropicDensity) -> float:
+    """E[(1 - cos theta0) cos theta0] under the full marginal.
 
-    This is the sufficient condition under which the corrected-fidelity
-    upper bound applies; concentrated densities satisfy it, densities with
-    most mass beyond theta0 = pi/2 need not.  Normal closed form:
-    E[cos] - E[cos^2] = (1 - sigma)((2d - 1) sigma - 1) / (2d), which holds
-    exactly when sigma >= 1/(2d - 1).  Cap of angle alpha:
+    Condition (18), that this is >= 0, is sufficient for the
+    corrected-fidelity upper bound to apply; concentrated densities meet
+    it, densities with most mass beyond theta0 = pi/2 need not.  Normal
+    closed form: E[cos] - E[cos^2] = (1 - sigma)((2d - 1) sigma - 1) / (2d),
+    which is >= 0 exactly when sigma >= 1/(2d - 1).  Cap of angle alpha:
     E[cos] (1 - (2d - 1) cos alpha / (2d)) - 1/(2d).
     """
     d = density.d
     # factored: as E[cos] - 1 + E[sin^2] it cancels and flips sign near zero
     if density.kind is DensityKind.NORMAL:
         s = density.sigma
-        value = (1.0 - s) * ((2 * d - 1) * s - 1.0) / (2 * d)
-    else:
-        cos_max = math.cos(density.theta_max)
-        value = (density._cap.mean_cos * (1.0 - (2 * d - 1) * cos_max / (2 * d))
-                 - 1.0 / (2 * d))
-    return Condition18Result(holds=value >= 0.0, value=value)
+        return (1.0 - s) * ((2 * d - 1) * s - 1.0) / (2 * d)
+    cos_max = math.cos(density.theta_max)
+    return (density._cap.mean_cos * (1.0 - (2 * d - 1) * cos_max / (2 * d))
+            - 1.0 / (2 * d))
 
 
 def variance_compose_n(v_u, n: int):

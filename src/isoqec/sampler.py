@@ -52,11 +52,12 @@ of up to SIGMA_BLOCK sigma rows, not one per row.
 
 Memory: the chunk kernel allocates nothing in steady state and takes no
 page faults per chunk.  Its buffers live in a Scratch, a threading.local
-with one set of named arrays per thread, never shared between threads;
-a sampler takes one, so a sweep hands the same Scratch to every
-sampler, and each worker reuses one set of buffers for every chunk of
-every job it runs.  The samplers' Scratch is the only owner of chunk
-memory: mc_means centres the array a sampler returns in place.
+with one set of named arrays per thread, never shared between threads.
+A sampler is handed the Scratch its caller made, so a sweep hands the
+same Scratch to every sampler, and each worker reuses one set of
+buffers for every chunk of every job it runs.  The callers' Scratch is
+the only owner of chunk memory: mc_means centres the array a sampler
+returns in place.
 fidelity_sampler uses eight arrays of chunk_size floats (P, a, a^2,
 the two coefficients, the key and two temporaries, which also take the
 draws), its (rows, chunk_size) output and a (min(rows, SIGMA_BLOCK),
@@ -190,7 +191,7 @@ def sample_states(density: IsotropicDensity, n: int,
 
 
 def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
-                     scratch: Scratch | None = None
+                     scratch: Scratch
                      ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Squared mass of normal errors about e0 on e0 plus kept coordinates.
 
@@ -249,9 +250,8 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     output and block temporary included, so the returned array is
     overwritten by that thread's next call of any sampler that shares
     scratch: mc_means, which centres it in place, is done with it
-    before then.  Without a scratch the sampler makes its own, so one
-    made for one call, fidelity_sampler(d, kept, sigmas)(rng, n), hands
-    back an array that no other sampler ever writes to.
+    before then.  A caller that keeps the array makes the sampler a
+    scratch of its own, fidelity_sampler(d, kept, sigmas, Scratch()).
     """
     sigmas = tuple(sigmas)
     for sigma in sigmas:
@@ -261,8 +261,6 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
         raise ValueError(f"kept must lie in [1, {2 * d - 2}] at d={d}, "
                          f"got {kept}")
     rest = 2 * d - 1 - kept
-    if scratch is None:
-        scratch = Scratch()
     # per block of rows: its slice and (rows, 1) columns of sigma^2,
     # sigma^4, sigma^2 (1 - sigma^2) and lam, each rounded as a float
     columns = []
@@ -490,13 +488,12 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
 
 def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
             n_samples: int, streams: RngStreams,
-            chunk_size: int = DEFAULT_CHUNK_SIZE,
             workers: int = 1) -> tuple[McEstimate, ...]:
     """mc_means of the one job (value_fn, streams): one estimate per row.
 
-    The estimates depend only on (seed, n_samples, chunk_size), never on
-    the worker count.
+    Only codesim's estimators call it, and only because bench/probes.py
+    wraps it there by name; everything else calls mc_means.
     """
     ((estimates, _),) = mc_means([(value_fn, streams)], n_samples,
-                                 chunk_size, workers)
+                                 workers=workers)
     return estimates

@@ -1,5 +1,6 @@
 """Syndrome sampling on full states: the tests' geometric reference for
-the block-sum estimator codesim.corrected_fidelity_mc.
+the corrected fidelity, which the sweep samples as a block sum without
+building states (fidelity_sampler keeping 2 d'' - 1 coordinates).
 
 The encoded space splits into ``d_dprime`` blocks of ``d_prime`` complex
 dimensions each.  Block ``j`` occupies real coordinates
@@ -17,7 +18,7 @@ which is biased beyond n ~ 12 qubits, so this route serves small d only.
 import numpy as np
 
 from isoqec.distributions import IsotropicDensity
-from isoqec.sampler import mc_mean, sample_states
+from isoqec.sampler import mc_means, sample_states
 
 
 def block_matrix(coords, params):
@@ -49,10 +50,10 @@ def sampled_values(x, params, rng):
 
 
 def syndrome_sampled_fidelity_mc(params, sigmas, n_samples, streams):
-    """corrected_fidelity_mc with one drawn syndrome per full state.
+    """The corrected fidelity with one drawn syndrome per full state.
 
-    One estimate per sigma of the normal density, each on the same
-    streams.
+    One estimate per sigma of the normal density, each a job of one
+    mc_means call on the same streams.
     """
     def sampled_fn(sigma):
         density = IsotropicDensity.normal(sigma, params.d)
@@ -63,5 +64,6 @@ def syndrome_sampled_fidelity_mc(params, sigmas, n_samples, streams):
             return sampled_values(x, params, rng)[None]
         return value_fn
 
-    return tuple(est for sigma in sigmas
-                 for est in mc_mean(sampled_fn(sigma), n_samples, streams))
+    results = mc_means([(sampled_fn(sigma), streams) for sigma in sigmas],
+                       n_samples)
+    return tuple(est for estimates, _ in results for est in estimates)

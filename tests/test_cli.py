@@ -153,8 +153,8 @@ class TestSweepCommand:
 
     def test_too_many_samples_exit_2(self, tmp_path, capsys, monkeypatch):
         # 2**31 samples are 2**17 chunks, rejected by the config: run_sweep,
-        # the only caller of mc_mean, never starts, so no array or thread
-        # exists
+        # the only command that calls mc_means, never starts, so no array
+        # or thread exists
         def refuse(config):
             raise AssertionError("the sweep started")
         monkeypatch.setattr(cli, "run_sweep", refuse)

@@ -211,7 +211,7 @@ class TestBoundCorrectedUpper:
     def test_proof_bound_holds_when_condition_does(self):
         for params in ALL_CODES:
             for label, density in make_suite(params.d):
-                if not condition_18(density).holds:
+                if not condition_18(density) >= 0.0:
                     continue
                 v_c = variance_of(density)
                 ub, _ = bound_corrected_upper(v_c, params)

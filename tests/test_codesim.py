@@ -1,232 +1,36 @@
-"""Syndrome measurement and corrected-fidelity estimators against
-closed forms and hand-built states.
+"""codesim's estimators and sampler.mc_mean equal the mc_means jobs they
+wrap, bit for bit.
+
+No command calls them; bench/probes.py wraps them by name, so they stay
+until the probes count mc_means jobs instead.  This is the only test
+that calls them.
 """
 
-import numpy as np
-import pytest
-
-from isoqec.closedform import fidelity_corrected, fidelity_psi
 from isoqec.codesim import corrected_fidelity_mc, raw_fidelity_mc
-from isoqec.distributions import CodeParams, IsotropicDensity
-from isoqec.sampler import RngStreams, sample_states
-
-from oracle import block_matrix, sampled_values, syndrome_sampled_fidelity_mc
-
-SEED = 20260819
-
-
-def streams(*key):
-    base = RngStreams(SEED)
-    for k in key:
-        base = base.split(k)
-    return base
+from isoqec.distributions import CodeParams
+from isoqec.sampler import (
+    RngStreams,
+    Scratch,
+    fidelity_sampler,
+    mc_mean,
+    mc_means,
+)
 
 
-def basis_state(d, k):
-    """Real basis vector k of S^(2d-1) as a one-row (1, 2d) array."""
-    coords = np.zeros((1, 2 * d))
-    coords[0, k] = 1.0
-    return coords
-
-
-def block_masses(x, params):
-    """Syndrome probabilities: squared mass of each block, per row."""
-    r = block_matrix(x, params)
-    return np.einsum("...jk,...jk->...j", r, r)
-
-
-class TestBlockLayout:
-    def test_dimensions(self):
-        # d'' blocks of 2 d' real coordinates each
-        assert block_matrix(np.zeros(64), CodeParams(5, 1)).shape == (16, 4)
-        assert block_matrix(np.zeros(64), CodeParams(5, 4)).shape == (2, 32)
-
-    def test_block_matrix_shape(self):
-        params = CodeParams(3, 1)
-        x = sample_states(IsotropicDensity.uniform(8), 5, streams(0).chunk(0))
-        assert block_matrix(x, params).shape == (5, 4, 4)
-
-    def test_block_matrix_rejects_wrong_width(self):
-        params = CodeParams(3, 1)
-        with pytest.raises(ValueError):
-            block_matrix(np.zeros(10), params)
-
-
-class TestSyndromeProbabilities:
-    def test_reference_state_concentrates_on_first_block(self):
-        params = CodeParams(5, 1)
-        p = block_masses(basis_state(32, 0), params)[0]
-        assert p[0] == 1.0 and not p[1:].any()
-
-    def test_sums_to_one(self):
-        params = CodeParams(4, 2)
-        x = sample_states(IsotropicDensity.normal(0.6, 16), 64,
-                          streams(1).chunk(0))
-        p = block_masses(x, params)
-        assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert (p >= 0).all()
-
-    def test_uniform_block_masses(self):
-        # uniform direction puts mass block_width / (2 d) on each block
-        params = CodeParams(5, 1)
-        x = sample_states(IsotropicDensity.uniform(32), 50000,
-                          streams(2).chunk(0))
-        p = block_masses(x, params)
-        se = p.std(ddof=1) / np.sqrt(p.shape[0])
-        assert np.max(np.abs(p.mean(axis=0) - 1 / 16)) < 3 * se
-
-
-class TestMeasureAndCorrect:
-    """The per-sample recovery behind syndrome_sampled_fidelity_mc."""
-
-    def test_reference_state_passes_through(self):
-        params = CodeParams(5, 1)
-        values = sampled_values(basis_state(32, 0), params,
-                                 streams(3).chunk(0))
-        assert values.tolist() == [1.0]
-
-    def test_error_within_block_survives_correction(self):
-        # second complex amplitude of block 0: syndrome 0, zero overlap
-        params = CodeParams(5, 1)
-        values = sampled_values(basis_state(32, 2), params,
-                                 streams(4).chunk(0))
-        assert values.tolist() == [0.0]
-
-    def test_error_across_blocks_is_corrected(self):
-        # first amplitude of block 1: syndrome 1, recovery restores logical 0
-        params = CodeParams(5, 1)
-        values = sampled_values(basis_state(32, 4), params,
-                                 streams(5).chunk(0))
-        assert values.tolist() == [1.0]
-
-    def test_output_is_unit_norm(self):
-        # the recovered logical state is renormalized: fidelity in [0, 1]
-        params = CodeParams(4, 2)
-        x = sample_states(IsotropicDensity.normal(0.3, 16), 32,
-                          streams(6).chunk(0))
-        values = sampled_values(x, params, streams(7).chunk(0))
-        assert values.shape == (32,)
-        assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
-
-    def test_syndrome_frequencies_match_probabilities(self):
-        # block j yields a_j / p_j, a_j its squared first amplitude; the two
-        # blocks' ratios differ, so each value names the syndrome drawn
-        params = CodeParams(2, 1)
-        state = np.array([0.6, 0.0, 0.3, 0.0, 0.1, 0.2, 0.0, 0.0])
-        state[6] = np.sqrt(1.0 - np.sum(state ** 2))
-        rows = np.tile(state, (20000, 1))
-        values = sampled_values(rows, params, streams(9).chunk(0))
-        r = block_matrix(state, params)
-        p = block_masses(state, params)
-        ratio = (r[:, 0] ** 2 + r[:, 1] ** 2) / p
-        freq = np.mean(np.abs(values[:, None] - ratio[None, :]) < 1e-12,
-                       axis=0)
-        assert freq.sum() == 1.0
-        se = np.sqrt(p * (1 - p) / values.size)
-        assert np.max(np.abs(freq - p)) < 4 * se.max()
-
-
-class TestRawFidelityMc:
-    def test_matches_closed_form(self):
-        (est,) = raw_fidelity_mc(32, (0.9,), 200000, streams(10))
-        assert abs(est.value - 0.8159375) < 3 * est.std_error
-
-    def test_uniform_value(self):
-        # the uniform density is the sigma = 0 normal one
-        (est,) = raw_fidelity_mc(8, (0.0,), 100000, streams(11))
-        assert abs(est.value - 0.125) < 3 * est.std_error
-
-
-class TestCorrectedFidelityMc:
-    def test_block_sum_matches_closed_form(self):
-        params = CodeParams(5, 1)
-        (est,) = corrected_fidelity_mc(params, (0.9,), 200000, streams(13))
-        assert abs(est.value - 0.905) < 3 * est.std_error
-
-    def test_uniform_narrow_code(self):
-        # d' = 2: corrected mass is d'' first-pairs out of 2 d coordinates
-        params = CodeParams(5, 1)
-        (est,) = corrected_fidelity_mc(params, (0.0,), 100000, streams(14))
-        assert abs(est.value - 0.5) < 3 * est.std_error
-
-    def test_uniform_wide_code(self):
-        params = CodeParams(5, 4)
-        (est,) = corrected_fidelity_mc(params, (0.0,), 100000, streams(15))
-        assert abs(est.value - 1 / 16) < 3 * est.std_error
-
-    def test_estimators_agree(self):
-        density = IsotropicDensity.normal(0.6, 16)
-        params = CodeParams(4, 2)
-        (a,) = corrected_fidelity_mc(params, (0.6,), 100000, streams(16))
-        (b,) = syndrome_sampled_fidelity_mc(params, (0.6,), 100000,
-                                            streams(17))
-        combined = np.hypot(a.std_error, b.std_error)
-        assert abs(a.value - b.value) < 3 * combined
-        want = fidelity_corrected(density, params)
-        assert abs(a.value - want) < 3 * a.std_error
-        assert abs(b.value - want) < 3 * b.std_error
-
-    def test_sampled_estimator_has_larger_spread(self):
-        # averaging over syndromes analytically must not raise variance
-        params = CodeParams(4, 1)
-        (a,) = corrected_fidelity_mc(params, (0.5,), 50000, streams(18))
-        (b,) = syndrome_sampled_fidelity_mc(params, (0.5,), 50000,
-                                            streams(18))
-        assert a.std_error < b.std_error
-
-    def test_worker_invariance(self):
-        params = CodeParams(3, 1)
-        (a,) = corrected_fidelity_mc(params, (0.4,), 40000, streams(19),
-                                     workers=1)
-        (b,) = corrected_fidelity_mc(params, (0.4,), 40000, streams(19),
-                                     workers=3)
-        assert a == b
-
-
-class TestDensitySequences:
-    SIGMAS = (0.0, 0.4, 0.9)
-
-    @pytest.mark.parametrize("estimate", [
-        lambda sigmas, st: raw_fidelity_mc(8, sigmas, 30000, st),
-        lambda sigmas, st: corrected_fidelity_mc(
-            CodeParams(3, 1), sigmas, 30000, st, workers=2),
-        lambda sigmas, st: syndrome_sampled_fidelity_mc(
-            CodeParams(3, 1), sigmas, 30000, st),
-    ], ids=["raw", "block_sum", "syndrome_sampled"])
-    def test_each_estimate_equals_a_one_density_call(self, estimate):
-        shared = estimate(self.SIGMAS, streams(25))
-        assert len(shared) == len(self.SIGMAS)
-        for est, sigma in zip(shared, self.SIGMAS):
-            assert estimate((sigma,), streams(25)) == (est,)
-
-    def test_an_empty_sequence_gives_no_estimate(self):
-        assert raw_fidelity_mc(8, (), 1000, streams(26)) == ()
-        for estimate in (corrected_fidelity_mc, syndrome_sampled_fidelity_mc):
-            assert estimate(CodeParams(3, 1), (), 1000, streams(26)) == ()
-
-
-class TestOrderingBySampling:
-    def test_correction_beats_raw_and_loses_to_uncoded(self):
-        # one error at sigma_c on the big space vs n accumulated steps
-        # at sigma_u on the small space
-        sigma_c = 0.9
-        params = CodeParams(5, 1)
-        sigma_u = sigma_c ** (1 / 5)
-        big = IsotropicDensity.normal(sigma_c, params.d)
-        small = IsotropicDensity.normal(sigma_u, params.d_prime)
-        (raw,) = raw_fidelity_mc(params.d, (sigma_c,), 100000, streams(21))
-        (corrected,) = corrected_fidelity_mc(params, (sigma_c,),
-                                             100000, streams(22))
-        (uncoded,) = raw_fidelity_mc(params.d_prime, (sigma_u,), 100000,
-                                     streams(23))
-        assert corrected.value - raw.value > -3 * np.hypot(
-            corrected.std_error, raw.std_error)
-        assert uncoded.value - corrected.value > -3 * np.hypot(
-            uncoded.std_error, corrected.std_error)
-        # and each sits on its closed form
-        assert abs(raw.value - fidelity_psi(big)) \
-            < 3 * raw.std_error
-        assert abs(corrected.value - fidelity_corrected(big, params)) \
-            < 3 * corrected.std_error
-        assert abs(uncoded.value - fidelity_psi(small)) \
-            < 3 * uncoded.std_error
+def test_each_estimator_equals_its_mc_means_job():
+    # two chunks, the last ragged, three sigmas, on one and two workers
+    params, sigmas, n_samples = CodeParams(3, 1), (0.0, 0.4, 0.9), 30000
+    streams = RngStreams(20260819).split(27)
+    for workers in (1, 2):
+        raw, corrected = (
+            estimates for estimates, _ in mc_means(
+                [(fidelity_sampler(params.d, kept, sigmas, Scratch()),
+                  streams) for kept in (1, 2 * params.d_dprime - 1)],
+                n_samples, workers=workers))
+        assert raw_fidelity_mc(params.d, sigmas, n_samples, streams,
+                               workers=workers) == raw
+        assert corrected_fidelity_mc(params, sigmas, n_samples, streams,
+                                     workers=workers) == corrected
+        assert mc_mean(fidelity_sampler(params.d, 1, sigmas, Scratch()),
+                       n_samples, streams, workers=workers) == raw
+        assert len(raw) == len(corrected) == len(sigmas)

@@ -318,7 +318,7 @@ class TestCapClosedForms:
                 "mean_cos": (density._cap.mean_cos, mean_cos),
                 "sin2": (moment_sin2(density),
                          expect(lambda t: math.sin(t) ** 2)),
-                "cond18": (condition_18(density).value,
+                "cond18": (condition_18(density),
                            expect(lambda t: (1.0 - math.cos(t)) * math.cos(t))),
                 "variance": (variance_of(density), 2.0 - 2.0 * mean_cos),
             }
@@ -347,21 +347,21 @@ class TestCapClosedForms:
             mean_cos = density._cap.mean_cos
             assert max(math.cos(alpha), 0.0) - 1e-12 <= mean_cos <= 1.0, alpha
             for value in (density._cap_log_level, moment_sin2(density),
-                          condition_18(density).value, variance_of(density)):
+                          condition_18(density), variance_of(density)):
                 assert math.isfinite(value), alpha
 
 
 class TestCondition18:
     def test_uniform_value_is_exact(self):
         # E[cos] = 0 and E[cos^2] = 1/(2d): value -1/64 at d=32
-        holds, value = condition_18(IsotropicDensity.uniform(32))
-        assert not holds
+        value = condition_18(IsotropicDensity.uniform(32))
+        assert not value >= 0.0
         assert value == pytest.approx(-1.0 / 64.0, abs=1e-9)
 
     def test_normal_closed_form_value(self):
         # sigma - (1 + (2d-1) sigma^2)/(2d) = 0.08703125 at d=32, sigma=0.9
-        holds, value = condition_18(IsotropicDensity.normal(0.9, 32))
-        assert holds
+        value = condition_18(IsotropicDensity.normal(0.9, 32))
+        assert value >= 0.0
         assert value == pytest.approx(0.08703125, abs=1e-9)
 
     def test_normal_quadrature_matches_moment_identity(self):
@@ -369,7 +369,7 @@ class TestCondition18:
             for s in (0.1, 0.5, 0.9):
                 want = s - (1 + (2 * d - 1) * s * s) / (2 * d)
                 assert condition_18(
-                    IsotropicDensity.normal(s, d)).value == pytest.approx(
+                    IsotropicDensity.normal(s, d)) == pytest.approx(
                         want, abs=1e-9)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 32, 64])
@@ -381,16 +381,17 @@ class TestCondition18:
         assert abs(density.marginal.expectation(lambda t: 1.0) - 1.0) < 1e-8
         want = density.marginal.expectation(
             lambda t: (1.0 - math.cos(t)) * math.cos(t))
-        assert abs(condition_18(density).value - want) < 1e-10
+        assert abs(condition_18(density) - want) < 1e-10
 
     def test_caps_within_quarter_turn_hold(self):
         for d in (2, 8):
             for tmax in (0.3, math.pi / 4, math.pi / 2):
-                assert condition_18(IsotropicDensity.uniform_cap(tmax, d)).holds
+                assert condition_18(
+                    IsotropicDensity.uniform_cap(tmax, d)) >= 0.0
 
     def test_wide_cap_fails(self):
-        holds, value = condition_18(IsotropicDensity.uniform_cap(3.0, 1))
-        assert not holds
+        value = condition_18(IsotropicDensity.uniform_cap(3.0, 1))
+        assert not value >= 0.0
         assert value < -0.3
 
 

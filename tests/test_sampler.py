@@ -31,7 +31,6 @@ from isoqec.sampler import (
     RngStreams,
     Scratch,
     fidelity_sampler,
-    mc_mean,
     mc_means,
     sample_states,
     sample_theta0,
@@ -132,8 +131,9 @@ class StubGenerator:
         return out
 
 
-def whole_chunk_mc_mean(value_fn, n_samples, streams, chunk_size):
-    """mc_mean's values and errors, each chunk centred whole out of place."""
+def whole_chunk_reduction(value_fn, n_samples, streams, chunk_size):
+    """mc_means' values and errors for one job, each chunk centred whole
+    out of place."""
     count, total, mean, m2 = 0, 0.0, 0.0, 0.0
     for i in range(-(-n_samples // chunk_size)):
         size = min(chunk_size, n_samples - i * chunk_size)
@@ -294,8 +294,9 @@ class TestFidelitySampler:
                 2 * params.d_dprime - 1:
                     (r[:, :, 0] ** 2 + r[:, :, 1] ** 2).sum(axis=1)}
         for kept, want in full.items():
-            (got,) = fidelity_sampler(density.d, kept, (density.sigma,))(
-                streams(36, tag, kept).chunk(0), n)
+            (got,) = fidelity_sampler(
+                density.d, kept, (density.sigma,), Scratch())(
+                    streams(36, tag, kept).chunk(0), n)
             p = stats.ks_2samp(got, want).pvalue
             assert p > 1e-3, (case, kept, p)
 
@@ -306,7 +307,7 @@ class TestFidelitySampler:
         for case, sigma in enumerate((0.0, 0.6, 0.95)):
             density = IsotropicDensity.normal(sigma, d)
             for kept in (1, 7, d, 2 * d - 2):
-                (values,) = fidelity_sampler(d, kept, (sigma,))(
+                (values,) = fidelity_sampler(d, kept, (sigma,), Scratch())(
                     streams(37, case, kept).chunk(0), 100000)
                 want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
                 se = values.std(ddof=1) / math.sqrt(values.size)
@@ -320,13 +321,18 @@ class TestFidelitySampler:
         # cancels: at n = 60, sigma = 0, kept = 1 it reads 0.0, not 2^-60
         d = 2 ** n
         n_samples = 1_000_000 if n == 18 else 100_000
-        for i, sigma in enumerate((0.0, 0.5, 0.9)):
-            for kept in (1, 2 ** (n - 1) - 1):
-                (est,) = mc_mean(fidelity_sampler(d, kept, (sigma,)),
-                                 n_samples, streams(39, n, i, kept % 1000))
-                want = (kept + 1 + (2 * d - 1 - kept) * sigma ** 2) / (2 * d)
-                assert est.std_error > 0.0
-                assert abs(est.value - want) < 5 * est.std_error, (sigma, kept)
+        cases = [(i, sigma, kept)
+                 for i, sigma in enumerate((0.0, 0.5, 0.9))
+                 for kept in (1, 2 ** (n - 1) - 1)]
+        scratch = Scratch()
+        results = mc_means(
+            [(fidelity_sampler(d, kept, (sigma,), scratch),
+              streams(39, n, i, kept % 1000)) for i, sigma, kept in cases],
+            n_samples)
+        for ((est,), _), (_, sigma, kept) in zip(results, cases):
+            want = (kept + 1 + (2 * d - 1 - kept) * sigma ** 2) / (2 * d)
+            assert est.std_error > 0.0
+            assert abs(est.value - want) < 5 * est.std_error, (sigma, kept)
 
     @pytest.mark.parametrize("d", [8, 2 ** 20])
     def test_shared_rows_equal_one_density_calls(self, d):
@@ -334,11 +340,11 @@ class TestFidelitySampler:
         # sigma_j on the same generator, bit for bit
         sigmas = (0.0, 0.05, 0.3, 0.6, 0.9, 0.999)
         for kept in (1, 2 * d - 2):
-            shared = fidelity_sampler(d, kept, sigmas)(
+            shared = fidelity_sampler(d, kept, sigmas, Scratch())(
                 streams(51, kept).chunk(0), 3000)
             assert shared.shape == (len(sigmas), 3000)
             for row, sigma in zip(shared, sigmas):
-                (alone,) = fidelity_sampler(d, kept, (sigma,))(
+                (alone,) = fidelity_sampler(d, kept, (sigma,), Scratch())(
                     streams(51, kept).chunk(0), 3000)
                 assert np.array_equal(row, alone), (sigma, kept)
 
@@ -348,7 +354,8 @@ class TestFidelitySampler:
         # docstring's expressions on the same variates
         d, n = 8, 2000
         sigmas = (0.0, 0.6, 0.95)
-        got = fidelity_sampler(d, kept, sigmas)(streams(54, kept).chunk(0), n)
+        got = fidelity_sampler(d, kept, sigmas, Scratch())(
+            streams(54, kept).chunk(0), n)
         want = out_of_place_fidelities(sigmas, d, kept, n,
                                        streams(54, kept).chunk(0))
         assert np.array_equal(got, want)
@@ -388,7 +395,8 @@ class TestFidelitySampler:
         n = 20000
         tag = (2, 8, 2 ** 20).index(d)
         p, a, _ = chord_statistics(d, 1, n, streams(59, tag).chunk(0))
-        (row,) = fidelity_sampler(d, 1, (0.0,))(streams(59, tag).chunk(0), n)
+        (row,) = fidelity_sampler(d, 1, (0.0,), Scratch())(
+            streams(59, tag).chunk(0), n)
         assert np.array_equal(row, p)
         assert stats.kstest(p, stats.beta(1, d - 1).cdf).pvalue > 1e-3
         assert stats.kstest(a * a / p, stats.beta(0.5, 0.5).cdf).pvalue \
@@ -420,7 +428,8 @@ class TestFidelitySampler:
         with warnings.catch_warnings(), np.errstate(
                 divide="raise", over="raise", invalid="raise"):
             warnings.simplefilter("error")
-            values = fidelity_sampler(d, 1, sigmas)(rng, grid.shape[1])
+            values = fidelity_sampler(d, 1, sigmas, Scratch())(
+                rng, grid.shape[1])
         assert rng.calls == ["standard_exponential", "random", "random"]
         assert np.all(np.isfinite(values))
         assert values.min() >= -1e-15 and values.max() <= 1.0 + 1e-15
@@ -449,12 +458,13 @@ class TestFidelitySampler:
             kernel, chunk = {}, {}
             for rows in (1, 3, 4, 5):
                 value_fn = fidelity_sampler(
-                    8, kept, tuple(0.1 * (j + 1) for j in range(rows)))
+                    8, kept, tuple(0.1 * (j + 1) for j in range(rows)),
+                    Scratch())
                 calls.clear()
                 value_fn(streams(61).chunk(0), 100)
                 kernel[rows] = len(calls)
                 calls.clear()
-                mc_mean(value_fn, 100, streams(61), chunk_size=100)
+                mc_means([(value_fn, streams(61))], 100, chunk_size=100)
                 chunk[rows] = len(calls)
             assert kernel[1] == kernel[3] == kernel[4], (kept, kernel)
             assert kernel[5] - kernel[4] == 9, (kept, kernel)
@@ -470,7 +480,7 @@ class TestFidelitySampler:
         # bound leaves two rows spare
         n = 20000
         value_fn = fidelity_sampler(
-            8, kept, tuple(0.05 + 0.08 * j for j in range(rows)))
+            8, kept, tuple(0.05 + 0.08 * j for j in range(rows)), Scratch())
         rng = streams(62).chunk(0)
         tracemalloc.start()
         try:
@@ -482,13 +492,16 @@ class TestFidelitySampler:
 
     @pytest.mark.parametrize("kept", [1, 5, 14])
     def test_reused_scratch_matches_the_out_of_place_expressions(self, kept):
-        # one thread, samplers of unequal row counts taking turns over
-        # chunks of changing count: each chunk equals the out-of-place
-        # expressions on its own stream, whatever the scratch held before
-        # the 11-sigma group is two full blocks and a ragged one of 3 rows
+        # one thread, samplers of unequal row counts on one Scratch taking
+        # turns over chunks of changing count: each chunk equals the
+        # out-of-place expressions on its own stream, whatever the scratch
+        # held before; the 11-sigma group is two full blocks and a ragged
+        # one of 3 rows
         d = 8
         groups = ((0.0, 0.6, 0.95), (0.3,), (0.5, 0.999), ELEVEN_SIGMAS)
-        samplers = [fidelity_sampler(d, kept, sigmas) for sigmas in groups]
+        scratch = Scratch()
+        samplers = [fidelity_sampler(d, kept, sigmas, scratch)
+                    for sigmas in groups]
         for i, count in enumerate((700, 3, 1, 700, 699, 1000, 2)):
             for j, (sigmas, value_fn) in enumerate(zip(groups, samplers)):
                 got = value_fn(streams(56, kept, j).chunk(i), count)
@@ -498,21 +511,21 @@ class TestFidelitySampler:
 
     @pytest.mark.parametrize("kept", [3, 6])
     def test_successive_calls_share_no_memory(self, kept):
-        # a sampler made for one call owns its array: a later sampler's
-        # call neither aliases nor overwrites it
+        # a sampler on a Scratch of its own owns its array: a later
+        # sampler's call neither aliases nor overwrites it
         sigmas = (0.2, 0.7)
         rng = streams(57, kept).chunk(0)
-        first = fidelity_sampler(4, kept, sigmas)(rng, 500)
+        first = fidelity_sampler(4, kept, sigmas, Scratch())(rng, 500)
         before = first.copy()
-        second = fidelity_sampler(4, kept, sigmas)(rng, 500)
+        second = fidelity_sampler(4, kept, sigmas, Scratch())(rng, 500)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, before)
 
     def test_shared_draw_consumes_the_stream_once(self):
         sigmas = (0.2, 0.7)
         one, many = streams(52).chunk(0), streams(52).chunk(0)
-        fidelity_sampler(8, 3, sigmas[:1])(one, 500)
-        fidelity_sampler(8, 3, sigmas)(many, 500)
+        fidelity_sampler(8, 3, sigmas[:1], Scratch())(one, 500)
+        fidelity_sampler(8, 3, sigmas, Scratch())(many, 500)
         assert one.random() == many.random()
 
     @pytest.mark.parametrize("d, kept, sigmas, match", [
@@ -532,7 +545,7 @@ class TestFidelitySampler:
     def test_rejects_bad_arguments(self, d, kept, sigmas, match):
         # refused when the sampler is made, in one line
         with pytest.raises(ValueError, match=match) as err:
-            fidelity_sampler(d, kept, sigmas)
+            fidelity_sampler(d, kept, sigmas, Scratch())
         assert "\n" not in str(err.value)
 
 
@@ -616,7 +629,9 @@ class TestComposeError:
                            streams(50).chunk(0))
 
 
-class TestMcMean:
+class TestOneJob:
+    """mc_means of a single job: the reduction itself."""
+
     @staticmethod
     def _value_fn(density):
         def fn(rng, count):
@@ -626,37 +641,39 @@ class TestMcMean:
 
     def test_matches_closed_form(self):
         density = IsotropicDensity.normal(0.9, 32)
-        (est,) = mc_mean(self._value_fn(density), 200000, streams(60))
+        [((est,), _)] = mc_means([(self._value_fn(density), streams(60))],
+                                 200000)
         assert abs(est.value - 0.8159375) < 3 * est.std_error
 
     def test_worker_count_invariance(self):
         density = IsotropicDensity.normal(0.5, 8)
-        base = mc_mean(self._value_fn(density), 50000, streams(61), workers=1)
+        job = (self._value_fn(density), streams(61))
+        [(base, _)] = mc_means([job], 50000, workers=1)
         for workers in (2, 4):
-            again = mc_mean(self._value_fn(density), 50000, streams(61),
-                            workers=workers)
+            [(again, _)] = mc_means([job], 50000, workers=workers)
             assert again == base  # bit-identical, not approximately equal
 
     def test_chunk_size_changes_stream(self):
         # chunking policy is part of the reproducibility key
         density = IsotropicDensity.uniform(2)
-        (a,) = mc_mean(self._value_fn(density), 30000, streams(62),
-                       chunk_size=16384)
-        (b,) = mc_mean(self._value_fn(density), 30000, streams(62),
-                       chunk_size=8192)
+        job = (self._value_fn(density), streams(62))
+        [((a,), _)] = mc_means([job], 30000, chunk_size=16384)
+        [((b,), _)] = mc_means([job], 30000, chunk_size=8192)
         assert a.value != b.value
 
     def test_estimate_holds_only_value_and_std_error(self):
         # the sample count and seed are the caller's; the estimate does
         # not echo them
         density = IsotropicDensity.uniform(2)
-        (est,) = mc_mean(self._value_fn(density), 1000, streams(64))
+        [((est,), _)] = mc_means([(self._value_fn(density), streams(64))],
+                                 1000)
         assert [f.name for f in dataclasses.fields(est)] == [
             "value", "std_error"]
 
     def test_ragged_final_chunk(self):
         density = IsotropicDensity.uniform(2)
-        (est,) = mc_mean(self._value_fn(density), 16384 + 7, streams(63))
+        [((est,), _)] = mc_means([(self._value_fn(density), streams(63))],
+                                 16384 + 7)
         # the uniform law's mean mass on two of four coordinates is 1/2
         assert abs(est.value - 0.5) < 4 * est.std_error
 
@@ -668,21 +685,21 @@ class TestMcMean:
             return np.stack([x, np.exp(x), 3.0 * x * x])
 
         for workers in (1, 3):
-            shared = mc_mean(rows, 40000, streams(65), chunk_size=7000,
-                             workers=workers)
+            [(shared, _)] = mc_means([(rows, streams(65))], 40000,
+                                     chunk_size=7000, workers=workers)
             assert len(shared) == 3
             for j, est in enumerate(shared):
-                alone = mc_mean(lambda rng, count, j=j:
-                                rows(rng, count)[j:j + 1],
-                                40000, streams(65), chunk_size=7000)
+                [(alone, _)] = mc_means(
+                    [(lambda rng, count, j=j: rows(rng, count)[j:j + 1],
+                      streams(65))], 40000, chunk_size=7000)
                 assert (est,) == alone
 
     def test_variance_of_nearly_constant_values(self):
         # a one-pass total_sq - n mean^2 cancels to SE 0.0 here; the
         # per-chunk two-pass M2 keeps it at 1e-9 / sqrt(n)
-        (est,) = mc_mean(
-            lambda rng, n: 1 + 1e-9 * rng.standard_normal((1, n)),
-            200_000, RngStreams(3))
+        [((est,), _)] = mc_means(
+            [(lambda rng, n: 1 + 1e-9 * rng.standard_normal((1, n)),
+              RngStreams(3))], 200_000)
         assert est.std_error == pytest.approx(1e-9 / math.sqrt(200_000),
                                               rel=0.02)
         assert abs(est.value - 1.0) < 5 * est.std_error
@@ -698,7 +715,7 @@ class TestMcMean:
             seen.append(values.copy())
             return values
 
-        ests = mc_mean(fn, 25000, streams(67), chunk_size=4096)
+        [(ests, _)] = mc_means([(fn, streams(67))], 25000, chunk_size=4096)
         every = np.concatenate(seen, axis=1)
         for est, values in zip(ests, every):
             assert est.value == pytest.approx(values.mean(), rel=1e-14)
@@ -711,29 +728,24 @@ class TestMcMean:
             self, n_samples, chunk_size):
         # reused sampler scratch and block-wise centring in place give
         # the bits of the out-of-place values centred whole, on any
-        # worker count, with or without a Scratch handed to the sampler.
-        # Eleven rows make two full blocks and a ragged one
+        # worker count.  Eleven rows make two full blocks and a ragged one
         d, kept = 8, 5
         # threads switch often, so scratch shared between them would show
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for sigmas in ((0.0, 0.6, 0.95), ELEVEN_SIGMAS):
-                want = list(zip(*whole_chunk_mc_mean(
+                want = list(zip(*whole_chunk_reduction(
                     lambda rng, count: out_of_place_fidelities(
                         sigmas, d, kept, count, rng),
                     n_samples, streams(68), chunk_size)))
                 for workers in (1, 2, 3):
-                    alone = mc_mean(fidelity_sampler(d, kept, sigmas),
-                                    n_samples, streams(68),
-                                    chunk_size=chunk_size, workers=workers)
-                    ((shared, _),) = mc_means(
+                    [(got, _)] = mc_means(
                         [(fidelity_sampler(d, kept, sigmas, Scratch()),
                           streams(68))],
                         n_samples, chunk_size, workers)
-                    for got in (alone, shared):
-                        assert [(e.value, e.std_error) for e in got] \
-                            == want, (len(sigmas), workers)
+                    assert [(e.value, e.std_error) for e in got] \
+                        == want, (len(sigmas), workers)
         finally:
             sys.setswitchinterval(interval)
 
@@ -741,13 +753,13 @@ class TestMcMean:
         def fn(rng, count):
             return rng.random((1 if count == 10 else 2, count))
         with pytest.raises(ValueError, match="rows"):
-            mc_mean(fn, 25, streams(66), chunk_size=10)
+            mc_means([(fn, streams(66))], 25, chunk_size=10)
 
     def test_rejects_zero_workers(self):
         # no thread would ever take a chunk: refused, not left to hang
         density = IsotropicDensity.uniform(2)
         with pytest.raises(ValueError, match="workers"):
-            mc_mean(self._value_fn(density), 10, streams(64), workers=0)
+            mc_means([(self._value_fn(density), streams(64))], 10, workers=0)
 
 
 class TestMcMeans:
@@ -766,13 +778,14 @@ class TestMcMeans:
         return jobs
 
     def test_jobs_sharing_one_scratch_equal_one_job_calls(self):
-        # a ragged last chunk; every job bit-identical to its own mc_mean
-        # call on a scratch of its own, on any worker count, with the
-        # samplers on one Scratch and threads switching often so that
-        # shared buffers would show
+        # a ragged last chunk; every job bit-identical to a one-job call,
+        # on any worker count, with the samplers on one Scratch and
+        # threads switching often so that shared buffers would show
         n_samples, chunk_size = 5 * 1000 + 123, 1000
-        want = [mc_mean(value_fn, n_samples, job_streams, chunk_size)
-                for value_fn, job_streams in self._jobs(None)]
+        want = []
+        for job in self._jobs(Scratch()):
+            [(estimates, _)] = mc_means([job], n_samples, chunk_size)
+            want.append(estimates)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -813,8 +826,9 @@ class TestMcMeans:
         def peak(n_chunks):
             tracemalloc.start()
             try:
-                mc_mean(lambda rng, count: rng.random((8, count)),
-                        n_chunks * 4, streams(73), chunk_size=4, workers=2)
+                mc_means([(lambda rng, count: rng.random((8, count)),
+                           streams(73))], n_chunks * 4, chunk_size=4,
+                         workers=2)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -823,25 +837,21 @@ class TestMcMeans:
         assert peak(4096) <= 2 * small
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("route", ["mc_means", "mc_mean"])
+    @pytest.mark.parametrize("route", ["jobs", "one_job"])
     def test_a_call_stays_within_its_bound(self, route, workers):
         # the samplers' bound per thread, (8 + rows + min(rows, 4)) n
-        # floats with two rows spare, holds for a whole call: mc_means
-        # over samplers sharing a Scratch, as a sweep runs, and mc_mean
-        # over a sampler with no Scratch, as codesim runs.  The centring
-        # works in the sampler's output; a block of its own would take
-        # 4 rows more per thread
+        # floats with two rows spare, holds for a whole call: over
+        # samplers sharing a Scratch, as a sweep runs, and over one
+        # sampler alone.  The centring works in the sampler's output; a
+        # block of its own would take 4 rows more per thread
         n, rows = 20000, len(ELEVEN_SIGMAS)
+        scratch = Scratch()
         tracemalloc.start()
         try:
-            if route == "mc_means":
-                scratch = Scratch()
-                mc_means([(fidelity_sampler(8, kept, ELEVEN_SIGMAS, scratch),
-                           streams(74, kept)) for kept in (1, 5)],
-                         4 * n, n, workers)
-            else:
-                mc_mean(fidelity_sampler(8, 5, ELEVEN_SIGMAS), 4 * n,
-                        streams(74, 5), n, workers)
+            mc_means([(fidelity_sampler(8, kept, ELEVEN_SIGMAS, scratch),
+                       streams(74, kept))
+                      for kept in ((1, 5) if route == "jobs" else (5,))],
+                     4 * n, n, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
