@@ -10,7 +10,8 @@ for a bare state, and w = d - d'' for a block code that recovers all but
 one pair per syndrome block.  Equivalently F^2 is the mean squared mass
 a perturbed state keeps on e0 plus kept = 2d - 1 - 2w other coordinates,
 cos^2 + sin^2 B with B ~ Beta(kept/2, (2d-1-kept)/2) independent of theta0;
-sampler.fidelity_sampler draws that mass for normal densities.
+sampler's raw_sampler (kept = 1) and fidelity_sampler draw that mass
+for normal densities.
 
 bound_corrected_upper gives the corrected-fidelity upper bound twice:
 with the denominator 2d - 1 that its derivation yields (proof), and with
@@ -53,7 +54,7 @@ class FidelityReport:
 
 
 def _kept_fidelity(density: IsotropicDensity, kept: int) -> float:
-    # mean of fidelity_sampler's values: 1 - sin^2 theta (1 - B),
+    # mean of the samplers' values: 1 - sin^2 theta (1 - B),
     # E[B] = kept/(2d-1)
     return 1.0 - moment_sin2(density) * (1.0 - kept / (2 * density.d - 1))
 

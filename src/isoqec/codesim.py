@@ -1,12 +1,13 @@
 """Monte Carlo estimates of the raw and the corrected fidelity, one job each.
 
-Each estimator is mc_mean of the fidelity_sampler job that run_sweep
-makes for the same law, on a Scratch of its own: the raw fidelity keeps
-e0 plus one real coordinate, and the corrected one, averaged over
-syndromes in closed form, e0 plus 2 d'' - 1 (each block's first
-amplitude).  No command calls them.  They stay because bench/probes.py
-wraps them, and mc_mean and sample_states, by name here;
-tests/test_codesim.py checks each against its mc_means job, bit for bit.
+Each estimator is mc_mean of a sampler for the law that run_sweep
+estimates, on a Scratch of its own: the raw fidelity keeps e0 plus one
+real coordinate (raw_sampler with the one law d), and the corrected
+one, averaged over syndromes in closed form, e0 plus 2 d'' - 1 (each
+block's first amplitude; fidelity_sampler).  No command calls them.
+They stay because bench/probes.py wraps them, and mc_mean and
+sample_states, by name here; tests/test_codesim.py checks each against
+its mc_means job, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .sampler import (  # noqa: F401
     Scratch,
     fidelity_sampler,
     mc_mean,
+    raw_sampler,
     sample_states,
 )
 
@@ -32,7 +34,7 @@ def raw_fidelity_mc(d: int, sigmas: Sequence[float], n_samples: int,
                     workers: int = 1) -> tuple[McEstimate, ...]:
     """Monte Carlo squared fidelity of the raw perturbed state, per sigma."""
     # the second coordinate is the only one kept beside e0
-    return mc_mean(fidelity_sampler(d, 1, sigmas, Scratch()), n_samples,
+    return mc_mean(raw_sampler([(d, sigmas)], Scratch()), n_samples,
                    streams, workers=workers)
 
 

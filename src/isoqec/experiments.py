@@ -62,6 +62,7 @@ from .sampler import (
     Scratch,
     fidelity_sampler,
     mc_means,
+    raw_sampler,
 )
 
 try:
@@ -108,11 +109,9 @@ CAP_ANGLE_GRID = (0.3, math.pi / 4, math.pi / 2, 2.0, 3 * math.pi / 4, math.pi)
 # a sweep chunks every estimate at DEFAULT_CHUNK_SIZE samples, at most
 # 2**16 chunks each
 MAX_SAMPLES = 2 ** 16 * DEFAULT_CHUNK_SIZE
-# a chunk holds one row of samples per sigma, which the kernel and the
-# centring take sampler.SIGMA_BLOCK rows at a time; sigma groups of this
-# size, each on the same streams, keep it at 2**20 floats (8 MiB) beside
-# a block temporary of 2**16 (512 KiB)
-SIGMA_GROUP = 2 ** 20 // DEFAULT_CHUNK_SIZE
+# the stream of the one draw that serves every raw law: no law has the
+# key (0, 0), since n > m >= 1
+RAW_STREAM = (0, 0)
 MAX_WORKERS = 64
 # verify_appendix's bound on each closed form's relative error
 APPENDIX_REL_TOL = 1e-9
@@ -302,16 +301,19 @@ _SLOTS = ("psi", "phi_tilde", "psi0")
 
 
 def _law_keys(n: int, m: int) -> tuple[tuple[int, int], ...]:
-    """Stream keys of a cell's three error laws, in _SLOTS order.
+    """Keys of a cell's three error laws, in _SLOTS order.
 
     An estimate is the mean squared mass that a normal error leaves on
     e0 plus ``kept`` coordinates of S^(2d-1), so its law is fixed by
     (d, kept) and sigma.  The key is (log2 d, log2 of the kept complex
     amplitudes): (n, 0) for the raw coded state, (n, n - m) for the
     corrected one (its d'' block amplitudes) and (m, 0) for the
-    unencoded one.  Small integers only: SeedSequence splits a large int
-    into 32-bit words, so a raw d could collide with a pair of keys.
-    n > m >= 1 makes a cell's three keys distinct.
+    unencoded one.  n > m >= 1 makes a cell's three keys distinct.  The
+    key names an estimate; the corrected law's key is also its stream
+    key, while the two raw laws (kept = 1), psi and psi0, read the one
+    raw draw on RAW_STREAM, so phi_tilde's draw stays independent of
+    both.  Small integers only: SeedSequence splits a large int into
+    32-bit words, so a raw d could collide with a pair of keys.
     """
     return ((n, 0), (n, n - m), (m, 0))
 
@@ -346,20 +348,23 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     filled in (raw coded state, corrected state, accumulated unencoded
     state).  Each one's law is fixed by its _law_keys entry and a sigma
     (sigma_c for the coded slots, sigma_u for the unencoded one).  The
-    sweep collects the distinct laws over the whole code list and makes
-    one estimate per law over the union of the sigmas its cells need:
-    one draw per chunk serves every sigma, and codes that need the same
-    law share it.  The RNG streams are keyed by (seed, law key, chunk
-    index), so a cell's MC columns do not depend on the worker count,
-    the other sigmas, or which other codes are listed and in what order.
-    A cell's three laws keep separate streams: estimates that share a
-    draw are correlated, and check_ordering's combined standard error
-    assumes they are not.  Every estimate chunks at DEFAULT_CHUNK_SIZE
-    samples and runs its sigmas in groups of SIGMA_GROUP on the same
-    streams; a row does not depend on its group, so the rows depend on
-    (seed, n_samples) alone.  Each group is one mc_means job, and one
-    mc_means call runs every job's chunks on config.workers threads;
-    every sampler of the sweep shares one Scratch.
+    sweep collects the distinct laws over the whole code list and the
+    union of the sigmas each law's cells need, and makes one draw per
+    chunk for every corrected law and one for all the raw laws (kept =
+    1, psi and psi0) together; each draw serves every sigma of its
+    laws, and codes that need the same law share it.  A corrected law's
+    streams are keyed by (seed, law key, chunk index), the raw draw's by
+    (seed, RAW_STREAM, chunk index), and each raw law computes its rows
+    from that draw alone, so a cell's MC columns do not depend on the
+    worker count, the other sigmas, or which other codes are listed and
+    in what order: they depend on (seed, n_samples) alone.  A cell's psi
+    and psi0 share the raw draw and are correlated, which
+    check_ordering never sees, since it compares each of them only with
+    phi_tilde, whose draw is its own: its combined standard error
+    assumes the two estimates of a pair are independent.  Every draw
+    chunks at DEFAULT_CHUNK_SIZE samples and is one mc_means job, and
+    one mc_means call runs every job's chunks on config.workers
+    threads; every sampler of the sweep shares one Scratch.
 
     The JSON report's timing record, in key order: total_seconds (the
     sweep up to writing its outputs), closed_form_seconds (the
@@ -367,10 +372,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     cpu_user_seconds, cpu_sys_seconds and minor_page_faults over all
     threads (absent where resource is missing), then mc_seconds,
     mc_wall_seconds and mc_values_per_second.  mc_seconds has one
-    {"key", "cells", "n_sigmas", "seconds"} entry per error law: its
-    stream key, the [n, m, slot] cells it serves, its number of sigmas
-    and its busy seconds, its chunk times summed over worker threads.
-    The laws' chunks run on the same threads at once, so these overlap;
+    {"key", "cells", "n_sigmas", "seconds"} entry per draw, the raw one
+    first: its stream key, the [n, m, slot] cells it serves, its number
+    of rows (sigmas summed over its laws) and its busy seconds, its
+    chunk times summed over worker threads.  The raw draw's seconds are
+    not split among its laws, since they share every variate.  The
+    draws' chunks run on the same threads at once, so these overlap;
     mc_wall_seconds spans the one mc_means call, and
     mc_values_per_second is the sum of n_samples * n_sigmas over it.
     The CSV holds no timing, so it stays byte-deterministic.
@@ -395,27 +402,29 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     for row in rows:
         for _, key, sigma in _cell_laws(row):
             laws[key][0].add(sigma)
-    # one job per (law, sigma group); the law (n, kept_log2) keeps
-    # 2 ** kept_log2 complex amplitudes, 2 ** (kept_log2 + 1) - 1 real
-    # coordinates beside e0
+    # one draw per chunk serves every raw law (kept = 1), on the stream
+    # RAW_STREAM; each corrected law (n, kept_log2), which keeps
+    # 2 ** (kept_log2 + 1) - 1 real coordinates beside e0, draws its own
+    # on the stream of its key
+    sigmas = {key: sorted(law_sigmas) for key, (law_sigmas, _) in
+              laws.items()}
+    raw = [key for key in laws if key[1] == 0]
     scratch = Scratch()
-    jobs, batches = [], []
-    for key, (sigmas, _) in laws.items():
-        streams = RngStreams(config.seed).split(key[0]).split(key[1])
-        ordered = sorted(sigmas)
-        for start in range(0, len(ordered), SIGMA_GROUP):
-            batch = ordered[start:start + SIGMA_GROUP]
-            jobs.append((fidelity_sampler(2 ** key[0], 2 ** (key[1] + 1) - 1,
-                                          batch, scratch), streams))
-            batches.append((key, batch))
+    draws = [(RAW_STREAM, raw, raw_sampler(
+        [(2 ** key[0], sigmas[key]) for key in raw], scratch))]
+    draws += [(key, [key], fidelity_sampler(
+        2 ** key[0], 2 ** (key[1] + 1) - 1, sigmas[key], scratch))
+        for key in laws if key[1] != 0]
     mc_started = time.perf_counter()
-    results = mc_means(jobs, config.n_samples, workers=config.workers)
+    results = mc_means(
+        [(value_fn, RngStreams(config.seed).split(stream[0]).split(stream[1]))
+         for stream, _, value_fn in draws],
+        config.n_samples, workers=config.workers)
     mc_wall_seconds = time.perf_counter() - mc_started
     estimates = {}
-    busy = dict.fromkeys(laws, 0.0)
-    for (key, batch), (ests, seconds) in zip(batches, results):
-        busy[key] += seconds
-        estimates.update(((key, s), est) for s, est in zip(batch, ests))
+    for (_, keys, _), (ests, _) in zip(draws, results):
+        estimates.update(zip(((key, sigma) for key in keys
+                              for sigma in sigmas[key]), ests))
     for i, row in enumerate(rows):
         mc_columns = {}
         for slot, key, sigma in _cell_laws(row):
@@ -423,17 +432,20 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             mc_columns[f"mc_f2_{slot}"] = est.value
             mc_columns[f"mc_se_{slot}"] = est.std_error
         rows[i] = replace(row, **mc_columns)
-    n_values = config.n_samples * sum(len(sigmas) for sigmas, _ in
-                                      laws.values())
+    n_values = config.n_samples * sum(map(len, sigmas.values()))
     timing = {"total_seconds": time.perf_counter() - started,
               "closed_form_seconds": closed_form_seconds,
               "n_cells": len(rows),
               **{name: value - usage_started[name]
                  for name, value in _usage().items()},
-              "mc_seconds": [{"key": list(key),
-                              "cells": [list(cell) for cell in served],
-                              "n_sigmas": len(sigmas), "seconds": busy[key]}
-                             for key, (sigmas, served) in laws.items()],
+              "mc_seconds": [{"key": list(stream),
+                              "cells": [list(cell) for key in keys
+                                        for cell in laws[key][1]],
+                              "n_sigmas": sum(len(sigmas[key])
+                                              for key in keys),
+                              "seconds": seconds}
+                             for (stream, keys, _), (_, seconds)
+                             in zip(draws, results)],
               "mc_wall_seconds": mc_wall_seconds,
               "mc_values_per_second": n_values / mc_wall_seconds}
     if config.csv_path is not None:

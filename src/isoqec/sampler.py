@@ -4,11 +4,14 @@ Determinism contract: every estimate is produced from SeedSequence-keyed
 SFC64 streams, one per (seed, spawn_key..., chunk_index), with fixed chunk
 sizes and per-chunk (count, mean, M2) merged in ascending chunk order.
 The result is bit-identical for a given (seed, n_samples, chunk_size)
-regardless of how many workers execute the chunks.  A sweep keys its
-streams by (seed, law key, chunk index), where the law key is the pair of
-small integers (log2 d, log2 of the kept complex amplitudes) that fixes
-what an estimate samples: every cell that needs the same law reads the
-same streams.
+regardless of how many workers execute the chunks.  An estimate's law is
+fixed by the pair of small integers (log2 d, log2 of the kept complex
+amplitudes), its law key.  A sweep keys each corrected law's streams by
+(seed, law key, chunk index), so every cell that needs the same law
+reads the same streams.  The raw laws (kept = 1) all read one stream,
+keyed (seed, 0, 0, chunk index), and one draw per chunk serves every
+one of them: their estimates are correlated with each other, never
+with a corrected law's.
 
 An error sample about e0 is cos(theta) e0 + sin(theta) u, with theta drawn
 from the density's polar marginal and u uniform on the unit sphere
@@ -19,11 +22,11 @@ The fidelity estimators only read the squared mass of a sample on e0 plus
 a fixed set of ``kept`` of the other 2d-1 coordinates, and only for normal
 densities.  The normal density is the Poisson kernel of the unit ball in
 R^(2d) at y = sigma e0 (the PKBD of Golzy & Markatou 2020 and Sablica,
-Hornik & Leydold 2023), which fidelity_sampler draws exactly as one end
-of a chord: the line y + t w through a uniform direction w meets the
-sphere at t = t+ > 0 and t = -t- < 0, with t+ t- = 1 - sigma^2.  The
-forward end x alone has density (1 - sigma x0) / (|S^(2d-1)| |x - y|^(2d)),
-and keeping it with probability t- / (t+ + t-) multiplies that by
+Hornik & Leydold 2023), which the samplers draw exactly as one end of a
+chord: the line y + t w through a uniform direction w meets the sphere
+at t = t+ > 0 and t = -t- < 0, with t+ t- = 1 - sigma^2.  The forward
+end x alone has density (1 - sigma x0) / (|S^(2d-1)| |x - y|^(2d)), and
+keeping it with probability t- / (t+ + t-) multiplies that by
 (1 - sigma^2) / (1 - sigma x0), which is the kernel: no rejection step.
 The mass needs only three numbers per sample: |w0|, the mass P of w on
 e0 plus the kept coordinates, and the coin's V' = 2U - 1.  For the raw
@@ -32,9 +35,12 @@ exponential (Devroye, Non-Uniform Random Variate Generation, 1986), and
 the direction in the (e0, e1) plane from one uniform, so a sample costs
 three variates whatever d is; other kept counts draw four.  No polar
 table is built.  sigma enters only the arithmetic after the draw, so
-fidelity_sampler takes (d, kept, sigmas), and one draw serves a whole
-sigma grid: each row of the output is an exact, unbiased sample of the
-normal density at its sigma, and the rows are correlated.
+one draw serves a whole sigma grid: each row of the output is an exact,
+unbiased sample of the normal density at its sigma, and the rows are
+correlated.  For the raw mass d enters only through P = -expm1(E /
+(1 - d)), so raw_sampler takes several (d, sigmas) laws and one draw of
+(E, V, U) serves them all, as common random numbers; fidelity_sampler
+takes one corrected law (d, kept, sigmas).
 
 Threads: mc_means runs the chunks of several estimates (jobs) on one set
 of worker threads, the calling thread among them.  Workers take chunks
@@ -55,24 +61,23 @@ page faults per chunk.  Its buffers live in a Scratch, a threading.local
 with one set of named arrays per thread, never shared between threads.
 A sampler is handed the Scratch its caller made, so a sweep hands the
 same Scratch to every sampler, and each worker reuses one set of
-buffers for every chunk of every job it runs.  The callers' Scratch is
-the only owner of chunk memory: mc_means centres the array a sampler
-returns in place.
-fidelity_sampler uses eight arrays of chunk_size floats (P, a, a^2,
-the two coefficients, the key and two temporaries, which also take the
-draws), its (rows, chunk_size) output and a (min(rows, SIGMA_BLOCK),
-chunk_size) block temporary.  A ragged last chunk uses leading slices.
-On every path, per worker that is (8 + rows + min(rows, 4)) *
-chunk_size * 8 bytes for the largest rows of any job: 1 MiB plus
-256 KiB per row up to 4 rows and 128 KiB per row beyond, at the
-default chunk size.  A sweep chunks at the default
-size and evaluates at most 64 sigmas per draw, so its worst case is
-(8 + 64 + 4) * 16384 * 8 bytes, 9.5 MiB per worker.  Beside it the fold
-keeps a few running floats per row of each job and, over all jobs,
-fewer than 2 * workers partials of chunks that finished ahead of an
-earlier chunk of their job, however many chunks there are.  The
-buffers live as long as their Scratch, so no sample-sized memory
-outlives a sweep.
+buffers for every chunk of every job it runs.  A sampler's value_fn
+yields its rows a block of at most SIGMA_BLOCK rows of one d at a time,
+and mc_means centres and reduces each block in place before the
+sampler computes the next in the same buffer, so no chunk array has a
+row per sigma.  The samplers' arrays of chunk_size floats are eight
+named work arrays (E, the cosine form, V'|V'|, P, a, which becomes
+a^2, the two coefficients, and a temporary, which becomes the key;
+fidelity_sampler uses six of them, E and the cosine form aside) and a
+block with its temporary, each of at most SIGMA_BLOCK rows, as many as
+the sampler's largest block.  A ragged last chunk uses leading slices.
+Per worker that is at most (8 + 2 * SIGMA_BLOCK) * chunk_size * 8
+bytes, 2 MiB at the default chunk size, however many sigmas or laws a
+job has.  Beside it the fold keeps a few running floats per row of each
+job and, over all jobs, fewer than 2 * workers partials of chunks that
+finished ahead of an earlier chunk of their job, however many chunks
+there are.  The buffers live as long as their Scratch, so no
+sample-sized memory outlives a sweep.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -93,6 +98,11 @@ DEFAULT_CHUNK_SIZE = 16384
 # stay in a 2 MiB L2 beside the work arrays; 8-row blocks fell out of it
 # and made a 20-sigma sweep on one worker slower
 SIGMA_BLOCK = 2 ** 16 // DEFAULT_CHUNK_SIZE
+
+# value_fn(rng, n) of a Monte Carlo job: yields (rows, n) blocks of
+# values.  The generator type is a string, so that importing this module
+# does not load numpy.random
+ValueFn = Callable[["np.random.Generator", int], Iterable[np.ndarray]]
 
 # the least normal float64: floors the chord-end key's denominator
 _TINY = np.finfo(np.float64).tiny
@@ -190,38 +200,170 @@ def sample_states(density: IsotropicDensity, n: int,
     return coords
 
 
+def _sigma_columns(sigmas: Sequence[float]) -> list[tuple[np.ndarray, ...]]:
+    """Per block of up to SIGMA_BLOCK sigmas, (rows, 1) columns of
+    sigma^2, sigma^4, sigma^2 (1 - sigma^2) and lam = sigma^2 /
+    (1 - sigma^2), each rounded once as a float; each sigma is checked."""
+    sigmas = tuple(sigmas)
+    for sigma in sigmas:
+        if not 0.0 <= sigma < 1.0:
+            raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
+    columns = []
+    for start in range(0, len(sigmas), SIGMA_BLOCK):
+        s2 = [sigma * sigma for sigma in sigmas[start:start + SIGMA_BLOCK]]
+        columns.append(tuple(np.array(values)[:, None] for values in (
+            s2, [v * v for v in s2], [v * (1.0 - v) for v in s2],
+            [v / (1.0 - v) for v in s2])))
+    return columns
+
+
+def _draw_coin(rng: np.random.Generator, sign: np.ndarray,
+               t: np.ndarray) -> None:
+    """U into sign as V'|V'|, V' = 2U - 1; t is a temporary."""
+    rng.random(out=sign)
+    sign *= 2.0
+    sign -= 1.0
+    np.abs(sign, out=t)
+    sign *= t
+
+
+def _sigma_blocks(scratch: Scratch, n: int, block_rows: int, p: np.ndarray,
+                  a: np.ndarray, t: np.ndarray, sign: np.ndarray,
+                  columns: list):
+    """Yield the value rows of one law, a block of columns at a time.
+
+    p holds P and a holds |w0|, which becomes a^2 here; t is a
+    temporary, which becomes the key; sign is _draw_coin's.  Each
+    yielded block lives in scratch, whose block buffers are sized once
+    for the sampler's largest block of block_rows rows, and is
+    overwritten by the next.
+    """
+    coef_a, coef_b = (scratch.get(name, n) for name in ("coef_a", "coef_b"))
+    block, tmp = (scratch.get(name, block_rows * n)
+                  for name in ("block", "tmp"))
+    # value = P + sigma^2 coef_a + (+-) coef_b k, with
+    # coef_a = (1 - P)(1 - 2 a^2) and coef_b = 2 (1 - P) a
+    np.subtract(1.0, p, out=t)
+    np.multiply(t, a, out=coef_b)
+    coef_b *= 2.0
+    a2 = np.multiply(a, a, out=a)
+    np.multiply(a2, -2.0, out=coef_a)
+    coef_a += 1.0
+    coef_a *= t
+    # key = V'|V'| / ((1 - V'^2) a^2), with V'^2 as |V'|V'||, the same
+    # float; the denominator is floored at the least normal float, so
+    # key stays finite and is 0 at V' = 0 (no 0/0 at a = 0, where both
+    # ends agree)
+    key = np.abs(sign, out=t)
+    np.subtract(1.0, key, out=key)
+    key *= a2
+    np.maximum(key, _TINY, out=key)
+    np.divide(sign, key, out=key)
+    # per block of at most SIGMA_BLOCK sigma rows, nine passes:
+    #   k = sqrt(sigma^4 a^2 + sigma^2 (1 - sigma^2))
+    #   value = (P + sigma^2 coef_a) + copysign(coef_b k, lam - key)
+    # with lam = sigma^2 / (1 - sigma^2): key <= lam keeps the forward
+    # end, whose sign is +.  temp takes the sign, then P + sigma^2 coef_a
+    for s2, s4, s2_rest, lam in columns:
+        value = block[:len(s2) * n].reshape(len(s2), n)
+        temp = tmp[:value.size].reshape(value.shape)
+        np.multiply(a2, s4, out=value)
+        np.add(value, s2_rest, out=value)
+        np.sqrt(value, out=value)
+        np.multiply(value, coef_b, out=value)
+        np.subtract(lam, key, out=temp)
+        np.copysign(value, temp, out=value)
+        np.multiply(coef_a, s2, out=temp)
+        np.add(temp, p, out=temp)
+        np.add(temp, value, out=value)
+        yield value
+
+
+def raw_sampler(laws: Sequence[tuple[int, Sequence[float]]],
+                scratch: Scratch) -> ValueFn:
+    """The raw laws (kept = 1) at several d, all from one draw per chunk.
+
+    laws is a sequence of (d, sigmas) pairs, d >= 2.  Returns a
+    value_fn for mc_means whose rows are, law by law in order, the rows
+    of the law (d, kept = 1) at each sigma, the value that
+    fidelity_sampler's docstring derives from P, a and V'; it yields
+    them in blocks as fidelity_sampler's does.  Each chunk draws E
+    (standard exponential), V and U (uniforms) once, in that order, and
+    computes the cosine form and V'|V'| once; each d then takes
+    P = -expm1(E / (1 - d)), a = sqrt(P) cos(pi V / 2), 1 - V'^2 (from
+    |V'|V'||, so that the chunk keeps one array for U) and its sigma
+    blocks in the same operations as a sampler of that d alone, so its
+    rows are bit-identical to the one-law sampler's on the same
+    generator, whatever the other laws are.  The laws' rows are
+    correlated.
+
+    Since w0^2 + w1^2 is Beta(1, d - 1) and independent of the direction
+    in the (e0, e1) plane, a sample costs three variates whatever d is:
+    no normal, no gamma.  The cosine is taken as
+    (1 - t)(1 + t) / (1 + t^2), t = tan(pi V / 4): numpy 2.4 on x86_64
+    runs float64 tan as a SIMD loop and cos as a scalar one, and the
+    form costs about half of cos alone.  Its absolute error is a few
+    units of 2^-53, as np.cos's is; like np.cos(pi V / 2), it loses
+    relative accuracy as V -> 1, about 2^-53 / (1 - V), since the
+    rounded argument already errs by about 2^-53 in absolute terms.
+    """
+    block_rows = min(SIGMA_BLOCK, max((len(sigmas) for _, sigmas in laws),
+                                      default=0))
+    laws = [(d, _sigma_columns(sigmas)) for d, sigmas in laws]
+    for d, _ in laws:
+        if d < 2:
+            raise ValueError(f"a raw law keeps e0 and one coordinate of "
+                             f"2d - 1 and leaves one out, so d >= 2; "
+                             f"got d={d}")
+
+    def value_fn(rng: np.random.Generator, n: int):
+        e, cosine, sign, p, a, t = (
+            scratch.get(name, n)
+            for name in ("e", "cosine", "sign", "p", "a", "t"))
+        rng.standard_exponential(out=e)
+        # cos(pi V / 2) as (1 - t)(1 + t) / (1 + t^2), t = tan(pi V / 4)
+        rng.random(out=cosine)
+        np.multiply(cosine, np.pi / 4, out=cosine)
+        np.tan(cosine, out=cosine)
+        np.multiply(cosine, cosine, out=p)
+        p += 1.0
+        np.subtract(1.0, cosine, out=t)
+        cosine += 1.0
+        cosine *= t
+        cosine /= p
+        _draw_coin(rng, sign, t)
+        for d, columns in laws:
+            # P = -expm1(E / (1 - d)), a = sqrt(P) cos(pi V / 2)
+            np.divide(e, 1 - d, out=p)
+            np.expm1(p, out=p)
+            np.negative(p, out=p)
+            np.multiply(cosine, np.sqrt(p, out=t), out=a)
+            yield from _sigma_blocks(scratch, n, block_rows, p, a, t, sign,
+                                     columns)
+
+    return value_fn
+
+
 def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
-                     scratch: Scratch
-                     ) -> Callable[[np.random.Generator, int], np.ndarray]:
+                     scratch: Scratch) -> ValueFn:
     """Squared mass of normal errors about e0 on e0 plus kept coordinates.
 
     Returns value_fn(rng, n), a Monte Carlo value function for mc_means.
-    Its (len(sigmas), n) array has in row j the law of
+    Its rows, one per sigma, hold the law of
     (x[:, :kept + 1] ** 2).sum(axis=1) over rows x of
     sample_states(IsotropicDensity.normal(sigmas[j], d), ...); every row
     is computed from the same variates, and row j is bit-identical to a
     one-sigma sampler's at sigmas[j] on the same generator.  The errors
     live on S^(2d-1), each sigma lies in [0, 1), and kept counts
-    coordinates orthogonal to e0, 1 <= kept <= 2d-2, so d >= 2 and at
-    least one is left out, as in every law a sweep samples.  The
-    arguments are checked once, here.
+    coordinates orthogonal to e0, 2 <= kept <= 2d-2, so at least one is
+    left out, as in every corrected law a sweep samples; kept = 1 is
+    raw_sampler's.  The arguments are checked once, here.
 
     Each chunk reduces its draw to P, the mass of the direction w on e0
-    plus the kept coordinates, a = |w0| and V' = 2U - 1:
-      kept = 1: P = -expm1(E / (1 - d)) and a = sqrt(P) cos(pi V / 2),
-        drawn in the order E (standard exponential), V, U (uniforms),
-        since w0^2 + w1^2 is Beta(1, d - 1) and independent of the
-        direction in the (e0, e1) plane.  No normal, no gamma.  The
-        cosine is taken as (1 - t)(1 + t) / (1 + t^2), t = tan(pi V / 4):
-        numpy 2.4 on x86_64 runs float64 tan as a SIMD loop and cos as
-        a scalar one, and the form costs about half of cos alone.  Its
-        absolute error is a few units of 2^-53, as np.cos's is; like
-        np.cos(pi V / 2), it loses relative accuracy as V -> 1, about
-        2^-53 / (1 - V), since the rounded argument already errs by
-        about 2^-53 in absolute terms.
-      kept > 1: Z0 (normal), K = 2 Gamma(kept/2), R = 2 Gamma(rest/2),
-        U, in that order; P = (Z0^2 + K) / N and a = |Z0| / sqrt(N) with
-        N = (Z0^2 + K) + R.
+    plus the kept coordinates, a = |w0| and V' = 2U - 1: it draws Z0
+    (normal), K = 2 Gamma(kept/2), R = 2 Gamma(rest/2) and U, in that
+    order, and P = (Z0^2 + K) / N and a = |Z0| / sqrt(N) with
+    N = (Z0^2 + K) + R.  (raw_sampler draws P and a from E and V.)
     The chord end t from sigma e0 along w has
     t^2 = 1 - sigma^2 - 2 sigma w0 t, so its value
     (sigma + t w0)^2 + t^2 (P - w0^2) is
@@ -246,123 +388,53 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     of terms of size at most 1, so its error is absolute, a few units of
     2^-53; at sigma = 0 it is exactly P.
 
-    Each call writes into the calling thread's arrays of scratch, its
-    output and block temporary included, so the returned array is
-    overwritten by that thread's next call of any sampler that shares
-    scratch: mc_means, which centres it in place, is done with it
-    before then.  A caller that keeps the array makes the sampler a
-    scratch of its own, fidelity_sampler(d, kept, sigmas, Scratch()).
+    value_fn is a generator: it yields each block of rows as soon as it
+    is computed, in the calling thread's arrays of scratch, and
+    overwrites the block with the next.  mc_means reduces each block
+    before it resumes the generator.  Samplers that share scratch share
+    those arrays, so a thread finishes one chunk's blocks before it
+    starts another's.
     """
-    sigmas = tuple(sigmas)
-    for sigma in sigmas:
-        if not 0.0 <= sigma < 1.0:
-            raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if not 1 <= kept <= 2 * d - 2:
-        raise ValueError(f"kept must lie in [1, {2 * d - 2}] at d={d}, "
+    columns = _sigma_columns(sigmas)
+    if not 2 <= kept <= 2 * d - 2:
+        raise ValueError(f"kept must lie in [2, {2 * d - 2}] at d={d}, "
                          f"got {kept}")
-    rest = 2 * d - 1 - kept
-    # per block of rows: its slice and (rows, 1) columns of sigma^2,
-    # sigma^4, sigma^2 (1 - sigma^2) and lam, each rounded as a float
-    columns = []
-    for start in range(0, len(sigmas), SIGMA_BLOCK):
-        s2 = [sigma * sigma for sigma in sigmas[start:start + SIGMA_BLOCK]]
-        columns.append((slice(start, start + len(s2)), *(
-            np.array(values)[:, None] for values in (
-                s2, [v * v for v in s2], [v * (1.0 - v) for v in s2],
-                [v / (1.0 - v) for v in s2]))))
+    rest_shape = (2 * d - 1 - kept) / 2
+    block_rows = min(SIGMA_BLOCK, len(sigmas))
 
-    def value_fn(rng: np.random.Generator, n: int) -> np.ndarray:
-        out = scratch.get("out", len(sigmas) * n).reshape(len(sigmas), n)
-        p, a, a2, coef_a, coef_b, key, t, s = (
-            scratch.get(name, n)
-            for name in ("p", "a", "a2", "coef_a", "coef_b", "key", "t", "s"))
-        if kept == 1:
-            # P = -expm1(E / (1 - d)), a = sqrt(P) cos(pi V / 2), the
-            # cosine as (1 - t)(1 + t) / (1 + t^2) with t = tan(pi V / 4)
-            rng.standard_exponential(out=p)
-            np.divide(p, 1 - d, out=p)
-            np.expm1(p, out=p)
-            np.negative(p, out=p)
-            rng.random(out=a)
-            np.multiply(a, np.pi / 4, out=a)
-            np.tan(a, out=a)
-            np.multiply(a, a, out=s)
-            s += 1.0
-            np.subtract(1.0, a, out=t)
-            a += 1.0
-            a *= t
-            a /= s
-            np.multiply(a, np.sqrt(p, out=t), out=a)
-        else:
-            # Z0 into a, K into p, R into t; then P = (Z0^2 + K) / N and
-            # a = |Z0| / sqrt(N), N = (Z0^2 + K) + R
-            rng.standard_normal(out=a)
-            rng.standard_gamma(kept / 2, out=p)
-            p *= 2.0
-            rng.standard_gamma(rest / 2, out=t)
-            t *= 2.0
-            p += np.multiply(a, a, out=s)
-            t += p
-            p /= t
-            np.abs(a, out=a)
-            a /= np.sqrt(t, out=t)
-        rng.random(out=key)
-        np.multiply(a, a, out=a2)
-        # value = P + sigma^2 coef_a + (+-) coef_b k, with
-        # coef_a = (1 - P)(1 - 2 a^2) and coef_b = 2 (1 - P) a
-        np.subtract(1.0, p, out=t)
-        np.multiply(t, a, out=coef_b)
-        coef_b *= 2.0
-        np.multiply(a2, -2.0, out=coef_a)
-        coef_a += 1.0
-        coef_a *= t
-        # key = V'|V'| / ((1 - V'^2) a^2), V' = 2U - 1; the denominator
-        # is floored at the least normal float, so key stays finite and
-        # is 0 at V' = 0 (no 0/0 at a = 0, where both ends agree)
-        key *= 2.0
-        key -= 1.0
-        np.multiply(key, key, out=s)
-        np.subtract(1.0, s, out=s)
-        s *= a2
-        np.maximum(s, _TINY, out=s)
-        np.abs(key, out=t)
-        key *= t
-        key /= s
-        # per block of at most SIGMA_BLOCK sigma rows, nine passes:
-        #   k = sqrt(sigma^4 a^2 + sigma^2 (1 - sigma^2))
-        #   value = (P + sigma^2 coef_a) + copysign(coef_b k, lam - key)
-        # with lam = sigma^2 / (1 - sigma^2): key <= lam keeps the
-        # forward end, whose sign is +.  tmp takes the sign, then
-        # P + sigma^2 coef_a
-        block = scratch.get("block", min(len(sigmas), SIGMA_BLOCK) * n)
-        for rows, s2, s4, s2_rest, lam in columns:
-            value = out[rows]
-            tmp = block[:value.size].reshape(value.shape)
-            np.multiply(a2, s4, out=value)
-            np.add(value, s2_rest, out=value)
-            np.sqrt(value, out=value)
-            np.multiply(value, coef_b, out=value)
-            np.subtract(lam, key, out=tmp)
-            np.copysign(value, tmp, out=value)
-            np.multiply(coef_a, s2, out=tmp)
-            np.add(tmp, p, out=tmp)
-            np.add(tmp, value, out=value)
-        return out
+    def value_fn(rng: np.random.Generator, n: int):
+        p, a, t, sign = (
+            scratch.get(name, n) for name in ("p", "a", "t", "sign"))
+        # Z0 into a, K into p, R into t; then P = (Z0^2 + K) / N and
+        # a = |Z0| / sqrt(N), N = (Z0^2 + K) + R
+        rng.standard_normal(out=a)
+        rng.standard_gamma(kept / 2, out=p)
+        p *= 2.0
+        rng.standard_gamma(rest_shape, out=t)
+        t *= 2.0
+        p += np.multiply(a, a, out=sign)
+        t += p
+        p /= t
+        np.abs(a, out=a)
+        a /= np.sqrt(t, out=t)
+        _draw_coin(rng, sign, t)
+        yield from _sigma_blocks(scratch, n, block_rows, p, a, t, sign,
+                                 columns)
 
     return value_fn
 
 
-def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
+def mc_means(jobs: Sequence[tuple[ValueFn, RngStreams]], n_samples: int,
              chunk_size: int = DEFAULT_CHUNK_SIZE, workers: int = 1
              ) -> list[tuple[tuple[McEstimate, ...], float]]:
     """Chunked means of every job's value_fn rows, on one set of threads.
 
-    A job is (value_fn, streams); value_fn(rng, count) returns a
-    (rows, count) float array, and mc_means reduces over the last axis.
-    It returns, per job, one estimate per row and the job's busy
-    seconds, its chunk times summed over threads.  n_samples and
-    chunk_size are positive; workers below 1 is refused, since no
-    thread would take a chunk.
+    A job is (value_fn, streams); value_fn(rng, count) yields
+    (rows, count) float blocks, and a job's rows are its blocks' rows in
+    the order yielded; mc_means reduces over the last axis.  It returns,
+    per job, one estimate per row and the job's busy seconds, its chunk
+    times summed over threads.  n_samples and chunk_size are positive;
+    workers below 1 is refused, since no thread would take a chunk.
 
     Every job draws n_samples in chunks of chunk_size; chunk i of a job
     draws from its streams.chunk(i) and is reduced in two passes to its
@@ -376,11 +448,11 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
     the other jobs: each is bit-identical to a one-job call.  The value
     is the sum of the chunk sums over n_samples.
 
-    value_fn hands over a writable array, which mc_means overwrites: it
-    centres and squares the rows in place, up to SIGMA_BLOCK at a time
-    with one numpy call per step, and is done with the array before the
-    same thread calls a value_fn again, so value_fn may hand back one
-    reused array.  mc_means holds no chunk buffer of its own.  An
+    Each block is a writable array, which mc_means overwrites: it sums
+    the block's rows, then centres and squares them in place, one numpy
+    call per step, before it asks value_fn for the next block, so
+    value_fn may yield one reused array.  A row's sums are those of the
+    row reduced alone.  mc_means holds no chunk buffer of its own.  An
     exception in a chunk stops the workers taking new chunks, and is
     raised from the call once every thread has ended.
     """
@@ -402,20 +474,18 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
 
     def run_chunk(value_fn, streams: RngStreams, i: int):
         size = min(chunk_size, n_samples - i * chunk_size)
-        values = value_fn(streams.chunk(i), size)
-        if values.ndim != 2 or values.shape[1] != size:
-            raise ValueError(f"value_fn returned shape {values.shape}, "
-                             f"expected (rows, {size})")
-        sums = values.sum(axis=1)
-        means = (sums / size)[:, None]
-        # centre a block of rows at a time, in value_fn's array
-        m2 = np.empty_like(sums)
-        for start in range(0, len(values), SIGMA_BLOCK):
-            rows = slice(start, start + SIGMA_BLOCK)
-            dev = values[rows]
-            np.subtract(dev, means[rows], out=dev)
-            np.square(dev, out=dev).sum(axis=1, out=m2[rows])
-        return size, sums, m2
+        sums, m2 = [], []
+        for values in value_fn(streams.chunk(i), size):
+            if values.ndim != 2 or values.shape[1] != size:
+                raise ValueError(f"value_fn yielded shape {values.shape}, "
+                                 f"expected (rows, {size})")
+            # centre and square the block in place, before value_fn
+            # resumes and overwrites it
+            block_sums = values.sum(axis=1)
+            np.subtract(values, (block_sums / size)[:, None], out=values)
+            sums.extend(block_sums)
+            m2.extend(np.square(values, out=values).sum(axis=1))
+        return size, np.array(sums), np.array(m2)
 
     def fold(job: int) -> None:
         # merge the job's partials that are next in chunk order
@@ -429,7 +499,7 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
                 moments[job] = (0, zero, zero, zero)
             count, mean, m2, total = moments[job]
             if sums.shape != mean.shape:
-                raise ValueError(f"value_fn returned {sums.shape[0]} rows "
+                raise ValueError(f"value_fn yielded {sums.shape[0]} rows "
                                  f"after {mean.shape[0]} in an earlier "
                                  f"chunk")
             delta = sums / size - mean
@@ -486,8 +556,7 @@ def mc_means(jobs: Sequence[tuple[Callable, RngStreams]], n_samples: int,
     return results
 
 
-def mc_mean(value_fn: Callable[[np.random.Generator, int], np.ndarray],
-            n_samples: int, streams: RngStreams,
+def mc_mean(value_fn: ValueFn, n_samples: int, streams: RngStreams,
             workers: int = 1) -> tuple[McEstimate, ...]:
     """mc_means of the one job (value_fn, streams): one estimate per row.
 

@@ -61,7 +61,7 @@ def syndrome_sampled_fidelity_mc(params, sigmas, n_samples, streams):
         def value_fn(rng, count):
             # states consume the stream first, then the syndrome draws
             x = sample_states(density, count, rng)
-            return sampled_values(x, params, rng)[None]
+            yield sampled_values(x, params, rng)[None]
         return value_fn
 
     results = mc_means([(sampled_fn(sigma), streams) for sigma in sigmas],

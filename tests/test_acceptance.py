@@ -43,7 +43,13 @@ from isoqec.experiments import (
     verify_theorems,
     write_csv,
 )
-from isoqec.sampler import RngStreams, Scratch, fidelity_sampler, mc_means
+from isoqec.sampler import (
+    RngStreams,
+    Scratch,
+    fidelity_sampler,
+    mc_means,
+    raw_sampler,
+)
 
 SEED = 20260819
 N_SAMPLES = 200_000
@@ -71,8 +77,8 @@ class McCell:
 @pytest.fixture(scope="module")
 def mc_cells():
     # all 24 estimates are jobs of one mc_means call on one Scratch, as a
-    # sweep runs them: the raw fidelity keeps one coordinate beside e0,
-    # the corrected one 2 d'' - 1
+    # sweep runs them, each on a stream of its own: the raw fidelity
+    # keeps one coordinate beside e0, the corrected one 2 d'' - 1
     started = time.perf_counter()
     scratch = Scratch()
     specs, jobs = [], []
@@ -83,11 +89,11 @@ def mc_cells():
             cell = RngStreams(SEED).split(code_idx * 10 + sigma_idx)
             specs.append((params, sigma_c, sigma_u))
             jobs += [
-                (fidelity_sampler(params.d, 1, (sigma_c,), scratch),
+                (raw_sampler([(params.d, (sigma_c,))], scratch),
                  cell.split(0)),
                 (fidelity_sampler(params.d, 2 * params.d_dprime - 1,
                                   (sigma_c,), scratch), cell.split(1)),
-                (fidelity_sampler(params.d_prime, 1, (sigma_u,), scratch),
+                (raw_sampler([(params.d_prime, (sigma_u,))], scratch),
                  cell.split(2))]
     estimates = [est for (est,), _ in mc_means(jobs, N_SAMPLES)]
     cells = [McCell(params, sigma_c, {

@@ -200,6 +200,7 @@ class TestSweepCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("sampling started")
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "raw_sampler", refuse)
         monkeypatch.setattr(experiments, "fidelity_sampler", refuse)
         monkeypatch.setattr(experiments, "mc_means", refuse)
         os.symlink("loop", "loop")

@@ -14,6 +14,7 @@ from isoqec.sampler import (
     fidelity_sampler,
     mc_mean,
     mc_means,
+    raw_sampler,
 )
 
 
@@ -24,13 +25,14 @@ def test_each_estimator_equals_its_mc_means_job():
     for workers in (1, 2):
         raw, corrected = (
             estimates for estimates, _ in mc_means(
-                [(fidelity_sampler(params.d, kept, sigmas, Scratch()),
-                  streams) for kept in (1, 2 * params.d_dprime - 1)],
+                [(raw_sampler([(params.d, sigmas)], Scratch()), streams),
+                 (fidelity_sampler(params.d, 2 * params.d_dprime - 1,
+                                   sigmas, Scratch()), streams)],
                 n_samples, workers=workers))
         assert raw_fidelity_mc(params.d, sigmas, n_samples, streams,
                                workers=workers) == raw
         assert corrected_fidelity_mc(params, sigmas, n_samples, streams,
                                      workers=workers) == corrected
-        assert mc_mean(fidelity_sampler(params.d, 1, sigmas, Scratch()),
+        assert mc_mean(raw_sampler([(params.d, sigmas)], Scratch()),
                        n_samples, streams, workers=workers) == raw
         assert len(raw) == len(corrected) == len(sigmas)

@@ -22,7 +22,6 @@ from isoqec.experiments import (
     MAX_CODE_QUBITS,
     MAX_SAMPLES,
     MAX_WORKERS,
-    SIGMA_GROUP,
     CheckResult,
     ConfigError,
     SweepConfig,
@@ -291,11 +290,13 @@ class TestRunSweep:
         assert (provenance["seed"], provenance["chunk_size"],
                 provenance["workers"]) == (11, DEFAULT_CHUNK_SIZE, 1)
         assert provenance["bit_generator"] == "SFC64"
-        # one entry per error law, naming its key and the cells it serves
+        # one entry per draw, naming its stream key and the cells it
+        # serves: the raw draw on (0, 0) serves psi and psi0, and the
+        # corrected law draws its own
         timed = report["timing"]["mc_seconds"]
         assert [(t["key"], t["cells"]) for t in timed] == [
-            ([3, 0], [[3, 1, "psi"]]), ([3, 2], [[3, 1, "phi_tilde"]]),
-            ([1, 0], [[3, 1, "psi0"]])]
+            ([0, 0], [[3, 1, "psi"], [3, 1, "psi0"]]),
+            ([3, 2], [[3, 1, "phi_tilde"]])]
         assert all(t["seconds"] >= 0.0 for t in timed)
         # the report reproduces its run: its config section rebuilds the
         # config, and with it the rows
@@ -310,6 +311,7 @@ class TestRunSweep:
         # the JSON report would overwrite the CSV; refused before sampling
         def refuse(*args, **kwargs):
             raise AssertionError("sampling started")
+        monkeypatch.setattr(experiments, "raw_sampler", refuse)
         monkeypatch.setattr(experiments, "fidelity_sampler", refuse)
         monkeypatch.setattr(experiments, "mc_means", refuse)
         monkeypatch.chdir(tmp_path)
@@ -332,6 +334,7 @@ class TestRunSweep:
         # writing; refused before sampling, with nothing written
         def refuse(*args, **kwargs):
             raise AssertionError("sampling started")
+        monkeypatch.setattr(experiments, "raw_sampler", refuse)
         monkeypatch.setattr(experiments, "fidelity_sampler", refuse)
         monkeypatch.setattr(experiments, "mc_means", refuse)
         monkeypatch.chdir(tmp_path)
@@ -355,23 +358,24 @@ class TestRunSweep:
                                 "cpu_sys_seconds", "minor_page_faults",
                                 "mc_seconds", "mc_wall_seconds",
                                 "mc_values_per_second"]
-        assert [list(law) for law in timing["mc_seconds"]] == [
-            ["key", "cells", "n_sigmas", "seconds"]] * 3
+        assert [list(draw) for draw in timing["mc_seconds"]] == [
+            ["key", "cells", "n_sigmas", "seconds"]] * 2
         assert 0.0 <= timing["closed_form_seconds"] <= timing["total_seconds"]
         assert timing["cpu_user_seconds"] >= 0.0
         assert timing["cpu_sys_seconds"] >= 0.0
         assert isinstance(timing["minor_page_faults"], int)
         assert timing["minor_page_faults"] >= 0
-        # each law evaluates both sigma_c (or both sigma_u) of the grid;
-        # the throughput is n_samples values per sigma over the wall time
-        # of the one Monte Carlo call, and on one worker the laws' busy
-        # seconds run one after another inside it
-        laws = timing["mc_seconds"]
-        assert [law["n_sigmas"] for law in laws] == [2, 2, 2]
+        # the raw draw evaluates psi's two sigma_c and psi0's two sigma_u,
+        # the corrected law both sigma_c; the throughput is n_samples
+        # values per sigma over the wall time of the one Monte Carlo
+        # call, and on one worker the draws' busy seconds run one after
+        # another inside it
+        draws = timing["mc_seconds"]
+        assert [draw["n_sigmas"] for draw in draws] == [4, 2]
         wall = timing["mc_wall_seconds"]
         assert 0.0 < wall <= timing["total_seconds"]
-        assert all(law["seconds"] > 0.0 for law in laws)
-        assert sum(law["seconds"] for law in laws) <= wall
+        assert all(draw["seconds"] > 0.0 for draw in draws)
+        assert sum(draw["seconds"] for draw in draws) <= wall
         assert timing["mc_values_per_second"] == pytest.approx(
             2000 * 6 / wall, rel=1e-12)
 
@@ -406,70 +410,76 @@ class TestRunSweep:
             if f.name.startswith("mc_")) for r in rows}
 
     # (4, 2) and (5, 4) share the law (4, 0): F(Psi) of (4, 2) at sigma_c
-    # and F(Psi0) of (5, 4) at sigma_c ** (1/5); the raw laws (kept = 1)
-    # get their samplers in the order (4, 0), (2, 0), (5, 0), one per law
-    # and sigma group
-    @pytest.mark.parametrize("overrides, sigmas, calls_grid", [
+    # and F(Psi0) of (5, 4) at sigma_c ** (1/5).  The raw laws (kept = 1)
+    # share one sampler, whose (d, number of sigmas) laws come in the
+    # order (4, 0), (2, 0), (5, 0)
+    @pytest.mark.parametrize("overrides, sigmas, raw_laws", [
         # three chunks per estimate
         ({"n_samples": 2 * DEFAULT_CHUNK_SIZE + 1000, "workers": 2},
-         (0.3, 0.6, 0.9), [6, 3, 3]),
-        # 40 sigmas: the law (4, 0) needs 80, run as groups of 64 and 16
+         (0.3, 0.6, 0.9), [(16, 6), (4, 3), (32, 3)]),
+        # 40 sigmas: the law (4, 0) needs 80, ten times a sampler block
         ({"n_samples": 1000},
          tuple(round(0.02 * i, 2) for i in range(1, 41)),
-         [SIGMA_GROUP, 80 - SIGMA_GROUP, 40, 40]),
-    ], ids=["one-group", "sigma-groups"])
+         [(16, 80), (4, 40), (32, 40)]),
+    ], ids=["three-sigmas", "forty-sigmas"])
     def test_cell_does_not_depend_on_the_rest_of_the_grid(
-            self, overrides, sigmas, calls_grid, monkeypatch):
+            self, overrides, sigmas, raw_laws, monkeypatch):
         calls = []
-        make = experiments.fidelity_sampler
+        make = experiments.raw_sampler
 
-        def counted(d, kept, sigmas, scratch=None):
-            if kept == 1:
-                calls.append(len(sigmas))
-            return make(d, kept, sigmas, scratch)
+        def counted(laws, scratch):
+            calls.append([(d, len(law_sigmas)) for d, law_sigmas in laws])
+            return make(laws, scratch)
 
-        monkeypatch.setattr(experiments, "fidelity_sampler", counted)
+        monkeypatch.setattr(experiments, "raw_sampler", counted)
         codes = ((4, 2), (5, 4))
         alone = run_sweep(small_config(code_list=codes, sigma_grid=(0.6,),
                                        **overrides))
-        assert calls == [2, 1, 1]
+        assert calls == [[(16, 2), (4, 1), (32, 1)]]
         calls.clear()
         grid = run_sweep(small_config(code_list=codes, sigma_grid=sigmas,
                                       **overrides))
-        assert calls == calls_grid
+        assert calls == [raw_laws]
         columns = self._mc_columns(grid)
         for key, value in self._mc_columns(alone).items():
             assert columns[key] == value, key
-        # reversed: sigma groups follow the sorted union, not the grid order
+        # reversed: a law's rows follow its sorted sigmas, not the grid
+        # order
         reverse = run_sweep(small_config(code_list=codes,
                                          sigma_grid=sigmas[::-1],
                                          **overrides))
         assert self._mc_columns(reverse) == columns
 
     def test_one_draw_per_chunk_serves_the_whole_grid(self, monkeypatch):
-        calls = []
-        make = experiments.fidelity_sampler
+        rows = []
 
-        def counted(d, kept, sigmas, scratch=None):
-            value_fn = make(d, kept, sigmas, scratch)
+        def counting(make):
+            def made(*args):
+                value_fn = make(*args)
 
-            def draw(rng, count):
-                calls.append(len(sigmas))
-                return value_fn(rng, count)
-            return draw
+                def draw(rng, count):
+                    drawn = 0
+                    for block in value_fn(rng, count):
+                        drawn += len(block)
+                        yield block
+                    rows.append(drawn)
+                return draw
+            return made
 
-        monkeypatch.setattr(experiments, "fidelity_sampler", counted)
-        counts = []
+        for name in ("raw_sampler", "fidelity_sampler"):
+            monkeypatch.setattr(experiments, name,
+                                counting(getattr(experiments, name)))
         for grid in ((0.5,), DEFAULT_SIGMA_GRID):
-            calls.clear()
+            rows.clear()
             run_sweep(small_config(code_list=((5, 1), (5, 4)),
                                    sigma_grid=grid,
                                    n_samples=2 * DEFAULT_CHUNK_SIZE + 1000))
-            counts.append(len(calls))
-            assert set(calls) == {len(grid)}
-        # 5 distinct laws x 3 chunks, whatever the grid length: both codes
-        # read F(Psi) from the law (5, 0)
-        assert counts == [15, 15]
+            # 3 draws x 3 chunks, whatever the grid length: one raw draw
+            # serves F(Psi) of both codes (the law (5, 0)) and their
+            # F(Psi0) (the laws (1, 0) and (4, 0)), 3 rows per sigma, and
+            # each code's corrected law draws its own
+            assert sorted(rows) == sorted([len(grid)] * 6
+                                          + [3 * len(grid)] * 3)
 
     def test_cell_does_not_depend_on_the_other_codes(self):
         # two chunks per estimate
@@ -501,11 +511,15 @@ class TestRunSweep:
         assert r54.sigma_u == r42.sigma_c
         assert (r54.mc_f2_psi0, r54.mc_se_psi0) == (
             r42.mc_f2_psi, r42.mc_se_psi)
+        # the raw draw lists its cells law by law: (5, 0), (1, 0), (4, 0)
+        # and (2, 0); each corrected law its one cell
         timed = json.loads(json_path.read_text())["timing"]["mc_seconds"]
         served = {tuple(t["key"]): t["cells"] for t in timed}
-        assert served[5, 0] == [[5, 1, "psi"], [5, 4, "psi"]]
-        assert served[4, 0] == [[5, 4, "psi0"], [4, 2, "psi"]]
-        assert len(timed) == 7
+        assert served == {
+            (0, 0): [[5, 1, "psi"], [5, 4, "psi"], [5, 1, "psi0"],
+                     [5, 4, "psi0"], [4, 2, "psi"], [4, 2, "psi0"]],
+            (5, 4): [[5, 1, "phi_tilde"]], (5, 1): [[5, 4, "phi_tilde"]],
+            (4, 2): [[4, 2, "phi_tilde"]]}
 
     def test_a_cells_three_laws_are_distinct(self):
         for n in range(2, MAX_CODE_QUBITS + 1):
@@ -533,11 +547,13 @@ class TestRunSweep:
                     assert getattr(row, field.name) \
                         == getattr(want, field.name), field.name
             assert not any(math.isnan(getattr(row, name)) for name in mc)
-        # each law lists every cell it serves, the repeated code twice
+        # the raw draw lists every raw cell, law by law, the repeated
+        # code twice
         timed = json.loads(json_path.read_text())["timing"]["mc_seconds"]
         served = {tuple(t["key"]): t["cells"] for t in timed}
-        assert served[4, 0] == [[5, 4, "psi0"], [4, 2, "psi"],
-                                [5, 4, "psi0"]]
+        assert served[0, 0] == [
+            [5, 4, "psi"], [5, 4, "psi"], [5, 4, "psi0"], [4, 2, "psi"],
+            [5, 4, "psi0"], [4, 2, "psi0"], [3, 1, "psi"], [3, 1, "psi0"]]
 
     def test_seed_changes_mc_columns_only(self):
         row_a = run_sweep(small_config(seed=11))[0]

@@ -18,6 +18,7 @@ from isoqec.sampler import (
     fidelity_sampler,
     mc_mean,
     mc_means,
+    raw_sampler,
 )
 
 
@@ -47,6 +48,7 @@ def test_monte_carlo_signatures_are_pinned():
     empty = inspect.Parameter.empty
     assert params(fidelity_sampler) == [
         ("d", empty), ("kept", empty), ("sigmas", empty), ("scratch", empty)]
+    assert params(raw_sampler) == [("laws", empty), ("scratch", empty)]
     assert params(mc_means) == [
         ("jobs", empty), ("n_samples", empty),
         ("chunk_size", DEFAULT_CHUNK_SIZE), ("workers", 1)]

@@ -12,6 +12,7 @@ from isoqec.sampler import (
     Scratch,
     fidelity_sampler,
     mc_means,
+    raw_sampler,
     sample_states,
 )
 
@@ -29,7 +30,7 @@ def streams(*key):
 
 def raw(d, sigmas):
     """The raw fidelity's sampler: the mass on e0 and one coordinate."""
-    return fidelity_sampler(d, 1, sigmas, Scratch())
+    return raw_sampler([(d, sigmas)], Scratch())
 
 
 def corrected(params, sigmas):

@@ -30,8 +30,10 @@ from isoqec.sampler import (
     DEFAULT_CHUNK_SIZE,
     RngStreams,
     Scratch,
+    SIGMA_BLOCK,
     fidelity_sampler,
     mc_means,
+    raw_sampler,
     sample_states,
     sample_theta0,
     sample_uniform_direction,
@@ -52,8 +54,22 @@ def streams(*key):
     return base
 
 
+def law_sampler(d, kept, sigmas, scratch):
+    """The sampler of the law (d, kept): raw_sampler's with the one law d
+    at kept = 1, fidelity_sampler's otherwise."""
+    if kept == 1:
+        return raw_sampler([(d, sigmas)], scratch)
+    return fidelity_sampler(d, kept, sigmas, scratch)
+
+
+def rows_of(value_fn, rng, n):
+    """A value_fn's rows for one chunk, each block copied as it is
+    yielded, before the next block overwrites it."""
+    return np.concatenate([block.copy() for block in value_fn(rng, n)])
+
+
 def chord_statistics(d, kept, n, rng):
-    """fidelity_sampler's (P, a, key) by its docstring, out of place."""
+    """The samplers' (P, a, key) by their docstrings, out of place."""
     if kept == 1:
         p = -np.expm1(rng.standard_exponential(n) / (1 - d))
         a = direction_cosine(rng.random(n)) * np.sqrt(p)
@@ -95,7 +111,7 @@ def chord_values(sigmas, p, a, key):
 
 
 def out_of_place_fidelities(sigmas, d, kept, n, rng):
-    """fidelity_sampler's docstring expressions, evaluated out of place."""
+    """The samplers' docstring expressions, evaluated out of place."""
     return chord_values(sigmas, *chord_statistics(d, kept, n, rng))
 
 
@@ -133,7 +149,7 @@ class StubGenerator:
 
 def whole_chunk_reduction(value_fn, n_samples, streams, chunk_size):
     """mc_means' values and errors for one job, each chunk centred whole
-    out of place."""
+    out of place; value_fn(rng, count) returns the chunk's whole array."""
     count, total, mean, m2 = 0, 0.0, 0.0, 0.0
     for i in range(-(-n_samples // chunk_size)):
         size = min(chunk_size, n_samples - i * chunk_size)
@@ -294,9 +310,9 @@ class TestFidelitySampler:
                 2 * params.d_dprime - 1:
                     (r[:, :, 0] ** 2 + r[:, :, 1] ** 2).sum(axis=1)}
         for kept, want in full.items():
-            (got,) = fidelity_sampler(
-                density.d, kept, (density.sigma,), Scratch())(
-                    streams(36, tag, kept).chunk(0), n)
+            (got,) = rows_of(
+                law_sampler(density.d, kept, (density.sigma,), Scratch()),
+                streams(36, tag, kept).chunk(0), n)
             p = stats.ks_2samp(got, want).pvalue
             assert p > 1e-3, (case, kept, p)
 
@@ -307,7 +323,8 @@ class TestFidelitySampler:
         for case, sigma in enumerate((0.0, 0.6, 0.95)):
             density = IsotropicDensity.normal(sigma, d)
             for kept in (1, 7, d, 2 * d - 2):
-                (values,) = fidelity_sampler(d, kept, (sigma,), Scratch())(
+                (values,) = rows_of(
+                    law_sampler(d, kept, (sigma,), Scratch()),
                     streams(37, case, kept).chunk(0), 100000)
                 want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
                 se = values.std(ddof=1) / math.sqrt(values.size)
@@ -326,7 +343,7 @@ class TestFidelitySampler:
                  for kept in (1, 2 ** (n - 1) - 1)]
         scratch = Scratch()
         results = mc_means(
-            [(fidelity_sampler(d, kept, (sigma,), scratch),
+            [(law_sampler(d, kept, (sigma,), scratch),
               streams(39, n, i, kept % 1000)) for i, sigma, kept in cases],
             n_samples)
         for ((est,), _), (_, sigma, kept) in zip(results, cases):
@@ -340,12 +357,12 @@ class TestFidelitySampler:
         # sigma_j on the same generator, bit for bit
         sigmas = (0.0, 0.05, 0.3, 0.6, 0.9, 0.999)
         for kept in (1, 2 * d - 2):
-            shared = fidelity_sampler(d, kept, sigmas, Scratch())(
-                streams(51, kept).chunk(0), 3000)
+            shared = rows_of(law_sampler(d, kept, sigmas, Scratch()),
+                             streams(51, kept).chunk(0), 3000)
             assert shared.shape == (len(sigmas), 3000)
             for row, sigma in zip(shared, sigmas):
-                (alone,) = fidelity_sampler(d, kept, (sigma,), Scratch())(
-                    streams(51, kept).chunk(0), 3000)
+                (alone,) = rows_of(law_sampler(d, kept, (sigma,), Scratch()),
+                                   streams(51, kept).chunk(0), 3000)
                 assert np.array_equal(row, alone), (sigma, kept)
 
     @pytest.mark.parametrize("kept", [1, 5])
@@ -354,8 +371,8 @@ class TestFidelitySampler:
         # docstring's expressions on the same variates
         d, n = 8, 2000
         sigmas = (0.0, 0.6, 0.95)
-        got = fidelity_sampler(d, kept, sigmas, Scratch())(
-            streams(54, kept).chunk(0), n)
+        got = rows_of(law_sampler(d, kept, sigmas, Scratch()),
+                      streams(54, kept).chunk(0), n)
         want = out_of_place_fidelities(sigmas, d, kept, n,
                                        streams(54, kept).chunk(0))
         assert np.array_equal(got, want)
@@ -395,8 +412,8 @@ class TestFidelitySampler:
         n = 20000
         tag = (2, 8, 2 ** 20).index(d)
         p, a, _ = chord_statistics(d, 1, n, streams(59, tag).chunk(0))
-        (row,) = fidelity_sampler(d, 1, (0.0,), Scratch())(
-            streams(59, tag).chunk(0), n)
+        (row,) = rows_of(raw_sampler([(d, (0.0,))], Scratch()),
+                         streams(59, tag).chunk(0), n)
         assert np.array_equal(row, p)
         assert stats.kstest(p, stats.beta(1, d - 1).cdf).pvalue > 1e-3
         assert stats.kstest(a * a / p, stats.beta(0.5, 0.5).cdf).pvalue \
@@ -428,8 +445,8 @@ class TestFidelitySampler:
         with warnings.catch_warnings(), np.errstate(
                 divide="raise", over="raise", invalid="raise"):
             warnings.simplefilter("error")
-            values = fidelity_sampler(d, 1, sigmas, Scratch())(
-                rng, grid.shape[1])
+            values = rows_of(raw_sampler([(d, sigmas)], Scratch()), rng,
+                             grid.shape[1])
         assert rng.calls == ["standard_exponential", "random", "random"]
         assert np.all(np.isfinite(values))
         assert values.min() >= -1e-15 and values.max() <= 1.0 + 1e-15
@@ -457,11 +474,11 @@ class TestFidelitySampler:
         for kept in (1, 5):
             kernel, chunk = {}, {}
             for rows in (1, 3, 4, 5):
-                value_fn = fidelity_sampler(
+                value_fn = law_sampler(
                     8, kept, tuple(0.1 * (j + 1) for j in range(rows)),
                     Scratch())
                 calls.clear()
-                value_fn(streams(61).chunk(0), 100)
+                rows_of(value_fn, streams(61).chunk(0), 100)
                 kernel[rows] = len(calls)
                 calls.clear()
                 mc_means([(value_fn, streams(61))], 100, chunk_size=100)
@@ -471,24 +488,32 @@ class TestFidelitySampler:
             assert chunk[1] == chunk[3] == chunk[4], (kept, chunk)
             assert chunk[5] - chunk[4] == 9 + 2, (kept, chunk)
 
-    @pytest.mark.parametrize("rows", [3, 11])
+    @pytest.mark.parametrize("rows", [3, 11, 64])
     @pytest.mark.parametrize("kept", [1, 5])
     def test_scratch_stays_within_its_bound(self, kept, rows):
-        # the sampler's eight work arrays, its output rows and its block
-        # temporary: the sampler docstring's (8 + rows + min(rows, 4)) n
-        # floats per thread, which a direct call makes in full.  The
-        # bound leaves two rows spare
+        # the samplers' eight work arrays, a block and its temporary:
+        # the sampler docstring's (8 + 2 min(rows, SIGMA_BLOCK)) n floats
+        # per thread, which does not grow with rows.  The raw job of
+        # rows sigmas spreads them over three laws.  The bound leaves two
+        # rows spare
         n = 20000
-        value_fn = fidelity_sampler(
-            8, kept, tuple(0.05 + 0.08 * j for j in range(rows)), Scratch())
+        sigmas = tuple(0.05 + 0.9 * j / rows for j in range(rows))
+        if kept == 1:
+            third = rows // 3
+            value_fn = raw_sampler([(4, sigmas[:third]),
+                                    (2 ** 20, sigmas[third:2 * third]),
+                                    (8, sigmas[2 * third:])], Scratch())
+        else:
+            value_fn = fidelity_sampler(8, kept, sigmas, Scratch())
         rng = streams(62).chunk(0)
         tracemalloc.start()
         try:
-            value_fn(rng, n)
+            yielded = sum(len(block) for block in value_fn(rng, n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (10 + rows + min(rows, 4)) * n * 8
+        assert yielded == rows
+        assert peak <= (10 + 2 * min(rows, SIGMA_BLOCK)) * n * 8
 
     @pytest.mark.parametrize("kept", [1, 5, 14])
     def test_reused_scratch_matches_the_out_of_place_expressions(self, kept):
@@ -500,52 +525,112 @@ class TestFidelitySampler:
         d = 8
         groups = ((0.0, 0.6, 0.95), (0.3,), (0.5, 0.999), ELEVEN_SIGMAS)
         scratch = Scratch()
-        samplers = [fidelity_sampler(d, kept, sigmas, scratch)
+        samplers = [law_sampler(d, kept, sigmas, scratch)
                     for sigmas in groups]
         for i, count in enumerate((700, 3, 1, 700, 699, 1000, 2)):
             for j, (sigmas, value_fn) in enumerate(zip(groups, samplers)):
-                got = value_fn(streams(56, kept, j).chunk(i), count)
+                got = rows_of(value_fn, streams(56, kept, j).chunk(i), count)
                 want = out_of_place_fidelities(
                     sigmas, d, kept, count, streams(56, kept, j).chunk(i))
                 assert np.array_equal(got, want), (count, sigmas)
 
-    @pytest.mark.parametrize("kept", [3, 6])
+    @pytest.mark.parametrize("kept", [1, 3, 6])
     def test_successive_calls_share_no_memory(self, kept):
-        # a sampler on a Scratch of its own owns its array: a later
-        # sampler's call neither aliases nor overwrites it
+        # a block of a sampler on a Scratch of its own stays its own: a
+        # later sampler's block neither aliases nor overwrites it
         sigmas = (0.2, 0.7)
         rng = streams(57, kept).chunk(0)
-        first = fidelity_sampler(4, kept, sigmas, Scratch())(rng, 500)
+        (first,) = law_sampler(4, kept, sigmas, Scratch())(rng, 500)
         before = first.copy()
-        second = fidelity_sampler(4, kept, sigmas, Scratch())(rng, 500)
+        (second,) = law_sampler(4, kept, sigmas, Scratch())(rng, 500)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, before)
 
-    def test_shared_draw_consumes_the_stream_once(self):
-        sigmas = (0.2, 0.7)
-        one, many = streams(52).chunk(0), streams(52).chunk(0)
-        fidelity_sampler(8, 3, sigmas[:1], Scratch())(one, 500)
-        fidelity_sampler(8, 3, sigmas, Scratch())(many, 500)
-        assert one.random() == many.random()
+    @pytest.mark.parametrize("one, many", [
+        (lambda: fidelity_sampler(8, 3, (0.2,), Scratch()),
+         lambda: fidelity_sampler(8, 3, (0.2, 0.7), Scratch())),
+        (lambda: raw_sampler([(8, (0.2,))], Scratch()),
+         lambda: raw_sampler([(8, (0.2, 0.7)), (2, (0.5,)),
+                              (2 ** 40, ELEVEN_SIGMAS)], Scratch()))],
+        ids=["corrected", "raw"])
+    def test_shared_draw_consumes_the_stream_once(self, one, many):
+        # more sigmas, and for the raw draw more laws, draw no more
+        first, second = streams(52).chunk(0), streams(52).chunk(0)
+        rows_of(one(), first, 500)
+        rows_of(many(), second, 500)
+        assert first.random() == second.random()
 
-    @pytest.mark.parametrize("d, kept, sigmas, match", [
-        (4, 1, (0.5, math.nan), r"sigma must lie in \[0, 1\), got nan"),
-        (4, 1, (0.5, 1.0), r"sigma must lie in \[0, 1\), got 1.0"),
-        (4, 1, (-0.1,), r"sigma must lie in \[0, 1\), got -0.1"),
-        (4, 0, (0.5,), r"kept must lie in \[1, 6\] at d=4, got 0"),
-        (4, 8, (0.5,), r"kept must lie in \[1, 6\] at d=4, got 8"),
+    @pytest.mark.parametrize("count", [DEFAULT_CHUNK_SIZE, 1000, 7])
+    def test_raw_draw_rows_equal_one_law_samplers(self, count):
+        # one raw draw serves d from 2 to 2^40, laws of 1 to 11 sigmas:
+        # each law's rows are bit-identical to its one-law sampler's on
+        # the same generator, and to the out-of-place expressions, on a
+        # full chunk and ragged ones, whatever the other laws are; the
+        # three variates are drawn once (the stub has no normal or gamma)
+        laws = [(2, (0.5,)), (4, (0.0, 0.3, 0.999)),
+                (128, (0.1, 0.2, 0.4, 0.8)), (2 ** 20, ELEVEN_SIGMAS[:5]),
+                (2 ** 40, ELEVEN_SIGMAS)]
+        scratch = Scratch()
+        family = rows_of(raw_sampler(laws, scratch),
+                         streams(75).chunk(count), count)
+        assert family.shape == (24, count)
+        start = 0
+        for d, sigmas in laws:
+            got = family[start:start + len(sigmas)]
+            start += len(sigmas)
+            alone = rows_of(raw_sampler([(d, sigmas)], Scratch()),
+                            streams(75).chunk(count), count)
+            want = out_of_place_fidelities(sigmas, d, 1, count,
+                                           streams(75).chunk(count))
+            assert np.array_equal(got, alone), d
+            assert np.array_equal(got, want), d
+        rng = StubGenerator(np.linspace(0.0, 5.0, count),
+                            [np.linspace(0.0, 1.0, count, endpoint=False)]
+                            * 2)
+        rows_of(raw_sampler(laws, scratch), rng, count)
+        assert rng.calls == ["standard_exponential", "random", "random"]
+
+    def test_raw_draw_estimates_equal_one_law_jobs(self):
+        # through mc_means on a ragged last chunk and any worker count:
+        # each law's estimates are those of its one-law job, bit for bit
+        laws = [(4, (0.0, 0.6)), (32, ELEVEN_SIGMAS), (2 ** 40, (0.9,))]
+        want = [est for law in laws for est in mc_means(
+            [(raw_sampler([law], Scratch()), streams(76))], 3000,
+            chunk_size=1000 - 1)[0][0]]
+        for workers in (1, 2, 3):
+            [(got, _)] = mc_means([(raw_sampler(laws, Scratch()),
+                                    streams(76))], 3000,
+                                  chunk_size=1000 - 1, workers=workers)
+            assert list(got) == want, workers
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: raw_sampler([(4, (0.5, math.nan))], Scratch()),
+         r"sigma must lie in \[0, 1\), got nan"),
+        (lambda: raw_sampler([(4, (0.5,)), (8, (0.5, 1.0))], Scratch()),
+         r"sigma must lie in \[0, 1\), got 1.0"),
+        (lambda: fidelity_sampler(4, 3, (-0.1,), Scratch()),
+         r"sigma must lie in \[0, 1\), got -0.1"),
+        (lambda: fidelity_sampler(4, 0, (0.5,), Scratch()),
+         r"kept must lie in \[2, 6\] at d=4, got 0"),
+        # the raw law is raw_sampler's
+        (lambda: fidelity_sampler(4, 1, (0.5,), Scratch()),
+         r"kept must lie in \[2, 6\] at d=4, got 1"),
+        (lambda: fidelity_sampler(4, 8, (0.5,), Scratch()),
+         r"kept must lie in \[2, 6\] at d=4, got 8"),
         # every coordinate kept: the value would be 1, no law a sweep
         # samples, so it is refused, not special-cased
-        (4, 7, (0.7,), r"kept must lie in \[1, 6\] at d=4, got 7"),
+        (lambda: fidelity_sampler(4, 7, (0.7,), Scratch()),
+         r"kept must lie in \[2, 6\] at d=4, got 7"),
         # a single complex amplitude: only e0 and one coordinate exist,
         # so no kept count leaves one out
-        (1, 1, (0.5,), r"kept must lie in \[1, 0\] at d=1, got 1"),
-    ], ids=["nan", "one", "negative", "kept-0", "kept-2d",
+        (lambda: raw_sampler([(4, (0.5,)), (1, (0.5,))], Scratch()),
+         r"so d >= 2; got d=1"),
+    ], ids=["nan", "one", "negative", "kept-0", "kept-1", "kept-2d",
             "kept-all", "d-1"])
-    def test_rejects_bad_arguments(self, d, kept, sigmas, match):
+    def test_rejects_bad_arguments(self, make, match):
         # refused when the sampler is made, in one line
         with pytest.raises(ValueError, match=match) as err:
-            fidelity_sampler(d, kept, sigmas, Scratch())
+            make()
         assert "\n" not in str(err.value)
 
 
@@ -636,7 +721,7 @@ class TestOneJob:
     def _value_fn(density):
         def fn(rng, count):
             x = sample_states(density, count, rng)
-            return (x[:, 0] ** 2 + x[:, 1] ** 2)[None]
+            yield (x[:, 0] ** 2 + x[:, 1] ** 2)[None]
         return fn
 
     def test_matches_closed_form(self):
@@ -685,20 +770,50 @@ class TestOneJob:
             return np.stack([x, np.exp(x), 3.0 * x * x])
 
         for workers in (1, 3):
-            [(shared, _)] = mc_means([(rows, streams(65))], 40000,
-                                     chunk_size=7000, workers=workers)
+            [(shared, _)] = mc_means(
+                [(lambda rng, count: [rows(rng, count)], streams(65))],
+                40000, chunk_size=7000, workers=workers)
             assert len(shared) == 3
             for j, est in enumerate(shared):
                 [(alone, _)] = mc_means(
-                    [(lambda rng, count, j=j: rows(rng, count)[j:j + 1],
+                    [(lambda rng, count, j=j: [rows(rng, count)[j:j + 1]],
                       streams(65))], 40000, chunk_size=7000)
                 assert (est,) == alone
+
+    def test_blocks_reduce_like_the_whole_array(self):
+        # a chunk's rows yielded in blocks of 1, 3 and 2 rows, each block
+        # overwritten by the next, give the estimates of the whole
+        # (6, count) array, bit for bit, on ragged chunks and any worker
+        # count; both equal the whole chunks centred out of place
+        def whole(rng, count):
+            x = rng.standard_normal(count)
+            return np.stack([x, np.exp(x), 3.0 * x * x, np.sin(x),
+                             x ** 3, 1.0 / (1.0 + x * x)])
+
+        def blocks(rng, count):
+            values = whole(rng, count)
+            buffer = np.empty((3, count))
+            for start, stop in ((0, 1), (1, 4), (4, 6)):
+                block = buffer[:stop - start]
+                block[...] = values[start:stop]
+                yield block
+
+        want = list(zip(*whole_chunk_reduction(
+            whole, 40000, streams(77), 7000)))
+        for workers in (1, 3):
+            [(one, _)] = mc_means([(lambda rng, count: [whole(rng, count)],
+                                    streams(77))], 40000, chunk_size=7000,
+                                  workers=workers)
+            [(many, _)] = mc_means([(blocks, streams(77))], 40000,
+                                   chunk_size=7000, workers=workers)
+            assert many == one, workers
+            assert [(e.value, e.std_error) for e in many] == want, workers
 
     def test_variance_of_nearly_constant_values(self):
         # a one-pass total_sq - n mean^2 cancels to SE 0.0 here; the
         # per-chunk two-pass M2 keeps it at 1e-9 / sqrt(n)
         [((est,), _)] = mc_means(
-            [(lambda rng, n: 1 + 1e-9 * rng.standard_normal((1, n)),
+            [(lambda rng, n: [1 + 1e-9 * rng.standard_normal((1, n))],
               RngStreams(3))], 200_000)
         assert est.std_error == pytest.approx(1e-9 / math.sqrt(200_000),
                                               rel=0.02)
@@ -713,7 +828,7 @@ class TestOneJob:
             # mc_means centres the array it is handed in place
             values = rng.exponential(size=(2, count))
             seen.append(values.copy())
-            return values
+            yield values
 
         [(ests, _)] = mc_means([(fn, streams(67))], 25000, chunk_size=4096)
         every = np.concatenate(seen, axis=1)
@@ -741,7 +856,7 @@ class TestOneJob:
                     n_samples, streams(68), chunk_size)))
                 for workers in (1, 2, 3):
                     [(got, _)] = mc_means(
-                        [(fidelity_sampler(d, kept, sigmas, Scratch()),
+                        [(law_sampler(d, kept, sigmas, Scratch()),
                           streams(68))],
                         n_samples, chunk_size, workers)
                     assert [(e.value, e.std_error) for e in got] \
@@ -751,7 +866,7 @@ class TestOneJob:
 
     def test_rejects_a_changing_row_count(self):
         def fn(rng, count):
-            return rng.random((1 if count == 10 else 2, count))
+            yield rng.random((1 if count == 10 else 2, count))
         with pytest.raises(ValueError, match="rows"):
             mc_means([(fn, streams(66))], 25, chunk_size=10)
 
@@ -768,12 +883,15 @@ class TestMcMeans:
     @staticmethod
     def _jobs(scratch):
         # samplers of unequal row and kept counts, one of them past a
-        # block, and a plain value_fn
-        jobs = [(fidelity_sampler(8, kept, sigmas, scratch), streams(70, j))
+        # block, a raw draw of three laws, and a plain value_fn
+        jobs = [(law_sampler(8, kept, sigmas, scratch), streams(70, j))
                 for j, (sigmas, kept) in enumerate((
                     ((0.0, 0.6, 0.95), 1), ((0.3,), 5),
                     ((0.2, 0.5, 0.7, 0.9, 0.999), 3), (ELEVEN_SIGMAS, 1)))]
-        jobs.append((lambda rng, count: rng.exponential(size=(2, count)),
+        jobs.append((raw_sampler([(2, (0.5,)), (2 ** 20, ELEVEN_SIGMAS),
+                                  (8, (0.0, 0.9))], scratch),
+                     streams(70, 5)))
+        jobs.append((lambda rng, count: [rng.exponential(size=(2, count))],
                      streams(70, 4)))
         return jobs
 
@@ -808,7 +926,7 @@ class TestMcMeans:
             if threading.current_thread() is caller:
                 # the calling thread's first chunk outlasts a worker's
                 failed.wait(timeout=10)
-                return rng.random((1, count))
+                return [rng.random((1, count))]
             failed.set()
             raise RuntimeError("chunk failed")
 
@@ -826,7 +944,7 @@ class TestMcMeans:
         def peak(n_chunks):
             tracemalloc.start()
             try:
-                mc_means([(lambda rng, count: rng.random((8, count)),
+                mc_means([(lambda rng, count: [rng.random((8, count))],
                            streams(73))], n_chunks * 4, chunk_size=4,
                          workers=2)
                 return tracemalloc.get_traced_memory()[1]
@@ -839,23 +957,23 @@ class TestMcMeans:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("route", ["jobs", "one_job"])
     def test_a_call_stays_within_its_bound(self, route, workers):
-        # the samplers' bound per thread, (8 + rows + min(rows, 4)) n
-        # floats with two rows spare, holds for a whole call: over
-        # samplers sharing a Scratch, as a sweep runs, and over one
-        # sampler alone.  The centring works in the sampler's output; a
-        # block of its own would take 4 rows more per thread
-        n, rows = 20000, len(ELEVEN_SIGMAS)
+        # the samplers' bound per thread, (8 + 2 SIGMA_BLOCK) n floats
+        # with two rows spare, holds for a whole call: over samplers
+        # sharing a Scratch, as a sweep runs, and over one sampler alone.
+        # The centring works in the sampler's block; a block of its own
+        # would take 4 rows more per thread
+        n = 20000
         scratch = Scratch()
         tracemalloc.start()
         try:
-            mc_means([(fidelity_sampler(8, kept, ELEVEN_SIGMAS, scratch),
+            mc_means([(law_sampler(8, kept, ELEVEN_SIGMAS, scratch),
                        streams(74, kept))
                       for kept in ((1, 5) if route == "jobs" else (5,))],
                      4 * n, n, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= workers * (10 + rows + min(rows, 4)) * n * 8
+        assert peak <= workers * (10 + 2 * SIGMA_BLOCK) * n * 8
 
     def test_standard_errors_are_calibrated(self):
         # one z = (estimate - closed form) / SE per (law, seed), as a sweep
@@ -869,7 +987,7 @@ class TestMcMeans:
                        for key in _law_keys(*code)})
         cases = [(seed, n, k) for seed in range(300) for n, k in laws]
         scratch = Scratch()
-        jobs = [(fidelity_sampler(2 ** n, 2 ** (k + 1) - 1, (0.5,), scratch),
+        jobs = [(law_sampler(2 ** n, 2 ** (k + 1) - 1, (0.5,), scratch),
                  RngStreams(seed).split(n).split(k))
                 for seed, n, k in cases]
         results = mc_means(jobs, DEFAULT_CHUNK_SIZE, workers=2)
