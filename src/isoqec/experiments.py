@@ -32,6 +32,7 @@ import scipy
 
 from . import __version__
 from .closedform import (
+    FidelityReport,
     bound_corrected_upper,
     bound_psi0_lower,
     fidelity_corrected,
@@ -59,7 +60,6 @@ from .mathcore import (
 from .sampler import (
     DEFAULT_CHUNK_SIZE,
     RngStreams,
-    Scratch,
     fidelity_sampler,
     mc_means,
     raw_sampler,
@@ -248,27 +248,25 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One (code, sigma_c) cell: closed forms, bounds, and MC estimates.
-
-    Field order is the CSV column order; v_c through cond18 are
-    closedform.FidelityReport's fields.  The MC columns stay NaN until
-    run_sweep fills them in.
-    """
+class _Cell:
+    """A cell's coordinates, the CSV's first four columns."""
 
     n: int
     m: int
     sigma_c: float
     sigma_u: float
-    v_c: float
-    v_u: float
-    f2_psi: float
-    f2_phi_tilde: float
-    f2_psi0: float
-    lb_psi0: float
-    ub_phi_tilde_proof: float
-    ub_phi_tilde_printed: float
-    cond18: bool
+
+
+# dataclass fields follow the reversed MRO: _Cell's, FidelityReport's, then
+# the MC columns below
+@dataclass(frozen=True)
+class SweepRow(FidelityReport, _Cell):
+    """One (code, sigma_c) cell: closed forms, bounds, and MC estimates.
+
+    Field order is the CSV column order.  The MC columns stay NaN until
+    run_sweep fills them in.
+    """
+
     mc_f2_psi: float = math.nan
     mc_se_psi: float = math.nan
     mc_f2_phi_tilde: float = math.nan
@@ -364,7 +362,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     assumes the two estimates of a pair are independent.  Every draw
     chunks at DEFAULT_CHUNK_SIZE samples and is one mc_means job, and
     one mc_means call runs every job's chunks on config.workers
-    threads; every sampler of the sweep shares one Scratch.
+    threads, each of which reuses one set of chunk buffers for every
+    chunk it runs.
 
     The JSON report's timing record, in key order: total_seconds (the
     sweep up to writing its outputs), closed_form_seconds (the
@@ -409,11 +408,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     sigmas = {key: sorted(law_sigmas) for key, (law_sigmas, _) in
               laws.items()}
     raw = [key for key in laws if key[1] == 0]
-    scratch = Scratch()
     draws = [(RAW_STREAM, raw, raw_sampler(
-        [(2 ** key[0], sigmas[key]) for key in raw], scratch))]
+        [(2 ** key[0], sigmas[key]) for key in raw]))]
     draws += [(key, [key], fidelity_sampler(
-        2 ** key[0], 2 ** (key[1] + 1) - 1, sigmas[key], scratch))
+        2 ** key[0], 2 ** (key[1] + 1) - 1, sigmas[key]))
         for key in laws if key[1] != 0]
     mc_started = time.perf_counter()
     results = mc_means(

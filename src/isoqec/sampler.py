@@ -57,15 +57,14 @@ other little.  So the kernel and the centring make one pass per block
 of up to SIGMA_BLOCK sigma rows, not one per row.
 
 Memory: the chunk kernel allocates nothing in steady state and takes no
-page faults per chunk.  Its buffers live in a Scratch, a threading.local
-with one set of named arrays per thread, never shared between threads.
-A sampler is handed the Scratch its caller made, so a sweep hands the
-same Scratch to every sampler, and each worker reuses one set of
-buffers for every chunk of every job it runs.  A sampler's value_fn
-yields its rows a block of at most SIGMA_BLOCK rows of one d at a time,
-and mc_means centres and reduces each block in place before the
-sampler computes the next in the same buffer, so no chunk array has a
-row per sigma.  The samplers' arrays of chunk_size floats are eight
+page faults per chunk.  Its buffers live in a Scratch, one set of named
+arrays.  Each mc_means worker makes one when it starts and hands it to
+every chunk of every job it runs, so no Scratch is shared between
+threads and a sampler holds no buffer.  A sampler's value_fn yields its
+rows a block of at most SIGMA_BLOCK rows of one d at a time, and
+mc_means centres and reduces each block in place before the sampler
+computes the next in the same buffer, so no chunk array has a row per
+sigma.  The samplers' arrays of chunk_size floats are eight
 named work arrays (E, the cosine form, V'|V'|, P, a, which becomes
 a^2, the two coefficients, and a temporary, which becomes the key;
 fidelity_sampler uses six of them, E and the cosine form aside) and a
@@ -76,8 +75,8 @@ bytes, 2 MiB at the default chunk size, however many sigmas or laws a
 job has.  Beside it the fold keeps a few running floats per row of each
 job and, over all jobs, fewer than 2 * workers partials of chunks that
 finished ahead of an earlier chunk of their job, however many chunks
-there are.  The buffers live as long as their Scratch, so no
-sample-sized memory outlives a sweep.
+there are.  Each worker's Scratch is freed when mc_means returns, so no
+sample-sized memory outlives the call.
 """
 
 from __future__ import annotations
@@ -98,11 +97,6 @@ DEFAULT_CHUNK_SIZE = 16384
 # stay in a 2 MiB L2 beside the work arrays; 8-row blocks fell out of it
 # and made a 20-sigma sweep on one worker slower
 SIGMA_BLOCK = 2 ** 16 // DEFAULT_CHUNK_SIZE
-
-# value_fn(rng, n) of a Monte Carlo job: yields (rows, n) blocks of
-# values.  The generator type is a string, so that importing this module
-# does not load numpy.random
-ValueFn = Callable[["np.random.Generator", int], Iterable[np.ndarray]]
 
 # the least normal float64: floors the chord-end key's denominator
 _TINY = np.finfo(np.float64).tiny
@@ -140,15 +134,15 @@ class RngStreams:
         return np.random.Generator(np.random.SFC64(seq))
 
 
-class Scratch(threading.local):
-    """Float buffers reused from chunk to chunk, one set per thread.
+class Scratch:
+    """Named float buffers that one thread reuses from chunk to chunk.
 
-    A threading.local, so every thread that uses an instance gets buffers
-    of its own and no buffer is ever shared between threads.  get returns
-    the leading size floats of a named buffer, growing it first when it is
-    shorter, so a ragged last chunk uses leading slices.  Samplers that
-    share an instance share each thread's buffers: a thread must be done
-    with one call's arrays before its next call of any of them.
+    mc_means makes one per worker thread and hands it to every chunk the
+    thread runs, so no instance is shared between threads.  get returns
+    the leading size floats of a named buffer, growing it first when it
+    is shorter, so a ragged last chunk uses leading slices.  The samplers
+    ask for the same names, so each chunk overwrites the arrays of the
+    chunk its thread ran before, of any job.
     """
 
     def __init__(self):
@@ -159,6 +153,13 @@ class Scratch(threading.local):
         if buf is None or buf.size < size:
             buf = self.buffers[name] = np.empty(size)
         return buf[:size]
+
+
+# value_fn(rng, n, scratch) of a Monte Carlo job: yields (rows, n) blocks
+# of values in scratch's arrays.  The generator type is a string, so that
+# importing this module does not load numpy.random
+ValueFn = Callable[["np.random.Generator", int, Scratch],
+                   Iterable[np.ndarray]]
 
 
 def sample_theta0(marginal: PolarMarginal, rng: np.random.Generator,
@@ -236,7 +237,9 @@ def _sigma_blocks(scratch: Scratch, n: int, block_rows: int, p: np.ndarray,
     temporary, which becomes the key; sign is _draw_coin's.  Each
     yielded block lives in scratch, whose block buffers are sized once
     for the sampler's largest block of block_rows rows, and is
-    overwritten by the next.
+    overwritten by the next.  Sized per block, a buffer would grow while
+    the caller still holds the old one's last block: a raw job of laws
+    of 3, 3 and 5 rows peaked at 22 n floats, not 16, past its 18 n.
     """
     coef_a, coef_b = (scratch.get(name, n) for name in ("coef_a", "coef_b"))
     block, tmp = (scratch.get(name, block_rows * n)
@@ -279,8 +282,7 @@ def _sigma_blocks(scratch: Scratch, n: int, block_rows: int, p: np.ndarray,
         yield value
 
 
-def raw_sampler(laws: Sequence[tuple[int, Sequence[float]]],
-                scratch: Scratch) -> ValueFn:
+def raw_sampler(laws: Sequence[tuple[int, Sequence[float]]]) -> ValueFn:
     """The raw laws (kept = 1) at several d, all from one draw per chunk.
 
     laws is a sequence of (d, sigmas) pairs, d >= 2.  Returns a
@@ -316,7 +318,7 @@ def raw_sampler(laws: Sequence[tuple[int, Sequence[float]]],
                              f"2d - 1 and leaves one out, so d >= 2; "
                              f"got d={d}")
 
-    def value_fn(rng: np.random.Generator, n: int):
+    def value_fn(rng: np.random.Generator, n: int, scratch: Scratch):
         e, cosine, sign, p, a, t = (
             scratch.get(name, n)
             for name in ("e", "cosine", "sign", "p", "a", "t"))
@@ -344,11 +346,11 @@ def raw_sampler(laws: Sequence[tuple[int, Sequence[float]]],
     return value_fn
 
 
-def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
-                     scratch: Scratch) -> ValueFn:
+def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float]
+                     ) -> ValueFn:
     """Squared mass of normal errors about e0 on e0 plus kept coordinates.
 
-    Returns value_fn(rng, n), a Monte Carlo value function for mc_means.
+    Returns value_fn(rng, n, scratch), a value function for mc_means.
     Its rows, one per sigma, hold the law of
     (x[:, :kept + 1] ** 2).sum(axis=1) over rows x of
     sample_states(IsotropicDensity.normal(sigmas[j], d), ...); every row
@@ -389,11 +391,10 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     2^-53; at sigma = 0 it is exactly P.
 
     value_fn is a generator: it yields each block of rows as soon as it
-    is computed, in the calling thread's arrays of scratch, and
+    is computed, in the arrays of the scratch it is handed, and
     overwrites the block with the next.  mc_means reduces each block
-    before it resumes the generator.  Samplers that share scratch share
-    those arrays, so a thread finishes one chunk's blocks before it
-    starts another's.
+    before it resumes the generator, and a worker finishes one chunk's
+    blocks before it starts another chunk on the same scratch.
     """
     columns = _sigma_columns(sigmas)
     if not 2 <= kept <= 2 * d - 2:
@@ -402,7 +403,7 @@ def fidelity_sampler(d: int, kept: int, sigmas: Sequence[float],
     rest_shape = (2 * d - 1 - kept) / 2
     block_rows = min(SIGMA_BLOCK, len(sigmas))
 
-    def value_fn(rng: np.random.Generator, n: int):
+    def value_fn(rng: np.random.Generator, n: int, scratch: Scratch):
         p, a, t, sign = (
             scratch.get(name, n) for name in ("p", "a", "t", "sign"))
         # Z0 into a, K into p, R into t; then P = (Z0^2 + K) / N and
@@ -429,7 +430,7 @@ def mc_means(jobs: Sequence[tuple[ValueFn, RngStreams]], n_samples: int,
              ) -> list[tuple[tuple[McEstimate, ...], float]]:
     """Chunked means of every job's value_fn rows, on one set of threads.
 
-    A job is (value_fn, streams); value_fn(rng, count) yields
+    A job is (value_fn, streams); value_fn(rng, count, scratch) yields
     (rows, count) float blocks, and a job's rows are its blocks' rows in
     the order yielded; mc_means reduces over the last axis.  It returns,
     per job, one estimate per row and the job's busy seconds, its chunk
@@ -452,9 +453,10 @@ def mc_means(jobs: Sequence[tuple[ValueFn, RngStreams]], n_samples: int,
     the block's rows, then centres and squares them in place, one numpy
     call per step, before it asks value_fn for the next block, so
     value_fn may yield one reused array.  A row's sums are those of the
-    row reduced alone.  mc_means holds no chunk buffer of its own.  An
-    exception in a chunk stops the workers taking new chunks, and is
-    raised from the call once every thread has ended.
+    row reduced alone.  Each worker makes one Scratch when it starts and
+    hands it to every chunk it runs, of every job; each is freed when
+    the call returns.  An exception in a chunk stops the workers taking
+    new chunks, and is raised from the call once every thread has ended.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
@@ -472,10 +474,10 @@ def mc_means(jobs: Sequence[tuple[ValueFn, RngStreams]], n_samples: int,
     busy = [0.0] * len(jobs)
     moments: list = [None] * len(jobs)
 
-    def run_chunk(value_fn, streams: RngStreams, i: int):
+    def run_chunk(value_fn, streams: RngStreams, i: int, scratch: Scratch):
         size = min(chunk_size, n_samples - i * chunk_size)
         sums, m2 = [], []
-        for values in value_fn(streams.chunk(i), size):
+        for values in value_fn(streams.chunk(i), size, scratch):
             if values.ndim != 2 or values.shape[1] != size:
                 raise ValueError(f"value_fn yielded shape {values.shape}, "
                                  f"expected (rows, {size})")
@@ -511,6 +513,7 @@ def mc_means(jobs: Sequence[tuple[ValueFn, RngStreams]], n_samples: int,
 
     def work() -> None:
         nonlocal next_task, held
+        scratch = Scratch()
         try:
             while True:
                 with ready:
@@ -523,7 +526,7 @@ def mc_means(jobs: Sequence[tuple[ValueFn, RngStreams]], n_samples: int,
                     return
                 job, i = divmod(task, n_chunks)
                 started = time.perf_counter()
-                partial = run_chunk(*jobs[job], i)
+                partial = run_chunk(*jobs[job], i, scratch)
                 seconds = time.perf_counter() - started
                 with ready:
                     busy[job] += seconds

@@ -58,7 +58,7 @@ def syndrome_sampled_fidelity_mc(params, sigmas, n_samples, streams):
     def sampled_fn(sigma):
         density = IsotropicDensity.normal(sigma, params.d)
 
-        def value_fn(rng, count):
+        def value_fn(rng, count, scratch):
             # states consume the stream first, then the syndrome draws
             x = sample_states(density, count, rng)
             yield sampled_values(x, params, rng)[None]

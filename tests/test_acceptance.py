@@ -45,7 +45,6 @@ from isoqec.experiments import (
 )
 from isoqec.sampler import (
     RngStreams,
-    Scratch,
     fidelity_sampler,
     mc_means,
     raw_sampler,
@@ -76,11 +75,10 @@ class McCell:
 
 @pytest.fixture(scope="module")
 def mc_cells():
-    # all 24 estimates are jobs of one mc_means call on one Scratch, as a
-    # sweep runs them, each on a stream of its own: the raw fidelity
-    # keeps one coordinate beside e0, the corrected one 2 d'' - 1
+    # all 24 estimates are jobs of one mc_means call, as a sweep runs
+    # them, each on a stream of its own: the raw fidelity keeps one
+    # coordinate beside e0, the corrected one 2 d'' - 1
     started = time.perf_counter()
-    scratch = Scratch()
     specs, jobs = [], []
     for code_idx, code in enumerate(MC_CODES):
         params = CodeParams(*code)
@@ -89,12 +87,10 @@ def mc_cells():
             cell = RngStreams(SEED).split(code_idx * 10 + sigma_idx)
             specs.append((params, sigma_c, sigma_u))
             jobs += [
-                (raw_sampler([(params.d, (sigma_c,))], scratch),
-                 cell.split(0)),
+                (raw_sampler([(params.d, (sigma_c,))]), cell.split(0)),
                 (fidelity_sampler(params.d, 2 * params.d_dprime - 1,
-                                  (sigma_c,), scratch), cell.split(1)),
-                (raw_sampler([(params.d_prime, (sigma_u,))], scratch),
-                 cell.split(2))]
+                                  (sigma_c,)), cell.split(1)),
+                (raw_sampler([(params.d_prime, (sigma_u,))]), cell.split(2))]
     estimates = [est for (est,), _ in mc_means(jobs, N_SAMPLES)]
     cells = [McCell(params, sigma_c, {
         "psi": (estimates[3 * i], fidelity_psi_normal(sigma_c, params.d)),

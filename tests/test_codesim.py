@@ -10,7 +10,6 @@ from isoqec.codesim import corrected_fidelity_mc, raw_fidelity_mc
 from isoqec.distributions import CodeParams
 from isoqec.sampler import (
     RngStreams,
-    Scratch,
     fidelity_sampler,
     mc_mean,
     mc_means,
@@ -25,14 +24,14 @@ def test_each_estimator_equals_its_mc_means_job():
     for workers in (1, 2):
         raw, corrected = (
             estimates for estimates, _ in mc_means(
-                [(raw_sampler([(params.d, sigmas)], Scratch()), streams),
+                [(raw_sampler([(params.d, sigmas)]), streams),
                  (fidelity_sampler(params.d, 2 * params.d_dprime - 1,
-                                   sigmas, Scratch()), streams)],
+                                   sigmas), streams)],
                 n_samples, workers=workers))
         assert raw_fidelity_mc(params.d, sigmas, n_samples, streams,
                                workers=workers) == raw
         assert corrected_fidelity_mc(params, sigmas, n_samples, streams,
                                      workers=workers) == corrected
-        assert mc_mean(raw_sampler([(params.d, sigmas)], Scratch()),
-                       n_samples, streams, workers=workers) == raw
+        assert mc_mean(raw_sampler([(params.d, sigmas)]), n_samples,
+                       streams, workers=workers) == raw
         assert len(raw) == len(corrected) == len(sigmas)

@@ -47,8 +47,8 @@ def test_monte_carlo_signatures_are_pinned():
 
     empty = inspect.Parameter.empty
     assert params(fidelity_sampler) == [
-        ("d", empty), ("kept", empty), ("sigmas", empty), ("scratch", empty)]
-    assert params(raw_sampler) == [("laws", empty), ("scratch", empty)]
+        ("d", empty), ("kept", empty), ("sigmas", empty)]
+    assert params(raw_sampler) == [("laws", empty)]
     assert params(mc_means) == [
         ("jobs", empty), ("n_samples", empty),
         ("chunk_size", DEFAULT_CHUNK_SIZE), ("workers", 1)]

@@ -9,7 +9,6 @@ from isoqec.closedform import fidelity_corrected, fidelity_psi
 from isoqec.distributions import CodeParams, IsotropicDensity
 from isoqec.sampler import (
     RngStreams,
-    Scratch,
     fidelity_sampler,
     mc_means,
     raw_sampler,
@@ -22,23 +21,19 @@ SEED = 20260819
 
 
 def streams(*key):
-    base = RngStreams(SEED)
-    for k in key:
-        base = base.split(k)
-    return base
+    return RngStreams(SEED, key)
 
 
 def raw(d, sigmas):
     """The raw fidelity's sampler: the mass on e0 and one coordinate."""
-    return raw_sampler([(d, sigmas)], Scratch())
+    return raw_sampler([(d, sigmas)])
 
 
 def corrected(params, sigmas):
     """The corrected fidelity's sampler, averaged over syndromes in closed
     form: the mass on each block's first amplitude, e0 and 2 d'' - 1
     coordinates."""
-    return fidelity_sampler(params.d, 2 * params.d_dprime - 1, sigmas,
-                            Scratch())
+    return fidelity_sampler(params.d, 2 * params.d_dprime - 1, sigmas)
 
 
 def basis_state(d, k):
@@ -239,7 +234,8 @@ class TestOrderingBySampling:
         sigma_u = sigma_c ** (1 / 5)
         big = IsotropicDensity.normal(sigma_c, params.d)
         small = IsotropicDensity.normal(sigma_u, params.d_prime)
-        # the three estimates of a sweep cell, as one mc_means call
+        # the three estimates of a sweep cell, as one mc_means call whose
+        # workers each run every job's chunks on one set of buffers
         [((psi,), _), ((phi_tilde,), _), ((uncoded,), _)] = mc_means([
             (raw(params.d, (sigma_c,)), streams(21)),
             (corrected(params, (sigma_c,)), streams(22)),

@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -48,24 +49,32 @@ ELEVEN_SIGMAS = (0.0, 0.05, 0.2, 0.3, 0.45, 0.6, 0.7, 0.8, 0.9, 0.95, 0.999)
 
 
 def streams(*key):
-    base = RngStreams(SEED)
-    for k in key:
-        base = base.split(k)
-    return base
+    return RngStreams(SEED, key)
 
 
-def law_sampler(d, kept, sigmas, scratch):
+def law_sampler(d, kept, sigmas):
     """The sampler of the law (d, kept): raw_sampler's with the one law d
     at kept = 1, fidelity_sampler's otherwise."""
     if kept == 1:
-        return raw_sampler([(d, sigmas)], scratch)
-    return fidelity_sampler(d, kept, sigmas, scratch)
+        return raw_sampler([(d, sigmas)])
+    return fidelity_sampler(d, kept, sigmas)
 
 
-def rows_of(value_fn, rng, n):
-    """A value_fn's rows for one chunk, each block copied as it is
-    yielded, before the next block overwrites it."""
-    return np.concatenate([block.copy() for block in value_fn(rng, n)])
+def rows_of(value_fn, rng, n, scratch=None):
+    """A value_fn's rows for one chunk on scratch, a fresh Scratch by
+    default, each block copied as it is yielded, before the next block
+    overwrites it."""
+    blocks = value_fn(rng, n, Scratch() if scratch is None else scratch)
+    return np.concatenate([block.copy() for block in blocks])
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch every microsecond, so shared buffers would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
 
 
 def chord_statistics(d, kept, n, rng):
@@ -310,9 +319,8 @@ class TestFidelitySampler:
                 2 * params.d_dprime - 1:
                     (r[:, :, 0] ** 2 + r[:, :, 1] ** 2).sum(axis=1)}
         for kept, want in full.items():
-            (got,) = rows_of(
-                law_sampler(density.d, kept, (density.sigma,), Scratch()),
-                streams(36, tag, kept).chunk(0), n)
+            (got,) = rows_of(law_sampler(density.d, kept, (density.sigma,)),
+                             streams(36, tag, kept).chunk(0), n)
             p = stats.ks_2samp(got, want).pvalue
             assert p > 1e-3, (case, kept, p)
 
@@ -323,9 +331,8 @@ class TestFidelitySampler:
         for case, sigma in enumerate((0.0, 0.6, 0.95)):
             density = IsotropicDensity.normal(sigma, d)
             for kept in (1, 7, d, 2 * d - 2):
-                (values,) = rows_of(
-                    law_sampler(d, kept, (sigma,), Scratch()),
-                    streams(37, case, kept).chunk(0), 100000)
+                (values,) = rows_of(law_sampler(d, kept, (sigma,)),
+                                    streams(37, case, kept).chunk(0), 100000)
                 want = 1.0 - moment_sin2(density) * (1 - kept / (2 * d - 1))
                 se = values.std(ddof=1) / math.sqrt(values.size)
                 assert abs(values.mean() - want) < 3 * se, (sigma, kept)
@@ -341,9 +348,8 @@ class TestFidelitySampler:
         cases = [(i, sigma, kept)
                  for i, sigma in enumerate((0.0, 0.5, 0.9))
                  for kept in (1, 2 ** (n - 1) - 1)]
-        scratch = Scratch()
         results = mc_means(
-            [(law_sampler(d, kept, (sigma,), scratch),
+            [(law_sampler(d, kept, (sigma,)),
               streams(39, n, i, kept % 1000)) for i, sigma, kept in cases],
             n_samples)
         for ((est,), _), (_, sigma, kept) in zip(results, cases):
@@ -357,11 +363,11 @@ class TestFidelitySampler:
         # sigma_j on the same generator, bit for bit
         sigmas = (0.0, 0.05, 0.3, 0.6, 0.9, 0.999)
         for kept in (1, 2 * d - 2):
-            shared = rows_of(law_sampler(d, kept, sigmas, Scratch()),
+            shared = rows_of(law_sampler(d, kept, sigmas),
                              streams(51, kept).chunk(0), 3000)
             assert shared.shape == (len(sigmas), 3000)
             for row, sigma in zip(shared, sigmas):
-                (alone,) = rows_of(law_sampler(d, kept, (sigma,), Scratch()),
+                (alone,) = rows_of(law_sampler(d, kept, (sigma,)),
                                    streams(51, kept).chunk(0), 3000)
                 assert np.array_equal(row, alone), (sigma, kept)
 
@@ -371,7 +377,7 @@ class TestFidelitySampler:
         # docstring's expressions on the same variates
         d, n = 8, 2000
         sigmas = (0.0, 0.6, 0.95)
-        got = rows_of(law_sampler(d, kept, sigmas, Scratch()),
+        got = rows_of(law_sampler(d, kept, sigmas),
                       streams(54, kept).chunk(0), n)
         want = out_of_place_fidelities(sigmas, d, kept, n,
                                        streams(54, kept).chunk(0))
@@ -412,7 +418,7 @@ class TestFidelitySampler:
         n = 20000
         tag = (2, 8, 2 ** 20).index(d)
         p, a, _ = chord_statistics(d, 1, n, streams(59, tag).chunk(0))
-        (row,) = rows_of(raw_sampler([(d, (0.0,))], Scratch()),
+        (row,) = rows_of(raw_sampler([(d, (0.0,))]),
                          streams(59, tag).chunk(0), n)
         assert np.array_equal(row, p)
         assert stats.kstest(p, stats.beta(1, d - 1).cdf).pvalue > 1e-3
@@ -445,8 +451,7 @@ class TestFidelitySampler:
         with warnings.catch_warnings(), np.errstate(
                 divide="raise", over="raise", invalid="raise"):
             warnings.simplefilter("error")
-            values = rows_of(raw_sampler([(d, sigmas)], Scratch()), rng,
-                             grid.shape[1])
+            values = rows_of(raw_sampler([(d, sigmas)]), rng, grid.shape[1])
         assert rng.calls == ["standard_exponential", "random", "random"]
         assert np.all(np.isfinite(values))
         assert values.min() >= -1e-15 and values.max() <= 1.0 + 1e-15
@@ -475,8 +480,7 @@ class TestFidelitySampler:
             kernel, chunk = {}, {}
             for rows in (1, 3, 4, 5):
                 value_fn = law_sampler(
-                    8, kept, tuple(0.1 * (j + 1) for j in range(rows)),
-                    Scratch())
+                    8, kept, tuple(0.1 * (j + 1) for j in range(rows)))
                 calls.clear()
                 rows_of(value_fn, streams(61).chunk(0), 100)
                 kernel[rows] = len(calls)
@@ -502,13 +506,13 @@ class TestFidelitySampler:
             third = rows // 3
             value_fn = raw_sampler([(4, sigmas[:third]),
                                     (2 ** 20, sigmas[third:2 * third]),
-                                    (8, sigmas[2 * third:])], Scratch())
+                                    (8, sigmas[2 * third:])])
         else:
-            value_fn = fidelity_sampler(8, kept, sigmas, Scratch())
+            value_fn = fidelity_sampler(8, kept, sigmas)
         rng = streams(62).chunk(0)
         tracemalloc.start()
         try:
-            yielded = sum(len(block) for block in value_fn(rng, n))
+            yielded = sum(map(len, value_fn(rng, n, Scratch())))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,18 +522,18 @@ class TestFidelitySampler:
     @pytest.mark.parametrize("kept", [1, 5, 14])
     def test_reused_scratch_matches_the_out_of_place_expressions(self, kept):
         # one thread, samplers of unequal row counts on one Scratch taking
-        # turns over chunks of changing count: each chunk equals the
-        # out-of-place expressions on its own stream, whatever the scratch
-        # held before; the 11-sigma group is two full blocks and a ragged
-        # one of 3 rows
+        # turns over chunks of changing count, as a worker runs them: each
+        # chunk equals the out-of-place expressions on its own stream,
+        # whatever the scratch held before; the 11-sigma group is two full
+        # blocks and a ragged one of 3 rows
         d = 8
         groups = ((0.0, 0.6, 0.95), (0.3,), (0.5, 0.999), ELEVEN_SIGMAS)
         scratch = Scratch()
-        samplers = [law_sampler(d, kept, sigmas, scratch)
-                    for sigmas in groups]
+        samplers = [law_sampler(d, kept, sigmas) for sigmas in groups]
         for i, count in enumerate((700, 3, 1, 700, 699, 1000, 2)):
             for j, (sigmas, value_fn) in enumerate(zip(groups, samplers)):
-                got = rows_of(value_fn, streams(56, kept, j).chunk(i), count)
+                got = rows_of(value_fn, streams(56, kept, j).chunk(i), count,
+                              scratch)
                 want = out_of_place_fidelities(
                     sigmas, d, kept, count, streams(56, kept, j).chunk(i))
                 assert np.array_equal(got, want), (count, sigmas)
@@ -540,18 +544,18 @@ class TestFidelitySampler:
         # later sampler's block neither aliases nor overwrites it
         sigmas = (0.2, 0.7)
         rng = streams(57, kept).chunk(0)
-        (first,) = law_sampler(4, kept, sigmas, Scratch())(rng, 500)
+        (first,) = law_sampler(4, kept, sigmas)(rng, 500, Scratch())
         before = first.copy()
-        (second,) = law_sampler(4, kept, sigmas, Scratch())(rng, 500)
+        (second,) = law_sampler(4, kept, sigmas)(rng, 500, Scratch())
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, before)
 
     @pytest.mark.parametrize("one, many", [
-        (lambda: fidelity_sampler(8, 3, (0.2,), Scratch()),
-         lambda: fidelity_sampler(8, 3, (0.2, 0.7), Scratch())),
-        (lambda: raw_sampler([(8, (0.2,))], Scratch()),
+        (lambda: fidelity_sampler(8, 3, (0.2,)),
+         lambda: fidelity_sampler(8, 3, (0.2, 0.7))),
+        (lambda: raw_sampler([(8, (0.2,))]),
          lambda: raw_sampler([(8, (0.2, 0.7)), (2, (0.5,)),
-                              (2 ** 40, ELEVEN_SIGMAS)], Scratch()))],
+                              (2 ** 40, ELEVEN_SIGMAS)]))],
         ids=["corrected", "raw"])
     def test_shared_draw_consumes_the_stream_once(self, one, many):
         # more sigmas, and for the raw draw more laws, draw no more
@@ -571,14 +575,14 @@ class TestFidelitySampler:
                 (128, (0.1, 0.2, 0.4, 0.8)), (2 ** 20, ELEVEN_SIGMAS[:5]),
                 (2 ** 40, ELEVEN_SIGMAS)]
         scratch = Scratch()
-        family = rows_of(raw_sampler(laws, scratch),
-                         streams(75).chunk(count), count)
+        family = rows_of(raw_sampler(laws), streams(75).chunk(count), count,
+                         scratch)
         assert family.shape == (24, count)
         start = 0
         for d, sigmas in laws:
             got = family[start:start + len(sigmas)]
             start += len(sigmas)
-            alone = rows_of(raw_sampler([(d, sigmas)], Scratch()),
+            alone = rows_of(raw_sampler([(d, sigmas)]),
                             streams(75).chunk(count), count)
             want = out_of_place_fidelities(sigmas, d, 1, count,
                                            streams(75).chunk(count))
@@ -587,7 +591,7 @@ class TestFidelitySampler:
         rng = StubGenerator(np.linspace(0.0, 5.0, count),
                             [np.linspace(0.0, 1.0, count, endpoint=False)]
                             * 2)
-        rows_of(raw_sampler(laws, scratch), rng, count)
+        rows_of(raw_sampler(laws), rng, count, scratch)
         assert rng.calls == ["standard_exponential", "random", "random"]
 
     def test_raw_draw_estimates_equal_one_law_jobs(self):
@@ -595,35 +599,34 @@ class TestFidelitySampler:
         # each law's estimates are those of its one-law job, bit for bit
         laws = [(4, (0.0, 0.6)), (32, ELEVEN_SIGMAS), (2 ** 40, (0.9,))]
         want = [est for law in laws for est in mc_means(
-            [(raw_sampler([law], Scratch()), streams(76))], 3000,
+            [(raw_sampler([law]), streams(76))], 3000,
             chunk_size=1000 - 1)[0][0]]
         for workers in (1, 2, 3):
-            [(got, _)] = mc_means([(raw_sampler(laws, Scratch()),
-                                    streams(76))], 3000,
+            [(got, _)] = mc_means([(raw_sampler(laws), streams(76))], 3000,
                                   chunk_size=1000 - 1, workers=workers)
             assert list(got) == want, workers
 
     @pytest.mark.parametrize("make, match", [
-        (lambda: raw_sampler([(4, (0.5, math.nan))], Scratch()),
+        (lambda: raw_sampler([(4, (0.5, math.nan))]),
          r"sigma must lie in \[0, 1\), got nan"),
-        (lambda: raw_sampler([(4, (0.5,)), (8, (0.5, 1.0))], Scratch()),
+        (lambda: raw_sampler([(4, (0.5,)), (8, (0.5, 1.0))]),
          r"sigma must lie in \[0, 1\), got 1.0"),
-        (lambda: fidelity_sampler(4, 3, (-0.1,), Scratch()),
+        (lambda: fidelity_sampler(4, 3, (-0.1,)),
          r"sigma must lie in \[0, 1\), got -0.1"),
-        (lambda: fidelity_sampler(4, 0, (0.5,), Scratch()),
+        (lambda: fidelity_sampler(4, 0, (0.5,)),
          r"kept must lie in \[2, 6\] at d=4, got 0"),
         # the raw law is raw_sampler's
-        (lambda: fidelity_sampler(4, 1, (0.5,), Scratch()),
+        (lambda: fidelity_sampler(4, 1, (0.5,)),
          r"kept must lie in \[2, 6\] at d=4, got 1"),
-        (lambda: fidelity_sampler(4, 8, (0.5,), Scratch()),
+        (lambda: fidelity_sampler(4, 8, (0.5,)),
          r"kept must lie in \[2, 6\] at d=4, got 8"),
         # every coordinate kept: the value would be 1, no law a sweep
         # samples, so it is refused, not special-cased
-        (lambda: fidelity_sampler(4, 7, (0.7,), Scratch()),
+        (lambda: fidelity_sampler(4, 7, (0.7,)),
          r"kept must lie in \[2, 6\] at d=4, got 7"),
         # a single complex amplitude: only e0 and one coordinate exist,
         # so no kept count leaves one out
-        (lambda: raw_sampler([(4, (0.5,)), (1, (0.5,))], Scratch()),
+        (lambda: raw_sampler([(4, (0.5,)), (1, (0.5,))]),
          r"so d >= 2; got d=1"),
     ], ids=["nan", "one", "negative", "kept-0", "kept-1", "kept-2d",
             "kept-all", "d-1"])
@@ -719,7 +722,7 @@ class TestOneJob:
 
     @staticmethod
     def _value_fn(density):
-        def fn(rng, count):
+        def fn(rng, count, scratch):
             x = sample_states(density, count, rng)
             yield (x[:, 0] ** 2 + x[:, 1] ** 2)[None]
         return fn
@@ -771,12 +774,12 @@ class TestOneJob:
 
         for workers in (1, 3):
             [(shared, _)] = mc_means(
-                [(lambda rng, count: [rows(rng, count)], streams(65))],
+                [(lambda rng, count, _: [rows(rng, count)], streams(65))],
                 40000, chunk_size=7000, workers=workers)
             assert len(shared) == 3
             for j, est in enumerate(shared):
                 [(alone, _)] = mc_means(
-                    [(lambda rng, count, j=j: [rows(rng, count)[j:j + 1]],
+                    [(lambda rng, count, _, j=j: [rows(rng, count)[j:j + 1]],
                       streams(65))], 40000, chunk_size=7000)
                 assert (est,) == alone
 
@@ -790,7 +793,7 @@ class TestOneJob:
             return np.stack([x, np.exp(x), 3.0 * x * x, np.sin(x),
                              x ** 3, 1.0 / (1.0 + x * x)])
 
-        def blocks(rng, count):
+        def blocks(rng, count, scratch):
             values = whole(rng, count)
             buffer = np.empty((3, count))
             for start, stop in ((0, 1), (1, 4), (4, 6)):
@@ -801,7 +804,7 @@ class TestOneJob:
         want = list(zip(*whole_chunk_reduction(
             whole, 40000, streams(77), 7000)))
         for workers in (1, 3):
-            [(one, _)] = mc_means([(lambda rng, count: [whole(rng, count)],
+            [(one, _)] = mc_means([(lambda rng, count, _: [whole(rng, count)],
                                     streams(77))], 40000, chunk_size=7000,
                                   workers=workers)
             [(many, _)] = mc_means([(blocks, streams(77))], 40000,
@@ -813,7 +816,7 @@ class TestOneJob:
         # a one-pass total_sq - n mean^2 cancels to SE 0.0 here; the
         # per-chunk two-pass M2 keeps it at 1e-9 / sqrt(n)
         [((est,), _)] = mc_means(
-            [(lambda rng, n: [1 + 1e-9 * rng.standard_normal((1, n))],
+            [(lambda rng, n, _: [1 + 1e-9 * rng.standard_normal((1, n))],
               RngStreams(3))], 200_000)
         assert est.std_error == pytest.approx(1e-9 / math.sqrt(200_000),
                                               rel=0.02)
@@ -824,7 +827,7 @@ class TestOneJob:
         # error of the concatenated values to rounding
         seen = []
 
-        def fn(rng, count):
+        def fn(rng, count, scratch):
             # mc_means centres the array it is handed in place
             values = rng.exponential(size=(2, count))
             seen.append(values.copy())
@@ -840,32 +843,25 @@ class TestOneJob:
     @pytest.mark.parametrize("n_samples, chunk_size", [
         (10007, 1000), (7, 1), (2500, 4096), (200_000, 16384)])
     def test_matches_whole_chunk_reduction_of_out_of_place_values(
-            self, n_samples, chunk_size):
+            self, n_samples, chunk_size, fast_switching):
         # reused sampler scratch and block-wise centring in place give
         # the bits of the out-of-place values centred whole, on any
         # worker count.  Eleven rows make two full blocks and a ragged one
         d, kept = 8, 5
-        # threads switch often, so scratch shared between them would show
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for sigmas in ((0.0, 0.6, 0.95), ELEVEN_SIGMAS):
-                want = list(zip(*whole_chunk_reduction(
-                    lambda rng, count: out_of_place_fidelities(
-                        sigmas, d, kept, count, rng),
-                    n_samples, streams(68), chunk_size)))
-                for workers in (1, 2, 3):
-                    [(got, _)] = mc_means(
-                        [(law_sampler(d, kept, sigmas, Scratch()),
-                          streams(68))],
-                        n_samples, chunk_size, workers)
-                    assert [(e.value, e.std_error) for e in got] \
-                        == want, (len(sigmas), workers)
-        finally:
-            sys.setswitchinterval(interval)
+        for sigmas in ((0.0, 0.6, 0.95), ELEVEN_SIGMAS):
+            want = list(zip(*whole_chunk_reduction(
+                lambda rng, count: out_of_place_fidelities(
+                    sigmas, d, kept, count, rng),
+                n_samples, streams(68), chunk_size)))
+            for workers in (1, 2, 3):
+                [(got, _)] = mc_means(
+                    [(law_sampler(d, kept, sigmas), streams(68))],
+                    n_samples, chunk_size, workers)
+                assert [(e.value, e.std_error) for e in got] == want, \
+                    (len(sigmas), workers)
 
     def test_rejects_a_changing_row_count(self):
-        def fn(rng, count):
+        def fn(rng, count, scratch):
             yield rng.random((1 if count == 10 else 2, count))
         with pytest.raises(ValueError, match="rows"):
             mc_means([(fn, streams(66))], 25, chunk_size=10)
@@ -881,39 +877,58 @@ class TestMcMeans:
     """Many estimates on one set of threads, as a sweep runs them."""
 
     @staticmethod
-    def _jobs(scratch):
+    def _jobs():
         # samplers of unequal row and kept counts, one of them past a
         # block, a raw draw of three laws, and a plain value_fn
-        jobs = [(law_sampler(8, kept, sigmas, scratch), streams(70, j))
+        jobs = [(law_sampler(8, kept, sigmas), streams(70, j))
                 for j, (sigmas, kept) in enumerate((
                     ((0.0, 0.6, 0.95), 1), ((0.3,), 5),
                     ((0.2, 0.5, 0.7, 0.9, 0.999), 3), (ELEVEN_SIGMAS, 1)))]
         jobs.append((raw_sampler([(2, (0.5,)), (2 ** 20, ELEVEN_SIGMAS),
-                                  (8, (0.0, 0.9))], scratch),
+                                  (8, (0.0, 0.9))]),
                      streams(70, 5)))
-        jobs.append((lambda rng, count: [rng.exponential(size=(2, count))],
+        jobs.append((lambda rng, count, _: [rng.exponential(size=(2, count))],
                      streams(70, 4)))
         return jobs
 
-    def test_jobs_sharing_one_scratch_equal_one_job_calls(self):
+    def test_jobs_equal_one_job_calls(self, fast_switching):
         # a ragged last chunk; every job bit-identical to a one-job call,
-        # on any worker count, with the samplers on one Scratch and
-        # threads switching often so that shared buffers would show
+        # on any worker count, with each worker's buffers serving every job
         n_samples, chunk_size = 5 * 1000 + 123, 1000
         want = []
-        for job in self._jobs(Scratch()):
+        for job in self._jobs():
             [(estimates, _)] = mc_means([job], n_samples, chunk_size)
             want.append(estimates)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 3):
-                got = mc_means(self._jobs(Scratch()), n_samples, chunk_size,
-                               workers)
-                assert [estimates for estimates, _ in got] == want, workers
-                assert all(seconds > 0.0 for _, seconds in got), workers
-        finally:
-            sys.setswitchinterval(interval)
+        for workers in (1, 2, 3):
+            got = mc_means(self._jobs(), n_samples, chunk_size, workers)
+            assert [estimates for estimates, _ in got] == want, workers
+            assert all(seconds > 0.0 for _, seconds in got), workers
+
+    def test_each_worker_runs_its_chunks_on_one_scratch_of_its_own(
+            self, fast_switching):
+        # each chunk of two jobs records its thread and the Scratch it was
+        # handed.  A thread's first chunk waits for the other workers'
+        # first, so every worker runs one.  Only weak references are
+        # kept, so they show whether any Scratch outlives the call
+        for workers in (1, 2, 3):
+            started, seen = threading.Barrier(workers), []
+
+            def value_fn(rng, count, scratch):
+                me = threading.get_ident()
+                if all(thread != me for thread, _, _ in seen):
+                    started.wait(timeout=10)
+                seen.append((me, id(scratch), weakref.ref(scratch)))
+                yield rng.random(out=scratch.get("x", count))[None]
+
+            mc_means([(value_fn, streams(78, job)) for job in (0, 1)],
+                     40 * 100, 100, workers)
+            pools = {thread: pool for thread, pool, _ in seen}
+            assert len(seen) == 2 * 40, workers
+            # one Scratch per thread, whatever the job, one thread per
+            # Scratch, and every worker ran
+            assert len({(thread, pool) for thread, pool, _ in seen}) \
+                == len(pools) == len(set(pools.values())) == workers
+            assert all(ref() is None for _, _, ref in seen), workers
 
     def test_an_error_in_a_worker_is_raised_after_every_thread_ends(self):
         baseline = threading.active_count()
@@ -921,7 +936,7 @@ class TestMcMeans:
         failed = threading.Event()
         calls = []
 
-        def value_fn(rng, count):
+        def value_fn(rng, count, scratch):
             calls.append(count)
             if threading.current_thread() is caller:
                 # the calling thread's first chunk outlasts a worker's
@@ -944,7 +959,7 @@ class TestMcMeans:
         def peak(n_chunks):
             tracemalloc.start()
             try:
-                mc_means([(lambda rng, count: [rng.random((8, count))],
+                mc_means([(lambda rng, count, _: [rng.random((8, count))],
                            streams(73))], n_chunks * 4, chunk_size=4,
                          workers=2)
                 return tracemalloc.get_traced_memory()[1]
@@ -958,15 +973,14 @@ class TestMcMeans:
     @pytest.mark.parametrize("route", ["jobs", "one_job"])
     def test_a_call_stays_within_its_bound(self, route, workers):
         # the samplers' bound per thread, (8 + 2 SIGMA_BLOCK) n floats
-        # with two rows spare, holds for a whole call: over samplers
-        # sharing a Scratch, as a sweep runs, and over one sampler alone.
-        # The centring works in the sampler's block; a block of its own
-        # would take 4 rows more per thread
+        # with two rows spare, holds for a whole call: over two samplers,
+        # as a sweep runs them, and over one sampler alone.  The centring
+        # works in the sampler's block; a block of its own would take 4
+        # rows more per thread
         n = 20000
-        scratch = Scratch()
         tracemalloc.start()
         try:
-            mc_means([(law_sampler(8, kept, ELEVEN_SIGMAS, scratch),
+            mc_means([(law_sampler(8, kept, ELEVEN_SIGMAS),
                        streams(74, kept))
                       for kept in ((1, 5) if route == "jobs" else (5,))],
                      4 * n, n, workers)
@@ -986,8 +1000,7 @@ class TestMcMeans:
         laws = sorted({key for code in DEFAULT_CODES
                        for key in _law_keys(*code)})
         cases = [(seed, n, k) for seed in range(300) for n, k in laws]
-        scratch = Scratch()
-        jobs = [(law_sampler(2 ** n, 2 ** (k + 1) - 1, (0.5,), scratch),
+        jobs = [(law_sampler(2 ** n, 2 ** (k + 1) - 1, (0.5,)),
                  RngStreams(seed).split(n).split(k))
                 for seed, n, k in cases]
         results = mc_means(jobs, DEFAULT_CHUNK_SIZE, workers=2)
